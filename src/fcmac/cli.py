@@ -36,7 +36,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"error: FCMAC_SEED must be an integer, got {raw!r}")
+        raise ValueError(f"FCMAC_SEED must be an integer, got {raw!r}") from None
 
 
 def _fmt(value) -> str:
@@ -359,7 +359,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
+        try:
+            args.seed = _default_seed()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

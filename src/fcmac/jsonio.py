@@ -7,6 +7,7 @@ name it exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -73,6 +74,11 @@ def _nested_floats(data, shape: tuple[int, ...], path: str) -> np.ndarray:
         raise SpecFormatError(path, "expected nested numeric arrays") from None
     if arr.shape != shape:
         raise SpecFormatError(path, f"shape {arr.shape} does not match axes {shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise SpecFormatError(path + "".join(f"[{i}]" for i in idx),
+                              f"value {arr[idx]} is not finite")
     return arr
 
 
@@ -213,8 +219,9 @@ def distortion_to_json(d: DistortionTable) -> dict:
 
 def system_spec_from_json(obj, path: str = "$") -> SystemSpec:
     target = _get(obj, "target_d", path)
-    if isinstance(target, bool) or not isinstance(target, (int, float)):
-        raise SpecFormatError(f"{path}.target_d", "target distortion must be a number")
+    if (isinstance(target, bool) or not isinstance(target, (int, float))
+            or not math.isfinite(target)):
+        raise SpecFormatError(f"{path}.target_d", "target distortion must be a finite number")
     try:
         return SystemSpec(
             source_joint=pmf_from_json(_get(obj, "source_joint", path), f"{path}.source_joint"),

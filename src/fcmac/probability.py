@@ -106,7 +106,7 @@ class JointPMF:
 
 @dataclass(frozen=True)
 class ValidationProblem:
-    kind: str            # "negative_entry" | "not_normalized"
+    kind: str            # "non_finite_entry" | "negative_entry" | "not_normalized"
     index: tuple | None  # offending tensor index, None for global problems
     magnitude: float
 
@@ -121,12 +121,13 @@ class ValidationReport:
 
 
 def validate(pmf: JointPMF) -> ValidationReport:
-    """Diagnostic check of nonnegativity and normalization; never raises."""
+    """Diagnostic check of finiteness, nonnegativity and normalization; never raises."""
     problems = []
-    neg = np.argwhere(pmf.mass < 0)
-    for idx in neg:
-        idx = tuple(int(i) for i in idx)
-        problems.append(ValidationProblem("negative_entry", idx, float(pmf.mass[idx])))
+    for kind, bad in (("non_finite_entry", ~np.isfinite(pmf.mass)),
+                      ("negative_entry", pmf.mass < 0)):
+        for idx in np.argwhere(bad):
+            idx = tuple(int(i) for i in idx)
+            problems.append(ValidationProblem(kind, idx, float(pmf.mass[idx])))
     total = float(pmf.mass.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         problems.append(ValidationProblem("not_normalized", None, total))
@@ -175,6 +176,9 @@ class Kernel:
         n_to = int(np.prod([len(a) for a in to_axes]))
         if rows.shape != (n_from, n_to):
             raise ValueError(f"rows shape {rows.shape}, expected {(n_from, n_to)}")
+        if not np.isfinite(rows).all():
+            idx = tuple(int(i) for i in np.argwhere(~np.isfinite(rows))[0])
+            raise ValueError(f"kernel row entry at {idx} is not finite: {rows[idx]}")
         if (rows < 0).any():
             idx = tuple(int(i) for i in np.argwhere(rows < 0)[0])
             raise ValueError(f"kernel row entry at {idx} is negative: {rows[idx]}")

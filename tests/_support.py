@@ -51,17 +51,18 @@ def random_graph(rng: np.random.Generator, n: int, edge_prob: float | None = Non
     return CharGraph(verts, frozenset(edges))
 
 
-def random_system_spec(rng: np.random.Generator) -> SystemSpec:
-    u1 = alph("u1", int(rng.integers(2, 4)))
-    u2 = alph("u2", int(rng.integers(2, 4)))
-    z1 = alph("z1", int(rng.integers(1, 3)))
-    z2 = alph("z2", int(rng.integers(1, 3)))
-    z = alph("z", int(rng.integers(1, 3)))
-    w1 = alph("w1", int(rng.integers(2, 4)))
-    w2 = alph("w2", int(rng.integers(2, 4)))
-    x1 = alph("x1", 2)
-    x2 = alph("x2", 2)
-    y = alph("y", int(rng.integers(2, 4)))
+SYSTEM_AXES = ("u1", "u2", "z1", "z2", "z", "w1", "w2", "x1", "x2", "y")
+
+
+def random_system_spec(rng: np.random.Generator, sizes: dict | None = None) -> SystemSpec:
+    """Random chain system; ``sizes`` maps every name in SYSTEM_AXES to its
+    alphabet size, and by default each size is drawn small."""
+    if sizes is None:
+        ranges = (("u1", 2, 4), ("u2", 2, 4), ("z1", 1, 3), ("z2", 1, 3), ("z", 1, 3),
+                  ("w1", 2, 4), ("w2", 2, 4))
+        sizes = {name: int(rng.integers(lo, hi)) for name, lo, hi in ranges}
+        sizes.update(x1=2, x2=2, y=int(rng.integers(2, 4)))
+    u1, u2, z1, z2, z, w1, w2, x1, x2, y = (alph(n, sizes[n]) for n in SYSTEM_AXES)
 
     source_axes = (u1, u2, z1, z2, z)
     shape = tuple(len(a) for a in source_axes)

@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fcmac import jsonio, presets
+import fcmac
+from fcmac import feasibility, jsonio, presets
 from fcmac.channels import adder_mac
 from fcmac.cli import main
 from fcmac.probability import marginalize
@@ -60,6 +66,32 @@ class TestCheckCommand:
         jsonio.dump_json(obj, str(broken))
         assert main(["check", "theorem1", "--spec", str(broken)]) == 2
         assert "$.decoder" in capsys.readouterr().err
+
+    def test_nan_source_mass_exits_2(self, tmp_path, spec_files, capsys):
+        obj = jsonio.load_json(str(spec_files["joint_spec"]))
+        obj["source_joint"]["mass"][0][1][0][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(obj))   # Python's json writes the NaN token
+        out = tmp_path / "report.json"
+        assert main(["check", "theorem1", "--spec", str(bad), "--format", "json",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "$.source_joint.mass[0][1][0][0][0]" in err
+        assert "not finite" in err
+        assert not out.exists()
+
+    def test_infinite_target_exits_2(self, tmp_path, spec_files, capsys):
+        obj = jsonio.load_json(str(spec_files["joint_spec"]))
+        obj["target_d"] = float("inf")
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["check", "theorem1", "--spec", str(bad)]) == 2
+        assert "$.target_d" in capsys.readouterr().err
+
+    def test_cell_cap_exits_2(self, spec_files, monkeypatch, capsys):
+        monkeypatch.setattr(feasibility, "FEASIBILITY_CELL_CAP", 10)
+        assert main(["check", "theorem1", "--spec", str(spec_files["joint_spec"])]) == 2
+        assert "over the feasibility cap of 10" in capsys.readouterr().err
 
     def test_json_format_output(self, spec_files, capsys):
         main(["check", "theorem1", "--spec", str(spec_files["joint_spec"]),
@@ -134,6 +166,21 @@ class TestExperimentCommand:
               "--seed", "1234", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bad_seed_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("FCMAC_SEED", "abc")
+        assert main(["experiment", "gauss-binary"]) == 2
+        assert "FCMAC_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_bad_seed_env_process_exit_code(self):
+        src = str(Path(fcmac.__file__).resolve().parent.parent)
+        env = dict(os.environ, FCMAC_SEED="abc",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "fcmac.cli", "experiment", "gauss-binary"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "FCMAC_SEED" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_json_output(self, tmp_path):
         out_path = tmp_path / "res.json"
         assert main(["experiment", "uniform-grid", "--samples", "20000",
@@ -143,6 +190,47 @@ class TestExperimentCommand:
         labels = {r["label"] for r in payload["rows"]}
         assert "distortion_closed_form" in labels
         assert {s["scheme"] for s in payload["schemes"]} == {"1", "2", "3"}
+
+
+# sha256 of `fcmac experiment <id> [settings] --format <fmt> --out <file>` with
+# FCMAC_SEED unset; refactors must keep these files byte-identical.
+PINNED_OUTPUTS = {
+    ("section5", ()): (
+        "71ed4b1909971170e7c25e1e6b4aa62c5165f571df1a47d747d94544d4941a78",
+        "e4a7769b39aad505d3f2088c2eae961f4743eb172a42203c5925feac86b66c0f"),
+    ("section5", ("--seed", "7")): (
+        "71ed4b1909971170e7c25e1e6b4aa62c5165f571df1a47d747d94544d4941a78",
+        "e4a7769b39aad505d3f2088c2eae961f4743eb172a42203c5925feac86b66c0f"),
+    ("gauss-diff", ()): (
+        "06471e95d1ba920b039d80bd81dab93366091f881cb9001f0d12e6f4e1edff02",
+        "82cef8b4fede7c71966aa9ab2e0960335db87fda1f4be171af723617988ea966"),
+    ("gauss-diff", ("--rho", "0.3", "--steps", "6", "--samples", "50000", "--seed", "11")): (
+        "b2603b3afe4a552e9e5d01b39d81b2a33b5b745d53bb4f972e58f46d06318b43",
+        "2483bc5e9eb70e14ab77ab13475f34dd1eafd85771004f54205f3243e1b8adc4"),
+    ("gauss-binary", ()): (
+        "99bfd2a97e94d62f0168a40e4af2598c76e2919a8bed96a49dc49a51067b525a",
+        "65b2a9229e9b31308a4b5763cec51ba834cb86de3a6cab52feb29ff876a2651e"),
+    ("gauss-binary", ("--rho", "0.5", "--power", "3")): (
+        "e3576c8855955b39b12ed7416c319594bce4da7d05d866bfe2257a682092fbdb",
+        "e1a935229de133d0b38576549dffdbeb437f9cca0c5346984e970e85b9d9d10b"),
+    ("uniform-grid", ()): (
+        "fc8c0af7ecfe6a70246591e172ea063fac39d26d8457c308ce377b4f525bff47",
+        "8fa091390cccf2e9c638c0562247a53a68458a34be8bc6d6413caa77cd490c2a"),
+    ("uniform-grid", ("--target-d", "0.2", "--samples", "200000", "--seed", "3")): (
+        "95c9668db74db151c156b877a5887360be40c18c526ac282be2bff546e0475f0",
+        "aa5f128b972e104a30ed9f1a1a315ca33cbbb0cefc366714a105c2785286bc8b"),
+}
+
+
+@pytest.mark.parametrize("experiment,settings", list(PINNED_OUTPUTS),
+                         ids=[" ".join((e,) + a) for e, a in PINNED_OUTPUTS])
+def test_experiment_outputs_pinned(experiment, settings, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FCMAC_SEED", raising=False)
+    for fmt, want in zip(("csv", "json"), PINNED_OUTPUTS[experiment, settings]):
+        out = tmp_path / f"out.{fmt}"
+        assert main(["experiment", experiment, *settings, "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, fmt
 
 
 class TestGraphCommands:

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _support import alph, random_system_spec
-from fcmac import presets
+from fcmac import feasibility, presets
 from fcmac.channels import DiscreteMAC, adder_mac
 from fcmac.feasibility import (
     DistortionTable,
@@ -16,7 +17,7 @@ from fcmac.feasibility import (
     korner_marton_bounds,
     source_coding_region,
 )
-from fcmac.graphs import FunctionTable
+from fcmac.graphs import FunctionTable, SizeCapError
 from fcmac.probability import (
     Alphabet,
     AxisError,
@@ -39,6 +40,11 @@ class TestDistortionTable:
             DistortionTable((0, 1), (0, 1), [[0.0, 0.0], [1.0, 0.0]])  # d(0,1) == 0
         with pytest.raises(ValueError):
             DistortionTable((0, 1), (0, 1), [[0.0, -1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\(1, 0\) is not finite"):
+            DistortionTable((0, 1), (0, 1), [[0.0, 1.0], [bad, 0.0]])
 
     def test_cost_lookup(self):
         d = DistortionTable((0, 1), (0, 1), [[0.0, 2.0], [3.0, 0.0]])
@@ -351,6 +357,14 @@ class TestSpecValidation:
                        spec.x1_kernel, spec.x2_kernel, spec.channel, spec.function,
                        spec.decoder, spec.distortion, -0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_target_rejected(self, bad):
+        spec = presets.section5_system("joint")
+        with pytest.raises(ValueError, match="finite"):
+            SystemSpec(spec.source_joint, spec.w1_kernel, spec.w2_kernel,
+                       spec.x1_kernel, spec.x2_kernel, spec.channel, spec.function,
+                       spec.decoder, spec.distortion, bad)
+
     def test_expected_distortion_matches_manual_sum(self):
         rng = np.random.default_rng(47)
         spec = random_system_spec(rng)
@@ -368,3 +382,95 @@ class TestSpecValidation:
             total += p * spec.distortion.cost(spec.function.value_at(u1s, u2s),
                                               spec.decoder.value_at(w1s, w2s, zs))
         assert expected_distortion(spec) == pytest.approx(total, abs=1e-12)
+
+
+def _dense_values(spec):
+    """The three (lhs, rhs) pairs and the distortion on the ten-axis joint."""
+    joint = assemble_joint(spec)
+    n = spec.axis_names
+    return [
+        mutual_information(joint, (n["u1"], n["z1"]), n["w1"], (n["w2"], n["z"])),
+        mutual_information(joint, n["x1"], n["y"], (n["x2"], n["w2"], n["z"])),
+        mutual_information(joint, (n["u2"], n["z2"]), n["w2"], (n["w1"], n["z"])),
+        mutual_information(joint, n["x2"], n["y"], (n["x1"], n["w1"], n["z"])),
+        mutual_information(joint, (n["u1"], n["u2"], n["z1"], n["z2"]),
+                           (n["w1"], n["w2"]), n["z"]),
+        mutual_information(joint, (n["x1"], n["x2"]), n["y"], n["z"]),
+        expected_distortion(spec, joint),
+    ]
+
+
+def _report_values(report):
+    return ([v for r in report.inequalities for v in (r.lhs_bits, r.rhs_bits)]
+            + [report.achieved_distortion])
+
+
+class TestCliqueCheck:
+    """The clique-wise check against the dense ten-axis reference."""
+
+    @pytest.mark.parametrize("spec", [presets.section5_system("joint"),
+                                      presets.section5_system("independent"),
+                                      presets.grid_system()],
+                             ids=["section5-joint", "section5-independent", "grid"])
+    def test_matches_dense_joint_on_presets(self, spec):
+        got = _report_values(check_feasibility(spec))
+        assert np.max(np.abs(np.subtract(got, _dense_values(spec)))) <= 1e-12
+
+    def test_matches_dense_joint_on_random_systems(self):
+        rng = np.random.default_rng(72)   # the systems of acceptance criterion 7
+        worst = 0.0
+        for _ in range(100):
+            spec = random_system_spec(rng)
+            got = _report_values(check_feasibility(spec))
+            worst = max(worst, float(np.max(np.abs(np.subtract(got, _dense_values(spec))))))
+        assert worst <= 1e-12
+
+    def test_source_coding_region_is_the_left_hand_sides(self):
+        spec = random_system_spec(np.random.default_rng(48))
+        lhs = tuple(r.lhs_bits for r in check_feasibility(spec).inequalities)
+        bounds = source_coding_region(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
+        assert bounds.as_tuple() == lhs
+
+    def test_never_builds_the_dense_joint(self, monkeypatch):
+        spec = presets.section5_system("joint")
+
+        def refuse(_spec):
+            raise AssertionError("the dense joint was built")
+
+        monkeypatch.setattr(feasibility, "assemble_joint", refuse)
+        report = check_feasibility(spec)
+        assert report.record("sum").verdict == "boundary"
+        assert expected_distortion(spec) == report.achieved_distortion
+        source_coding_region(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
+
+    def test_peak_memory_of_a_large_check(self):
+        # 131,072 source-clique cells; the dense joint would have 5.9 M
+        sizes = dict(u1=16, u2=16, z1=2, z2=2, z=2, w1=8, w2=8, x1=3, x2=3, y=5)
+        spec = random_system_spec(np.random.default_rng(49), sizes)
+        tracemalloc.start()
+        try:
+            check_feasibility(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_source_clique_over_the_cap_refused_before_composing(self, monkeypatch):
+        sizes = dict(u1=3, u2=3, z1=2, z2=2, z=2, w1=3, w2=3, x1=2, x2=2, y=2)
+        spec = random_system_spec(np.random.default_rng(50), sizes)
+        monkeypatch.setattr(feasibility, "FEASIBILITY_CELL_CAP", 647)  # channel clique: 144
+        monkeypatch.setattr(feasibility, "compose", None)   # any call would fail
+        for call in (lambda: check_feasibility(spec), lambda: expected_distortion(spec),
+                     lambda: source_coding_region(spec.source_joint, spec.w1_kernel,
+                                                  spec.w2_kernel)):
+            with pytest.raises(SizeCapError,
+                               match=r"\(u1, u2, z1, z2, z, w1, w2\) has 648 cells"):
+                call()
+
+    def test_channel_clique_over_the_cap_refused(self, monkeypatch):
+        sizes = dict(u1=2, u2=2, z1=1, z2=1, z=1, w1=2, w2=2, x1=4, x2=4, y=8)
+        spec = random_system_spec(np.random.default_rng(51), sizes)
+        monkeypatch.setattr(feasibility, "FEASIBILITY_CELL_CAP", 100)   # source clique: 16
+        monkeypatch.setattr(feasibility, "compose", None)
+        with pytest.raises(SizeCapError, match=r"\(w1, w2, z, x1, x2, y\) has 512 cells"):
+            check_feasibility(spec)

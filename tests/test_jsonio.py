@@ -49,6 +49,15 @@ class TestPmfRoundTrip:
         assert "negative_entry" in str(err.value)
         assert "[0, 0]" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mass_names_its_path(self, bad):
+        obj = jsonio.pmf_to_json(presets.ternary_source_joint())
+        obj["mass"][1][2] = bad
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.pmf_from_json(json.loads(json.dumps(obj)))
+        assert err.value.path == "$.mass[1][2]"
+        assert "not finite" in str(err.value)
+
 
 class TestKernelRoundTrip:
     def test_color_kernel(self):
@@ -63,6 +72,13 @@ class TestKernelRoundTrip:
         with pytest.raises(jsonio.SpecFormatError) as err:
             jsonio.kernel_from_json(obj)
         assert ".rows" in str(err.value)
+
+    def test_non_finite_rows_name_their_path(self):
+        obj = jsonio.kernel_to_json(presets.color_kernel_single("u1", "c1"))
+        obj["rows"][2][1] = float("nan")
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.kernel_from_json(obj, "$.w1_kernel")
+        assert err.value.path == "$.w1_kernel.rows[2][1]"
 
 
 class TestGraphRoundTrip:
@@ -149,6 +165,21 @@ class TestSystemSpecRoundTrip:
         obj["x1_kernel"]["from_axes"][0]["symbols"] = ["9", "8"]
         with pytest.raises(jsonio.SpecFormatError):
             jsonio.system_spec_from_json(obj)
+
+    @pytest.mark.parametrize("field,where", [
+        ("target_d", "$.target_d"),
+        ("distortion", "$.distortion.values[0][1]"),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_numbers_name_their_path(self, field, where, bad):
+        obj = jsonio.system_spec_to_json(presets.section5_system("joint"))
+        if field == "target_d":
+            obj["target_d"] = bad
+        else:
+            obj["distortion"]["values"][0][1] = bad
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.system_spec_from_json(obj)
+        assert err.value.path == where
 
 
 class TestMacJson:

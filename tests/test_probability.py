@@ -68,6 +68,14 @@ class TestValidate:
         assert neg.index == (1, 0)
         assert neg.magnitude == -0.1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_reported(self, bad):
+        pmf = JointPMF(uniform2x2().axes, [[0.25, bad], [0.25, 0.25]])
+        report = validate(pmf)
+        assert not report.ok
+        assert report.problems[0].kind == "non_finite_entry"
+        assert report.problems[0].index == (0, 1)
+
 
 class TestMarginalize:
     def test_ternary_row_sums(self):
@@ -146,6 +154,12 @@ class TestCompose:
             Kernel((a,), (Alphabet("b", ("0", "1")),), [[0.5, 0.6], [0.5, 0.5]])
         with pytest.raises(ValueError):
             Kernel((a,), (Alphabet("b", ("0", "1")),), [[1.1, -0.1], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_kernel_rows_rejected(self, bad):
+        a = Alphabet("a", ("0", "1"))
+        with pytest.raises(ValueError, match=r"\(1, 0\) is not finite"):
+            Kernel((a,), (Alphabet("b", ("0", "1")),), [[0.5, 0.5], [bad, 0.5]])
 
 
 class TestEntropy:
