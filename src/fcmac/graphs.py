@@ -10,8 +10,16 @@ import numpy as np
 
 from .probability import Alphabet, AxisError, JointPMF, entropy
 
-OR_PRODUCT_CAP = 4096
+# Measured with one BLAS thread on a 2-vCPU Xeon VM. OR product at the cap,
+# worst case the complete graph (523,776 edges): 0.43-0.54 s; the ternary
+# comparison graph at n = 6 (729 vertices): 0.08-0.19 s. Edges are built as
+# symbol pairs, which is most of the time, so the cap is on vertices.
+OR_PRODUCT_CAP = 1024
 EXACT_COLORING_CAP = 12
+# Multiply-adds |X|^2 |Y| of the zigzag matrix product. At the cap, worst
+# case a 2048x2048 support whose distinct rows are nested: 0.53-0.6 s.
+ZIGZAG_CAP = 2**33
+_BLOCK_CELLS = 2**20   # array cells per row block in the pairwise kernels
 
 
 class SizeCapError(ValueError):
@@ -23,40 +31,47 @@ class CharGraph:
     """Confusability graph over a source alphabet.
 
     Edges are unordered pairs of vertex symbols, stored with the lower
-    alphabet index first. No self-loops.
+    alphabet index first. No self-loops. The graph also keeps its boolean
+    adjacency matrix in alphabet order, from which every query is answered.
     """
 
     vertices: Alphabet
     edges: frozenset
 
     def __post_init__(self) -> None:
-        norm = set()
-        for e in self.edges:
-            a, b = e
+        n = len(self.vertices)
+        adj = np.zeros((n, n), dtype=bool)
+        for a, b in self.edges:
             ia, ib = self.vertices.index(a), self.vertices.index(b)
             if ia == ib:
                 raise ValueError(f"self-loop at vertex {a!r}")
-            norm.add((a, b) if ia < ib else (b, a))
-        object.__setattr__(self, "edges", frozenset(norm))
+            adj[ia, ib] = adj[ib, ia] = True
+        self._settle(adj)
+
+    @classmethod
+    def _from_adjacency(cls, vertices: Alphabet, adj: np.ndarray) -> "CharGraph":
+        """Graph of a symmetric boolean matrix with a false diagonal."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        g._settle(adj)
+        return g
+
+    def _settle(self, adj: np.ndarray) -> None:
+        adj.setflags(write=False)
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "edges", frozenset(self.sorted_edges()))
 
     def has_edge(self, a, b) -> bool:
-        ia, ib = self.vertices.index(a), self.vertices.index(b)
-        if ia > ib:
-            a, b = b, a
-        return (a, b) in self.edges
+        return bool(self._adj[self.vertices.index(a), self.vertices.index(b)])
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor bitmask, indexed in alphabet order."""
-        masks = [0] * len(self.vertices)
-        for a, b in self.edges:
-            ia, ib = self.vertices.index(a), self.vertices.index(b)
-            masks[ia] |= 1 << ib
-            masks[ib] |= 1 << ia
-        return masks
+        return [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in self._adj]
 
     def sorted_edges(self) -> list[tuple]:
-        idx = self.vertices.index
-        return sorted(self.edges, key=lambda e: (idx(e[0]), idx(e[1])))
+        syms = self.vertices.symbols
+        rows, cols = np.nonzero(np.triu(self._adj, 1))
+        return [(syms[i], syms[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +175,10 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
     Exact mode (``delta is None``): two symbols are joined when some
     positive-probability peer symbol makes the function values differ.
     Threshold mode: joined when the values differ by more than ``delta``
-    under ``range_distortion`` for some such peer.
+    under ``range_distortion`` for some such peer. Labels must be hashable;
+    ``range_distortion`` is called once per ordered pair of
+    ``f.range_labels()``, and for vertices i < j the pair read is
+    (f(i, peer), f(j, peer)).
     """
     if len(joint.axes) != 2:
         raise AxisError(f"need a two-axis joint, got axes {joint.axis_names}")
@@ -171,26 +189,37 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
             raise AxisError(f"function axis {fa.name!r} does not match joint axis {ja.name!r}")
     if delta is not None and delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    verts = joint.axes[0]
-    peers = joint.axes[1]
-    mass = joint.mass
-    edges = set()
-    for i, j in itertools.combinations(range(len(verts)), 2):
-        for k in range(len(peers)):
-            if mass[i, k] > 0 and mass[j, k] > 0:
-                fi, fj = f.values[i, k], f.values[j, k]
-                if delta is None:
-                    confusable = fi != fj
-                else:
-                    confusable = range_distortion(fi, fj) > delta
-                if confusable:
-                    edges.add((verts.symbols[i], verts.symbols[j]))
-                    break
-    return CharGraph(verts, frozenset(edges))
+    labels = f.range_labels()
+    if delta is None:
+        pair_table = [[la != lb for lb in labels] for la in labels]
+    else:
+        pair_table = [[range_distortion(la, lb) > delta for lb in labels] for la in labels]
+    confusable_labels = np.array(pair_table, dtype=bool)
+    code = {label: k for k, label in enumerate(labels)}
+    codes = np.array([code[v] for v in f.values.flat], dtype=np.intp).reshape(f.values.shape)
+    support = joint.mass > 0
+    n, m = support.shape
+    adj = np.zeros((n, n), dtype=bool)
+    rows = max(1, _BLOCK_CELLS // (n * m))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        # [i, j, k]: peer k is shared by i and j and their labels are confusable
+        hit = (support[lo:hi, None, :] & support[None, :, :]
+               & confusable_labels[codes[lo:hi, None, :], codes[None, :, :]])
+        adj[lo:hi] = hit.any(axis=2)
+    # the label pair is read in (i, j) order with i < j; mirror that half
+    adj = np.triu(adj, 1)
+    return CharGraph._from_adjacency(joint.axes[0], adj | adj.T)
 
 
 def or_product(g: CharGraph, n: int, cap: int = OR_PRODUCT_CAP) -> CharGraph:
-    """Block-length-n graph: tuples adjacent iff adjacent in some coordinate."""
+    """Block-length-n graph: tuples adjacent iff adjacent in some coordinate.
+
+    Vertices are the n-tuples in ``itertools.product`` order. Two tuples are
+    non-adjacent iff every coordinate pair is equal or non-adjacent, so the
+    non-adjacency matrix is the n-th Kronecker power of the base one, whose
+    diagonal is all true.
+    """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
     if n == 1:
@@ -198,15 +227,13 @@ def or_product(g: CharGraph, n: int, cap: int = OR_PRODUCT_CAP) -> CharGraph:
     base = len(g.vertices)
     if base ** n > cap:
         raise SizeCapError(f"{base}^{n} vertices exceeds the cap of {cap}")
-    tuples = list(itertools.product(g.vertices.symbols, repeat=n))
-    verts = Alphabet(f"{g.vertices.name}^{n}", tuples)
-    adj = g.adjacency_masks()
-    idx = {s: i for i, s in enumerate(g.vertices.symbols)}
-    edges = set()
-    for u, v in itertools.combinations(tuples, 2):
-        if any(adj[idx[a]] >> idx[b] & 1 for a, b in zip(u, v)):
-            edges.add((u, v))
-    return CharGraph(verts, frozenset(edges))
+    apart = ~g._adj
+    power = apart
+    for _ in range(n - 1):
+        power = np.kron(power, apart)
+    verts = Alphabet(f"{g.vertices.name}^{n}",
+                     tuple(itertools.product(g.vertices.symbols, repeat=n)))
+    return CharGraph._from_adjacency(verts, ~power)
 
 
 def _plogp(x: float) -> float:
@@ -357,10 +384,10 @@ def conditional_chromatic_entropy(g: CharGraph, joint: JointPMF, n: int = 1) -> 
     _check_vertex_axis(joint, g, "joint")
     if len(joint.axes) != 2:
         raise AxisError("need a two-axis joint")
+    if len(g.vertices) ** n > EXACT_COLORING_CAP:
+        raise SizeCapError(f"OR-product has {len(g.vertices) ** n} vertices,"
+                           f" over the cap of {EXACT_COLORING_CAP}")
     gn = or_product(g, n)
-    if len(gn.vertices) > EXACT_COLORING_CAP:
-        raise SizeCapError(
-            f"OR-product has {len(gn.vertices)} vertices, over the cap of {EXACT_COLORING_CAP}")
     jn = iid_pair_power(joint, n)
     _, value = _min_entropy_partition(gn.adjacency_masks(), jn.mass.astype(float))
     return float(value) / n
@@ -414,13 +441,12 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *, restarts: int = 
     """
     _check_vertex_axis(joint, g, "joint")
     sets = stable_sets(g, maximal_only=True)
-    syms = g.vertices.symbols
     n1, n2 = joint.mass.shape
     nw = len(sets)
     allowed = np.zeros((n1, nw))
     for j, s in enumerate(sets):
         for v in s:
-            allowed[syms.index(v), j] = 1.0
+            allowed[g.vertices.index(v), j] = 1.0
 
     p = joint.mass.astype(float)
     p1 = p.sum(axis=1)
@@ -488,14 +514,44 @@ class ZigzagResult:
 
 def zigzag_check(joint: JointPMF) -> ZigzagResult:
     """Support condition: p(x1,y1) > 0 and p(x2,y2) > 0 imply p(x1,y2) > 0
-    or p(x2,y1) > 0. Returns the first violating quadruple otherwise."""
+    or p(x2,y1) > 0. Returns the first violating quadruple otherwise, first
+    in row-major support order of (x1, y1), then of (x2, y2).
+
+    Rows a and c of the support S carry a violation iff each has a column
+    the other lacks, i.e. iff ``S (not S)^T`` is positive at both [a, c] and
+    [c, a]. Rows with equal support are interchangeable, so that matrix is
+    formed over the distinct rows only, a block at a time. ``ZIGZAG_CAP``
+    bounds the |X|^2 |Y| multiply-adds it would take over all rows.
+    """
     if len(joint.axes) != 2:
         raise AxisError("need a two-axis joint")
-    mass = joint.mass
-    support = np.argwhere(mass > 0)
-    xs, ys = joint.axes[0].symbols, joint.axes[1].symbols
-    for (i1, j1) in support:
-        for (i2, j2) in support:
-            if mass[i1, j2] == 0 and mass[i2, j1] == 0:
-                return ZigzagResult(False, ((xs[i1], ys[j1]), (xs[i2], ys[j2])))
-    return ZigzagResult(True, None)
+    support = joint.mass > 0
+    rows, cols = support.shape
+    if rows * rows * cols > ZIGZAG_CAP:
+        raise SizeCapError(
+            f"zigzag check of a {rows}x{cols} support takes {rows * rows * cols}"
+            f" multiply-adds, over the cap of {ZIGZAG_CAP}")
+    _, first = np.unique(np.packbits(support, axis=1), axis=0, return_index=True)
+    first.sort()                         # distinct rows, each at its first occurrence
+    s = support[first].astype(np.float32)   # counts only need to stay positive
+    off = 1.0 - s
+    block = max(1, _BLOCK_CELLS // len(first))
+    for lo in range(0, len(first), block):
+        has = s[lo:lo + block] @ off.T > 0        # [a, c]: a has a column c lacks
+        lacks = off[lo:lo + block] @ s.T > 0      # [a, c]: c has a column a lacks
+        bad = np.flatnonzero((has & lacks).any(axis=1))
+        if bad.size:
+            break
+    else:
+        return ZigzagResult(True, None)
+    i1 = int(first[lo + bad[0]])
+    s = support.astype(np.float32)
+    has_what_i1_lacks = s @ (1.0 - s[i1]) > 0
+    for j1 in np.flatnonzero(support[i1]).tolist():
+        partners = np.flatnonzero(has_what_i1_lacks & ~support[:, j1])
+        if partners.size:
+            i2 = int(partners[0])
+            j2 = int(np.flatnonzero(support[i2] & ~support[i1])[0])
+            xs, ys = joint.axes[0].symbols, joint.axes[1].symbols
+            return ZigzagResult(False, ((xs[i1], ys[j1]), (xs[i2], ys[j2])))
+    raise AssertionError("a violating row pair always yields a witness")

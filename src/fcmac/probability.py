@@ -32,8 +32,10 @@ class Alphabet:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise ValueError(f"alphabet {self.name!r} needs at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        position = {s: i for i, s in enumerate(self.symbols)}
+        if len(position) != len(self.symbols):
             raise ValueError(f"alphabet {self.name!r} has duplicate symbols")
+        object.__setattr__(self, "_position", position)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -43,8 +45,8 @@ class Alphabet:
 
     def index(self, symbol) -> int:
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self._position[symbol]
+        except (KeyError, TypeError):
             raise KeyError(f"{symbol!r} is not a symbol of alphabet {self.name!r}") from None
 
     def renamed(self, name: str) -> "Alphabet":
@@ -69,11 +71,22 @@ class JointPMF:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
+        # the caller may still hold and write to the array it passed
+        self._settle(np.array(self.mass, dtype=float))
+
+    @classmethod
+    def _adopt(cls, axes, mass: np.ndarray) -> "JointPMF":
+        """Wrap an array the library has just computed, without copying it."""
+        pmf = object.__new__(cls)
+        object.__setattr__(pmf, "axes", axes)
+        pmf._settle(np.asarray(mass, dtype=float))
+        return pmf
+
+    def _settle(self, mass: np.ndarray) -> None:
         axes = tuple(self.axes)
         names = [a.name for a in axes]
         if len(set(names)) != len(names):
             raise AxisError(f"duplicate axis names {names}")
-        mass = np.array(self.mass, dtype=float)
         want = tuple(len(a) for a in axes)
         if mass.shape != want:
             raise ValueError(f"mass shape {mass.shape} does not match axis sizes {want}")
@@ -144,7 +157,7 @@ def marginalize(pmf: JointPMF, keep) -> JointPMF:
     drop = tuple(i for i, a in enumerate(pmf.axes) if a.name not in keep_names)
     kept = tuple(a for a in pmf.axes if a.name in keep_names)
     mass = pmf.mass.sum(axis=drop) if drop else pmf.mass
-    return JointPMF(kept, mass)
+    return JointPMF._adopt(kept, mass)
 
 
 def reorder(pmf: JointPMF, names: Sequence[str]) -> JointPMF:
@@ -248,7 +261,7 @@ def compose(base: JointPMF, kernels: Iterable[Kernel]) -> JointPMF:
         to_ss = _LETTERS[n:n + len(k.to_axes)]
         mass = np.einsum(f"{joint_ss},{from_ss}{to_ss}->{joint_ss}{to_ss}",
                          acc.mass, k.tensor)
-        acc = JointPMF(acc.axes + k.to_axes, mass)
+        acc = JointPMF._adopt(acc.axes + k.to_axes, mass)
     return acc
 
 

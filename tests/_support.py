@@ -282,3 +282,61 @@ def _grid_cge_three_vertices(grids, cond, p1, p2, n2) -> float:
                 m += tab
         best = min(best, float(m.min()))
     return max(best, 0.0)
+
+
+# --- loop references for the vectorised graph kernels ------------------------
+
+def loop_characteristic_edges(joint: JointPMF, f: FunctionTable, delta=None,
+                              range_distortion=lambda a, b: abs(a - b)) -> set:
+    """Characteristic-graph edges (lower index first) by scanning every
+    vertex pair and every peer, as the graph layer did before vectorising."""
+    verts = joint.axes[0].symbols
+    mass = joint.mass
+    edges = set()
+    for i, j in itertools.combinations(range(len(verts)), 2):
+        for k in range(mass.shape[1]):
+            if mass[i, k] > 0 and mass[j, k] > 0:
+                fi, fj = f.values[i, k], f.values[j, k]
+                confusable = fi != fj if delta is None else range_distortion(fi, fj) > delta
+                if confusable:
+                    edges.add((verts[i], verts[j]))
+                    break
+    return edges
+
+
+def loop_or_product_edges(graph: CharGraph, n: int) -> set:
+    """Edges of the n-fold OR product by testing every pair of n-tuples."""
+    idx = {s: i for i, s in enumerate(graph.vertices.symbols)}
+    base = {(idx[a], idx[b]) for a, b in graph.edges}
+    base |= {(b, a) for a, b in base}
+    tuples = list(itertools.product(graph.vertices.symbols, repeat=n))
+    return {(u, v) for u, v in itertools.combinations(tuples, 2)
+            if any((idx[a], idx[b]) in base for a, b in zip(u, v))}
+
+
+def loop_zigzag(joint: JointPMF) -> tuple[bool, tuple | None]:
+    """Zigzag condition and its first witness by scanning all support pairs
+    in row-major order."""
+    mass = joint.mass
+    support = np.argwhere(mass > 0)
+    xs, ys = joint.axes[0].symbols, joint.axes[1].symbols
+    for (i1, j1) in support:
+        for (i2, j2) in support:
+            if mass[i1, j2] == 0 and mass[i2, j1] == 0:
+                return False, ((xs[i1], ys[j1]), (xs[i2], ys[j2]))
+    return True, None
+
+
+def loop_sorted_edges(graph: CharGraph) -> list[tuple]:
+    """Edges ordered by the alphabet positions of their endpoints."""
+    idx = {s: i for i, s in enumerate(graph.vertices.symbols)}
+    return sorted(graph.edges, key=lambda e: (idx[e[0]], idx[e[1]]))
+
+
+def loop_adjacency_masks(graph: CharGraph) -> list[int]:
+    idx = {s: i for i, s in enumerate(graph.vertices.symbols)}
+    masks = [0] * len(idx)
+    for a, b in graph.edges:
+        masks[idx[a]] |= 1 << idx[b]
+        masks[idx[b]] |= 1 << idx[a]
+    return masks

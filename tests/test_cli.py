@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fcmac
-from fcmac import feasibility, jsonio, presets
+from fcmac import feasibility, graphs, jsonio, presets
 from fcmac.channels import adder_mac
 from fcmac.cli import main
 from fcmac.probability import marginalize
@@ -289,6 +289,22 @@ class TestGraphCommands:
               "--function", str(spec_files["function"]), "--out", str(graph_path)])
         assert main(["graph", "entropy", "--graph", str(graph_path),
                      "--kind", "conditional-graph"]) == 2
+
+
+    def test_conditional_chromatic_over_cap_exits_2_before_the_product(
+            self, spec_files, tmp_path, capsys, monkeypatch):
+        graph_path = tmp_path / "graph.json"
+        main(["graph", "build", "--joint", str(spec_files["pmf"]),
+              "--function", str(spec_files["function"]), "--out", str(graph_path)])
+
+        def no_product(*args, **kwargs):
+            raise AssertionError("or_product must not run over the colouring cap")
+        monkeypatch.setattr(graphs, "or_product", no_product)
+        capsys.readouterr()
+        assert main(["graph", "entropy", "--graph", str(graph_path),
+                     "--kind", "conditional-chromatic", "--joint",
+                     str(spec_files["pmf"]), "--n", "7"]) == 2
+        assert "error: OR-product has 2187 vertices" in capsys.readouterr().err
 
 
 class TestChannelCommands:

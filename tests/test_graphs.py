@@ -6,15 +6,23 @@ import numpy as np
 import pytest
 
 from _support import (
+    alph,
     brute_force_min_conditional_entropy,
     dict_conditional_entropy,
     grid_conditional_graph_entropy,
+    loop_adjacency_masks,
+    loop_characteristic_edges,
+    loop_or_product_edges,
+    loop_sorted_edges,
+    loop_zigzag,
     pmf_as_dict,
     random_graph,
     random_pmf,
 )
-from fcmac import presets
+from fcmac import graphs, presets
 from fcmac.graphs import (
+    OR_PRODUCT_CAP,
+    ZIGZAG_CAP,
     CharGraph,
     Coloring,
     FunctionTable,
@@ -110,6 +118,14 @@ class TestOrProduct:
         g = ternary_graph()
         with pytest.raises(SizeCapError):
             or_product(g, 9)
+
+    def test_cap_admits_ternary_n6_only(self):
+        g = ternary_graph()
+        assert 3 ** 6 <= OR_PRODUCT_CAP < 3 ** 7
+        with pytest.raises(SizeCapError, match="3\\^7 vertices"):
+            or_product(g, 7)
+        g6 = or_product(g, 6)
+        assert len(g6.edges) == (9 ** 6 - 7 ** 6) // 2
 
     def test_edge_monotonicity(self):
         verts = Alphabet("v", ("a", "b", "c"))
@@ -277,6 +293,13 @@ class TestConditionalGraphEntropy:
         # the incumbent is still certified against the coloring upper bound
         assert 0.0 <= res.value <= res.upper_bound + 1e-9
 
+    def test_coloring_cap_checked_before_the_product(self, monkeypatch):
+        def no_product(*args, **kwargs):
+            raise AssertionError("or_product must not run over the colouring cap")
+        monkeypatch.setattr(graphs, "or_product", no_product)
+        with pytest.raises(SizeCapError, match="2187 vertices"):
+            conditional_chromatic_entropy(ternary_graph(), presets.ternary_source_joint(), 7)
+
     def test_size_caps_raise(self):
         big = CharGraph(Alphabet("v", tuple(str(i) for i in range(13))), frozenset())
         joint = JointPMF((big.vertices, Alphabet("u2", ("0",))),
@@ -321,8 +344,107 @@ class TestZigzag:
         assert not res.holds
         assert set(res.witness) == {("1", "1"), ("2", "2")}
 
+    def test_cap_refuses_before_any_work(self, monkeypatch):
+        pmf = JointPMF((alph("a", 4), alph("b", 3)), np.full((4, 3), 1 / 12))
+        assert 60 * 60 * 60 <= ZIGZAG_CAP
+        monkeypatch.setattr(graphs, "ZIGZAG_CAP", 48)
+        assert zigzag_check(pmf).holds
+        monkeypatch.setattr(graphs, "ZIGZAG_CAP", 47)
+        monkeypatch.setattr(graphs.np, "unique", None)   # nothing may run past the cap
+        with pytest.raises(SizeCapError, match="48 multiply-adds"):
+            zigzag_check(pmf)
+
     def test_full_support_holds(self):
         rng = np.random.default_rng(27)
         pmf = JointPMF((Alphabet("a", ("1", "2")), Alphabet("b", ("1", "2"))),
                        rng.dirichlet(np.ones(4)).reshape(2, 2) * 0.5 + 0.125)
         assert zigzag_check(pmf).holds
+
+
+class TestFastPathsAgainstLoops:
+    """The matrix kernels against the pair loops they replaced."""
+
+    def test_or_product_edges(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            base = int(rng.integers(1, 5))
+            n = int(rng.integers(2, 5)) if base <= 3 else int(rng.integers(2, 4))
+            g = random_graph(rng, base)
+            gn = or_product(g, n)
+            assert gn.vertices.symbols == tuple(itertools.product(g.vertices.symbols, repeat=n))
+            assert gn.edges == loop_or_product_edges(g, n)
+            assert gn.sorted_edges() == loop_sorted_edges(gn)
+            assert gn.adjacency_masks() == loop_adjacency_masks(gn)
+
+    def test_graph_queries_from_edge_lists(self):
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            verts = alph("v", n)
+            pairs = {(verts.symbols[a], verts.symbols[b])
+                     for a in range(n) for b in range(n) if a != b and rng.random() < 0.3}
+            g = CharGraph(verts, frozenset(pairs))
+            normal = {(a, b) if verts.index(a) < verts.index(b) else (b, a) for a, b in pairs}
+            assert g.edges == normal
+            assert g.sorted_edges() == loop_sorted_edges(g)
+            assert g.adjacency_masks() == loop_adjacency_masks(g)
+            for a in verts:
+                for b in verts:
+                    assert g.has_edge(a, b) == ((a, b) in normal or (b, a) in normal)
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            CharGraph(alph("v", 3), frozenset({("v1", "v1")}))
+        with pytest.raises(KeyError):
+            CharGraph(alph("v", 3), frozenset({("v1", "x")}))
+
+    def test_zigzag_on_sparse_supports(self):
+        rng = np.random.default_rng(33)
+        outcomes = set()
+        for _ in range(300):
+            rows, cols = (int(k) for k in rng.integers(1, 9, size=2))
+            keep = rng.random((rows, cols)) < rng.uniform(0.1, 0.9)
+            keep[rng.integers(rows), rng.integers(cols)] = True
+            if rng.random() < 0.3:
+                # nested rows: a chain of supports always satisfies the condition
+                keep = np.arange(cols)[None, :] <= rng.integers(0, cols, size=(rows, 1))
+            mass = keep * rng.random((rows, cols)) + keep * 0.1
+            pmf = JointPMF((alph("x", rows), alph("y", cols)), mass / mass.sum())
+            res = zigzag_check(pmf)
+            assert (res.holds, res.witness) == loop_zigzag(pmf)
+            outcomes.add(res.holds)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("delta, distortion", [
+        (None, None),
+        (1, lambda a, b: abs(a - b)),
+        (0, lambda a, b: a - b),              # asymmetric: only the (i, j) order counts
+        (1, lambda a, b: 2 * a - b),
+    ], ids=["exact", "absolute", "signed", "scaled"])
+    def test_characteristic_graph(self, delta, distortion):
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            n, m = (int(k) for k in rng.integers(1, 9, size=2))
+            keep = rng.random((n, m)) < rng.uniform(0.2, 1.0)
+            keep[:, 0] |= ~keep.any(axis=1)
+            mass = keep * rng.random((n, m))
+            axes = (alph("u", n), alph("p", m))
+            joint = JointPMF(axes, mass / mass.sum())
+            f = FunctionTable(axes, rng.integers(0, 4, size=(n, m)))
+            kwargs = {} if delta is None else dict(delta=delta, range_distortion=distortion)
+            g = characteristic_graph(joint, f, **kwargs)
+            assert g.edges == loop_characteristic_edges(joint, f, **kwargs)
+            assert g.sorted_edges() == loop_sorted_edges(g)
+
+    def test_threshold_calls_distortion_once_per_ordered_label_pair(self):
+        joint = presets.ternary_source_joint("w1", "w2")
+        f = presets.grid_cell_function(3)
+        calls = []
+
+        def distortion(a, b):
+            calls.append((a, b))
+            return abs(a - b)
+
+        characteristic_graph(joint, f, delta=Fraction(1, 6), range_distortion=distortion)
+        labels = f.range_labels()
+        assert calls == [(a, b) for a in labels for b in labels]

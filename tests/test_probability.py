@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,8 +41,34 @@ class TestAlphabet:
     def test_index_is_positional(self):
         a = Alphabet("a", ("p", "q", "r"))
         assert [a.index(s) for s in a.symbols] == [0, 1, 2]
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="'missing' is not a symbol of alphabet 'a'"):
             a.index("missing")
+        with pytest.raises(KeyError):
+            a.index(["unhashable"])
+
+
+class TestJointPMFStorage:
+    def test_caller_array_is_copied(self):
+        mass = np.full((2, 2), 0.25)
+        pmf = JointPMF(uniform2x2().axes, mass)
+        mass[0, 0] = 7.0
+        assert pmf.mass[0, 0] == 0.25
+        assert not pmf.mass.flags.writeable
+
+    def test_compose_result_is_not_copied_again(self):
+        a = Alphabet("a", tuple(range(1000)))
+        b = Alphabet("b", tuple(range(1000)))
+        base = JointPMF((a,), np.full(1000, 1e-3))
+        kernel = Kernel((a,), (b,), np.full((1000, 1000), 1e-3))
+        tracemalloc.start()
+        try:
+            joint = compose(base, [kernel])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * joint.mass.nbytes
+        assert not joint.mass.flags.writeable
+        assert not marginalize(joint, "b").mass.flags.writeable
 
 
 class TestValidate:
