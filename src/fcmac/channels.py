@@ -41,10 +41,10 @@ class GaussianMAC:
     noise_var: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.power < 0:
-            raise ValueError(f"power must be nonnegative, got {self.power}")
-        if self.noise_var <= 0:
-            raise ValueError(f"noise variance must be positive, got {self.noise_var}")
+        if not (math.isfinite(self.power) and self.power >= 0):
+            raise ValueError(f"power must be finite and nonnegative, got {self.power}")
+        if not (math.isfinite(self.noise_var) and self.noise_var > 0):
+            raise ValueError(f"noise_var must be finite and positive, got {self.noise_var}")
 
 
 def adder_mac(x1_name: str = "x1", x2_name: str = "x2", y_name: str = "y") -> DiscreteMAC:

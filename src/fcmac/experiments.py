@@ -20,7 +20,7 @@ import numpy as np
 
 from . import presets
 from .channels import GaussianMAC, adder_mac, gmac_sum_rate, mac_sum_capacity_independent
-from .feasibility import check_feasibility
+from .feasibility import BOUNDARY_TOL, check_feasibility, verdict_from_margin
 from .graphs import characteristic_graph, min_entropy_coloring, zigzag_check
 from .probability import compose, conditional_entropy, entropy, marginalize
 from .schemes import (
@@ -34,10 +34,6 @@ from .schemes import (
     monte_carlo_af,
     monte_carlo_grid_distortion,
     offdiagonal_cell_pmf,
-    quantize_grid,
-    run_scheme,
-    sample_offdiagonal_uniform,
-    GridQuantizer,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -117,6 +113,16 @@ def _edge_string(graph) -> str:
     return ",".join(f"{a}-{b}" for a, b in graph.sorted_edges())
 
 
+def _rate_scheme(scheme_id: str, rate_bits: float, capacity_bits: float,
+                 **fields) -> SchemeReport:
+    """Report of a scheme that sends ``rate_bits`` over a channel carrying
+    ``capacity_bits``; the margin is capacity minus rate."""
+    margin = capacity_bits - rate_bits
+    return SchemeReport(scheme_id, channel_sum_rate_bits=capacity_bits,
+                        verdict=verdict_from_margin(margin), margin_bits=margin,
+                        **fields)
+
+
 def _section5(seed: int = DEFAULT_SEED) -> ExperimentResult:
     base = presets.ternary_source_joint()
     h_pair = entropy(base, ("u1", "u2"))
@@ -180,7 +186,19 @@ def _section5(seed: int = DEFAULT_SEED) -> ExperimentResult:
                        " decoder of the colors is lossless; majority rule"
                        " errs with probability 1/6"),
     ]
-    return ExperimentResult("section5", rows, schemes=run_scheme("section5"))
+    joint_sum = joint_rep.record("sum")
+    schemes = [
+        _rate_scheme("1", h_pair, capacity, source_entropy_bits=h_pair,
+                     note="lossless pair transmission against independent-input capacity"),
+        _rate_scheme("2", h_colors, capacity, source_entropy_bits=h_pair,
+                     color_entropy_bits=h_colors,
+                     note="colored then distributed-coded, independent channel codes"),
+        _rate_scheme("3", joint_sum.lhs_bits, joint_sum.rhs_bits,
+                     source_entropy_bits=h_pair, color_entropy_bits=h_colors,
+                     distortion_analytic=joint_rep.achieved_distortion,
+                     note="correlated channel mapping of the colors, full checker"),
+    ]
+    return ExperimentResult("section5", rows, schemes=schemes)
 
 
 def _gauss_binary(seed: int = DEFAULT_SEED, rho: float = 0.75, power: float = 5.0,
@@ -192,7 +210,13 @@ def _gauss_binary(seed: int = DEFAULT_SEED, rho: float = 0.75, power: float = 5.
     mac = GaussianMAC(power)
     cap_ind = gmac_sum_rate(mac, 0.0)
     cap_cor = gmac_sum_rate(mac, rho_x)
-    schemes = run_scheme("gauss-binary", power=power, rho=rho, rho_x=rho_x)
+    schemes = [
+        _rate_scheme("2", h_pair, cap_ind, color_entropy_bits=h_pair,
+                     note="distributed-coded sign bits, independent Gaussian codewords"),
+        _rate_scheme("3", h_pair, cap_cor, color_entropy_bits=h_pair,
+                     distortion_analytic=0.0 if cap_cor - h_pair > BOUNDARY_TOL else None,
+                     note=f"sign bits mapped to Gaussian inputs at correlation {rho_x:g}"),
+    ]
     by_id = {s.scheme_id: s for s in schemes}
 
     def exp(v):
@@ -220,6 +244,11 @@ def _gauss_binary(seed: int = DEFAULT_SEED, rho: float = 0.75, power: float = 5.
 def _gauss_diff(seed: int = DEFAULT_SEED, rho: float = 0.5, sigma2: float = 1.0,
                 power: float = 5.0, power_min: float = 0.5, power_max: float = 20.0,
                 steps: int = 40, samples: int = 1_000_000) -> ExperimentResult:
+    for name, bound in (("power_min", power_min), ("power_max", power_max)):
+        if not (math.isfinite(bound) and bound >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {bound}")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     powers = np.linspace(power_min, power_max, int(steps))
     cen = np.array([centralized_bound(p, rho, sigma2) for p in powers])
     af = np.array([af_distortion(p, rho, sigma2) for p in powers])
@@ -248,12 +277,16 @@ def _gauss_diff(seed: int = DEFAULT_SEED, rho: float = 0.5, sigma2: float = 1.0,
                        f" {samples} samples, seed {seed}"),
         ResultRow("mc_af_halfwidth", mc.halfwidth, units="", note="95% CI"),
     ]
+    schemes = [
+        SchemeReport("centralized",
+                     distortion_analytic=centralized_bound(power, rho, sigma2),
+                     note="single-encoder lower bound"),
+        SchemeReport("AF", distortion_analytic=closed, distortion_mc=mc,
+                     note="uncoded scaled transmission, conditional-mean receiver"),
+    ]
     header = ("param", "scheme", "rate_bits", "capacity_bits", "margin_bits",
               "distortion", "ci_halfwidth")
-    return ExperimentResult("gauss-diff", rows,
-                            schemes=run_scheme("gauss-diff", power=power, rho=rho,
-                                               sigma2=sigma2, samples=samples,
-                                               seed=seed),
+    return ExperimentResult("gauss-diff", rows, schemes=schemes,
                             sweep_header=header, sweep_rows=sweep)
 
 
@@ -261,21 +294,36 @@ def _uniform_grid(seed: int = DEFAULT_SEED, cells: int = 3,
                   target_d: float = 1.0 / 6.0, samples: int = 1_000_000,
                   ) -> ExperimentResult:
     registered = cells == 3 and abs(target_d - 1.0 / 6.0) < 1e-12
-    exact_pmf = offdiagonal_cell_pmf(cells)
+    cell_pmf = offdiagonal_cell_pmf(cells)
     off_mass = 1.0 / (cells * cells - cells)
     # threshold at half a cell width: adjacent-cell center gaps are confusable
-    graph = characteristic_graph(offdiagonal_cell_pmf(cells, "w1", "w2"),
-                                 presets.grid_cell_function(cells),
+    graph = characteristic_graph(cell_pmf, presets.grid_cell_function(cells),
                                  delta=Fraction(1, 2 * cells))
-    schemes = run_scheme("uniform-grid", cells=cells, target_d=target_d,
-                         samples=samples, seed=seed)
-    by_id = {s.scheme_id: s for s in schemes}
+    capacity = mac_sum_capacity_independent(adder_mac()).bits
+    h_cells = entropy(cell_pmf, ("w1", "w2"))
+    system = presets.grid_system(cells=cells, target_d=target_d)
+    colored = compose(cell_pmf, [presets.grid_color_kernel(cells, "w1", "c1"),
+                                 presets.grid_color_kernel(cells, "w2", "c2")])
+    h_colors = entropy(colored, ("c1", "c2"))
+    grid_sum = check_feasibility(system).record("sum")
     closed = grid_distortion_closed_form(cells)
-    mc = by_id["3"].distortion_mc
-
-    pts = sample_offdiagonal_uniform(cells, samples, seed=seed)
-    _, empirical = quantize_grid(GridQuantizer(0.0, 1.0, cells), pts)
-    tv = 0.5 * float(np.abs(empirical.mass - exact_pmf.mass).sum())
+    # one seeded draw gives the distortion estimate and the empirical cell pmf
+    counts = np.zeros((cells, cells), dtype=np.int64)
+    mc = monte_carlo_grid_distortion(cells, samples=samples, seed=seed,
+                                     cell_counts=counts)
+    tv = 0.5 * float(np.abs(counts / samples - cell_pmf.mass).sum())
+    schemes = [
+        _rate_scheme("1", h_cells, capacity, source_entropy_bits=h_cells,
+                     note="cells sent losslessly against independent-input capacity"),
+        _rate_scheme("2", h_colors, capacity, source_entropy_bits=h_cells,
+                     color_entropy_bits=h_colors,
+                     note="colored cells, independent channel codes"),
+        _rate_scheme("3", grid_sum.lhs_bits, grid_sum.rhs_bits,
+                     source_entropy_bits=h_cells, color_entropy_bits=h_colors,
+                     distortion_analytic=closed, distortion_mc=mc,
+                     note="colored cells through the correlated channel mapping"),
+    ]
+    by_id = {s.scheme_id: s for s in schemes}
 
     def exp(v):
         return v if registered else None

@@ -152,6 +152,14 @@ def assemble_joint(spec: SystemSpec) -> JointPMF:
                     spec.x1_kernel, spec.x2_kernel, spec.channel.law])
 
 
+def verdict_from_margin(margin_bits: float) -> str:
+    """``boundary`` within ``BOUNDARY_TOL`` of zero, else ``strict`` for a
+    positive margin (rate below capacity) and ``violated`` for a negative one."""
+    if abs(margin_bits) <= BOUNDARY_TOL:
+        return "boundary"
+    return "strict" if margin_bits > 0 else "violated"
+
+
 @dataclass(frozen=True)
 class InequalityRecord:
     name: str
@@ -164,9 +172,7 @@ class InequalityRecord:
 
     @property
     def verdict(self) -> str:
-        if abs(self.margin_bits) <= BOUNDARY_TOL:
-            return "boundary"
-        return "strict" if self.margin_bits > 0 else "violated"
+        return verdict_from_margin(self.margin_bits)
 
 
 @dataclass(frozen=True)

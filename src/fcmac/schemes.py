@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import BOUNDARY_TOL
 from .probability import Alphabet, JointPMF
 
 DEFAULT_SEED = 123456789
@@ -28,23 +27,26 @@ class GaussianPairSource:
     rho: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0:
-            raise ValueError(f"variance must be positive, got {self.sigma2}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
         if not -1.0 <= self.rho <= 1.0:
-            raise ValueError(f"correlation must lie in [-1, 1], got {self.rho}")
+            raise ValueError(f"correlation rho must lie in [-1, 1], got {self.rho}")
 
     def sample(self, samples: int, seed: int = DEFAULT_SEED) -> np.ndarray:
         """(n, 2) draws from keyed per-block streams."""
-        sd = math.sqrt(self.sigma2)
-        cross = math.sqrt(max(1.0 - self.rho * self.rho, 0.0))
         out = np.empty((samples, 2))
         done = 0
         for b, m in _blocks(samples):
             z = _block_rng(seed, b).standard_normal((m, 2))
-            out[done:done + m, 0] = sd * z[:, 0]
-            out[done:done + m, 1] = sd * (self.rho * z[:, 0] + cross * z[:, 1])
+            out[done:done + m, 0], out[done:done + m, 1] = self._pair(z)
             done += m
         return out
+
+    def _pair(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The source pair from the first two columns of standard normals."""
+        sd = math.sqrt(self.sigma2)
+        cross = math.sqrt(max(1.0 - self.rho * self.rho, 0.0))
+        return sd * z[:, 0], sd * (self.rho * z[:, 0] + cross * z[:, 1])
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -73,6 +75,24 @@ class MonteCarloEstimate:
     seed: int
 
 
+def _check_samples(samples: int) -> None:
+    if samples < MIN_MC_SAMPLES:
+        raise MonteCarloError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
+
+
+def _estimate(errors, samples: int, seed: int) -> MonteCarloEstimate:
+    """Mean of the per-sample errors, given one array per block, with its 95%
+    half-width; block sums are added in block order."""
+    total = 0.0
+    total_sq = 0.0
+    for err in errors:
+        total += float(err.sum())
+        total_sq += float((err * err).sum())
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return MonteCarloEstimate(mean, 1.96 * math.sqrt(var / samples), samples, seed)
+
+
 def centralized_bound(power: float, rho: float, sigma2: float = 1.0) -> float:
     """Distortion floor for a single encoder holding both sources:
     2 sigma^2 (1 - rho) / (1 + 2P)."""
@@ -88,12 +108,12 @@ def af_distortion(power: float, rho: float, sigma2: float = 1.0) -> float:
 
 
 def _check_gauss_args(power: float, rho: float, sigma2: float) -> None:
-    if power < 0:
-        raise ValueError(f"power must be nonnegative, got {power}")
+    if not (math.isfinite(power) and power >= 0):
+        raise ValueError(f"power must be finite and nonnegative, got {power}")
     if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    if sigma2 <= 0:
-        raise ValueError(f"variance must be positive, got {sigma2}")
+        raise ValueError(f"correlation rho must lie in [-1, 1], got {rho}")
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
 
 
 def monte_carlo_af(power: float, rho: float, sigma2: float = 1.0,
@@ -102,28 +122,21 @@ def monte_carlo_af(power: float, rho: float, sigma2: float = 1.0,
     """Simulate uncoded transmission of the source difference and the linear
     conditional-mean estimate at the receiver; reports MSE with a 95% CI."""
     _check_gauss_args(power, rho, sigma2)
-    if samples < MIN_MC_SAMPLES:
-        raise MonteCarloError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
+    _check_samples(samples)
+    source = GaussianPairSource(sigma2, rho)
     scale = math.sqrt(power / sigma2) if power > 0 else 0.0
     var_s = 2.0 * sigma2 * (1.0 - rho)
     coef = scale * var_s / (scale * scale * var_s + 1.0)
-    total = 0.0
-    total_sq = 0.0
-    sd = math.sqrt(sigma2)
-    cross = math.sqrt(max(1.0 - rho * rho, 0.0))
-    for b, m in _blocks(samples):
-        z = _block_rng(seed, b).standard_normal((m, 3))
-        u1 = sd * z[:, 0]
-        u2 = sd * (rho * z[:, 0] + cross * z[:, 1])
-        s = u1 - u2
-        y = scale * s + z[:, 2]
-        err = (s - coef * y) ** 2
-        total += float(err.sum())
-        total_sq += float((err * err).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    half = 1.96 * math.sqrt(var / samples)
-    return MonteCarloEstimate(mean, half, samples, seed)
+
+    def errors():
+        for b, m in _blocks(samples):
+            z = _block_rng(seed, b).standard_normal((m, 3))
+            u1, u2 = source._pair(z)
+            s = u1 - u2
+            y = scale * s + z[:, 2]
+            yield (s - coef * y) ** 2
+
+    return _estimate(errors(), samples, seed)
 
 
 def binary_quadrant_pmf(rho: float, name1: str = "w1", name2: str = "w2") -> JointPMF:
@@ -190,11 +203,15 @@ def quantize_grid(q: GridQuantizer, sample_pairs: np.ndarray,
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) sample array, got shape {pts.shape}")
     idx = np.stack([q.index(pts[:, 0]), q.index(pts[:, 1])], axis=1)
-    counts = np.zeros((q.cells, q.cells))
-    np.add.at(counts, (idx[:, 0], idx[:, 1]), 1.0)
+    counts = _cell_counts(idx[:, 0], idx[:, 1], q.cells)
     pmf = JointPMF((q.cell_alphabet(name1), q.cell_alphabet(name2)),
                    counts / len(pts))
     return idx, pmf
+
+
+def _cell_counts(i1: np.ndarray, i2: np.ndarray, cells: int) -> np.ndarray:
+    """cells x cells histogram of cell-index pairs."""
+    return np.bincount(i1 * cells + i2, minlength=cells * cells).reshape(cells, cells)
 
 
 def offdiagonal_cell_pmf(cells: int = 3, name1: str = "w1", name2: str = "w2",
@@ -209,21 +226,29 @@ def offdiagonal_cell_pmf(cells: int = 3, name1: str = "w1", name2: str = "w2",
     return JointPMF((q.cell_alphabet(name1), q.cell_alphabet(name2)), mass)
 
 
-def sample_offdiagonal_uniform(cells: int, samples: int, seed: int = DEFAULT_SEED,
-                               ) -> np.ndarray:
-    """Draw (n, 2) points from the blocked-uniform density on [0, 1]^2."""
-    pairs = [(i, j) for i in range(cells) for j in range(cells) if i != j]
-    out = np.empty((samples, 2))
-    done = 0
+def _offdiagonal_blocks(cells: int, samples: int, seed: int):
+    """(u1, u2) coordinates of each keyed block of draws from the
+    blocked-uniform density on [0, 1]^2: a uniform off-diagonal cell pair,
+    then a uniform point inside it."""
+    pairs = np.array([(i, j) for i in range(cells) for j in range(cells) if i != j])
     width = 1.0 / cells
     for b, m in _blocks(samples):
         rng = _block_rng(seed, b)
         which = rng.integers(0, len(pairs), size=m)
         offs = rng.random((m, 2))
-        cell_ij = np.array(pairs)[which]
-        out[done:done + m, 0] = (cell_ij[:, 0] + offs[:, 0]) * width
-        out[done:done + m, 1] = (cell_ij[:, 1] + offs[:, 1]) * width
-        done += m
+        yield ((pairs[which, 0] + offs[:, 0]) * width,
+               (pairs[which, 1] + offs[:, 1]) * width)
+
+
+def sample_offdiagonal_uniform(cells: int, samples: int, seed: int = DEFAULT_SEED,
+                               ) -> np.ndarray:
+    """Draw (n, 2) points from the blocked-uniform density on [0, 1]^2."""
+    out = np.empty((samples, 2))
+    done = 0
+    for u1, u2 in _offdiagonal_blocks(cells, samples, seed):
+        out[done:done + len(u1), 0] = u1
+        out[done:done + len(u1), 1] = u2
+        done += len(u1)
     return out
 
 
@@ -239,30 +264,25 @@ def grid_distortion_closed_form(cells: int = 3) -> float:
 
 
 def monte_carlo_grid_distortion(cells: int = 3, samples: int = 1_000_000,
-                                seed: int = DEFAULT_SEED) -> MonteCarloEstimate:
+                                seed: int = DEFAULT_SEED,
+                                cell_counts: np.ndarray | None = None,
+                                ) -> MonteCarloEstimate:
     """Empirical distortion of estimating |U1 - U2| by the quantized-cell
-    center gap, under the blocked-uniform density."""
-    if samples < MIN_MC_SAMPLES:
-        raise MonteCarloError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
+    center gap, under the blocked-uniform density. When ``cell_counts`` (a
+    cells x cells integer array) is given, the same draws add their
+    quantized cell-pair counts to it, as ``quantize_grid`` would count them."""
+    _check_samples(samples)
     q = GridQuantizer(0.0, 1.0, cells)
     centers = q.centers
-    pairs = np.array([(i, j) for i in range(cells) for j in range(cells) if i != j])
-    width = 1.0 / cells
-    total = 0.0
-    total_sq = 0.0
-    for b, m in _blocks(samples):
-        rng = _block_rng(seed, b)
-        which = rng.integers(0, len(pairs), size=m)
-        offs = rng.random((m, 2))
-        u1 = (pairs[which, 0] + offs[:, 0]) * width
-        u2 = (pairs[which, 1] + offs[:, 1]) * width
-        est = np.abs(centers[q.index(u1)] - centers[q.index(u2)])
-        err = np.abs(np.abs(u1 - u2) - est)
-        total += float(err.sum())
-        total_sq += float((err * err).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return MonteCarloEstimate(mean, 1.96 * math.sqrt(var / samples), samples, seed)
+
+    def errors():
+        for u1, u2 in _offdiagonal_blocks(cells, samples, seed):
+            i1, i2 = q.index(u1), q.index(u2)
+            if cell_counts is not None:
+                cell_counts[:] += _cell_counts(i1, i2, cells)
+            yield np.abs(np.abs(u1 - u2) - np.abs(centers[i1] - centers[i2]))
+
+    return _estimate(errors(), samples, seed)
 
 
 def lipschitz_budget(alpha: float, target_d: float) -> float:
@@ -291,140 +311,12 @@ class SchemeReport:
     note: str = ""
 
 
-def verdict_from_margin(margin: float) -> str:
-    if abs(margin) <= BOUNDARY_TOL:
-        return "boundary"
-    return "strict" if margin > 0 else "violated"
-
-
-_PRESET_NAMES = ("section5", "gauss-diff", "gauss-binary", "uniform-grid")
-
-
 def run_scheme(experiment, **overrides) -> list[SchemeReport]:
-    """Run a named pipeline (or a config dict of the same shape) and return
-    one report per scheme it evaluates."""
+    """Scheme reports of a registered experiment, named or given as a config
+    dict with its name under "experiment": a view of ``run_experiment``."""
+    from .experiments import run_experiment
+
     if isinstance(experiment, dict):
-        config = dict(experiment)
-        name = config.pop("experiment", None)
-        config.update(overrides)
-    else:
-        name = experiment
-        config = dict(overrides)
-    if name not in _PRESET_NAMES:
-        raise ValueError(f"unknown experiment {name!r}; choose from {_PRESET_NAMES}")
-    runner = {
-        "section5": _run_section5,
-        "gauss-diff": _run_gauss_diff,
-        "gauss-binary": _run_gauss_binary,
-        "uniform-grid": _run_uniform_grid,
-    }[name]
-    return runner(**config)
-
-
-def _run_section5() -> list[SchemeReport]:
-    from . import presets
-    from .channels import adder_mac, mac_sum_capacity_independent
-    from .feasibility import check_feasibility
-    from .probability import compose, entropy
-
-    base = presets.ternary_source_joint()
-    cap = mac_sum_capacity_independent(adder_mac()).bits
-    h_sources = entropy(base, ("u1", "u2"))
-    colored = compose(base, [presets.color_kernel_single("u1", "c1"),
-                             presets.color_kernel_single("u2", "c2")])
-    h_colors = entropy(colored, ("c1", "c2"))
-    report3 = check_feasibility(presets.section5_system("joint"))
-    rec = report3.record("sum")
-    return [
-        SchemeReport("1", source_entropy_bits=h_sources, channel_sum_rate_bits=cap,
-                     verdict=verdict_from_margin(cap - h_sources),
-                     margin_bits=cap - h_sources,
-                     note="lossless pair transmission against independent-input capacity"),
-        SchemeReport("2", source_entropy_bits=h_sources, color_entropy_bits=h_colors,
-                     channel_sum_rate_bits=cap,
-                     verdict=verdict_from_margin(cap - h_colors),
-                     margin_bits=cap - h_colors,
-                     note="colored then distributed-coded, independent channel codes"),
-        SchemeReport("3", source_entropy_bits=h_sources, color_entropy_bits=h_colors,
-                     channel_sum_rate_bits=rec.rhs_bits,
-                     verdict=rec.verdict, margin_bits=rec.margin_bits,
-                     distortion_analytic=report3.achieved_distortion,
-                     note="correlated channel mapping of the colors, full checker"),
-    ]
-
-
-def _run_gauss_diff(power: float = 5.0, rho: float = 0.5, sigma2: float = 1.0,
-                    samples: int = 1_000_000, seed: int = DEFAULT_SEED,
-                    ) -> list[SchemeReport]:
-    mc = monte_carlo_af(power, rho, sigma2, samples=samples, seed=seed)
-    return [
-        SchemeReport("centralized",
-                     distortion_analytic=centralized_bound(power, rho, sigma2),
-                     note="single-encoder lower bound"),
-        SchemeReport("AF",
-                     distortion_analytic=af_distortion(power, rho, sigma2),
-                     distortion_mc=mc,
-                     note="uncoded scaled transmission, conditional-mean receiver"),
-    ]
-
-
-def _run_gauss_binary(power: float = 5.0, rho: float = 0.75, rho_x: float = 0.3,
-                      ) -> list[SchemeReport]:
-    from .channels import GaussianMAC, gmac_sum_rate
-    from .probability import entropy
-
-    pair = binary_quadrant_pmf(rho)
-    rate = entropy(pair, ("w1", "w2"))
-    mac = GaussianMAC(power)
-    cap_ind = gmac_sum_rate(mac, 0.0)
-    cap_cor = gmac_sum_rate(mac, rho_x)
-    feasible = cap_cor - rate > BOUNDARY_TOL
-    return [
-        SchemeReport("2", color_entropy_bits=rate, channel_sum_rate_bits=cap_ind,
-                     verdict=verdict_from_margin(cap_ind - rate),
-                     margin_bits=cap_ind - rate,
-                     note="distributed-coded sign bits, independent Gaussian codewords"),
-        SchemeReport("3", color_entropy_bits=rate, channel_sum_rate_bits=cap_cor,
-                     verdict=verdict_from_margin(cap_cor - rate),
-                     margin_bits=cap_cor - rate,
-                     distortion_analytic=0.0 if feasible else None,
-                     note=f"sign bits mapped to Gaussian inputs at correlation {rho_x:g}"),
-    ]
-
-
-def _run_uniform_grid(cells: int = 3, target_d: float = 1.0 / 6.0,
-                      samples: int = 1_000_000, seed: int = DEFAULT_SEED,
-                      alpha: float | None = None) -> list[SchemeReport]:
-    from . import presets
-    from .channels import adder_mac, mac_sum_capacity_independent
-    from .feasibility import check_feasibility
-    from .probability import compose, entropy
-
-    cell_pmf = offdiagonal_cell_pmf(cells)
-    cap = mac_sum_capacity_independent(adder_mac()).bits
-    h_cells = entropy(cell_pmf, ("w1", "w2"))
-    system = presets.grid_system(cells=cells, target_d=target_d)
-    colored = compose(cell_pmf, [presets.grid_color_kernel(cells, "w1", "c1"),
-                                 presets.grid_color_kernel(cells, "w2", "c2")])
-    h_colors = entropy(colored, ("c1", "c2"))
-    report3 = check_feasibility(system)
-    rec = report3.record("sum")
-    closed = grid_distortion_closed_form(cells)
-    mc = monte_carlo_grid_distortion(cells, samples=samples, seed=seed)
-    return [
-        SchemeReport("1", source_entropy_bits=h_cells, channel_sum_rate_bits=cap,
-                     verdict=verdict_from_margin(cap - h_cells),
-                     margin_bits=cap - h_cells, lipschitz_alpha=alpha,
-                     note="cells sent losslessly against independent-input capacity"),
-        SchemeReport("2", source_entropy_bits=h_cells, color_entropy_bits=h_colors,
-                     channel_sum_rate_bits=cap,
-                     verdict=verdict_from_margin(cap - h_colors),
-                     margin_bits=cap - h_colors, lipschitz_alpha=alpha,
-                     note="colored cells, independent channel codes"),
-        SchemeReport("3", source_entropy_bits=h_cells, color_entropy_bits=h_colors,
-                     channel_sum_rate_bits=rec.rhs_bits,
-                     verdict=rec.verdict, margin_bits=rec.margin_bits,
-                     distortion_analytic=closed, distortion_mc=mc,
-                     lipschitz_alpha=alpha,
-                     note="colored cells through the correlated channel mapping"),
-    ]
+        overrides = {**experiment, **overrides}
+        experiment = overrides.pop("experiment", None)
+    return run_experiment(experiment, **overrides).schemes

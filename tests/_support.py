@@ -340,3 +340,64 @@ def loop_adjacency_masks(graph: CharGraph) -> list[int]:
         masks[idx[a]] |= 1 << idx[b]
         masks[idx[b]] |= 1 << idx[a]
     return masks
+
+
+# --- Monte Carlo references -------------------------------------------------
+# Per-block loops as the Monte Carlo routines were first written, one loop per
+# routine with its own accumulator; the keyed block streams of
+# ``fcmac.schemes._block_rng`` are the seeding contract they share.
+
+def _keyed_blocks(samples: int, block: int = 1 << 16):
+    for b, start in enumerate(range(0, samples, block)):
+        yield b, min(block, samples - start)
+
+
+def loop_monte_carlo_af(block_rng, power, rho, sigma2, samples, seed):
+    """(mean, 95% half-width) of the AF squared error."""
+    scale = math.sqrt(power / sigma2) if power > 0 else 0.0
+    var_s = 2.0 * sigma2 * (1.0 - rho)
+    coef = scale * var_s / (scale * scale * var_s + 1.0)
+    sd = math.sqrt(sigma2)
+    cross = math.sqrt(max(1.0 - rho * rho, 0.0))
+    total = total_sq = 0.0
+    for b, m in _keyed_blocks(samples):
+        z = block_rng(seed, b).standard_normal((m, 3))
+        s = sd * z[:, 0] - sd * (rho * z[:, 0] + cross * z[:, 1])
+        err = (s - coef * (scale * s + z[:, 2])) ** 2
+        total += float(err.sum())
+        total_sq += float((err * err).sum())
+    mean = total / samples
+    return mean, 1.96 * math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+
+
+def loop_offdiagonal_points(block_rng, cells, samples, seed) -> np.ndarray:
+    """(n, 2) draws from the blocked-uniform density on [0, 1]^2."""
+    pairs = [(i, j) for i in range(cells) for j in range(cells) if i != j]
+    out = np.empty((samples, 2))
+    done = 0
+    for b, m in _keyed_blocks(samples):
+        rng = block_rng(seed, b)
+        which = rng.integers(0, len(pairs), size=m)
+        offs = rng.random((m, 2))
+        out[done:done + m] = (np.array(pairs)[which] + offs) * (1.0 / cells)
+        done += m
+    return out
+
+
+def loop_grid_distortion(points: np.ndarray, cells: int) -> tuple[float, float, np.ndarray]:
+    """(mean, 95% half-width, cell counts) of the center-gap error over
+    ``points``, summed in blocks of 2**16 and counted with ``np.add.at``."""
+    width = 1.0 / cells
+    centers = (np.arange(cells) + 0.5) * width
+    idx = np.clip(np.floor(cells * points).astype(int), 0, cells - 1)
+    counts = np.zeros((cells, cells))
+    np.add.at(counts, (idx[:, 0], idx[:, 1]), 1.0)
+    total = total_sq = 0.0
+    for start in range(0, len(points), 1 << 16):
+        u, i = points[start:start + (1 << 16)], idx[start:start + (1 << 16)]
+        err = np.abs(np.abs(u[:, 0] - u[:, 1]) - np.abs(centers[i[:, 0]] - centers[i[:, 1]]))
+        total += float(err.sum())
+        total_sq += float((err * err).sum())
+    n = len(points)
+    mean = total / n
+    return mean, 1.96 * math.sqrt(max(total_sq / n - mean * mean, 0.0) / n), counts

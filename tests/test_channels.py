@@ -128,3 +128,10 @@ class TestGaussianSumRate:
             GaussianMAC(-1.0)
         with pytest.raises(ValueError):
             GaussianMAC(1.0, noise_var=0.0)
+
+    @pytest.mark.parametrize("power,noise_var,named", [
+        (float("nan"), 1.0, "power"), (float("inf"), 1.0, "power"),
+        (1.0, float("nan"), "noise_var"), (1.0, float("inf"), "noise_var")])
+    def test_non_finite_parameters_rejected(self, power, noise_var, named):
+        with pytest.raises(ValueError, match=f"^{named} must be finite"):
+            GaussianMAC(power, noise_var)

@@ -193,32 +193,42 @@ class TestExperimentCommand:
 
 
 # sha256 of `fcmac experiment <id> [settings] --format <fmt> --out <file>` with
-# FCMAC_SEED unset; refactors must keep these files byte-identical.
+# FCMAC_SEED unset: the CSV file, the JSON file, and the report printed to
+# stdout (the same for both formats); refactors must keep all three
+# byte-identical.
 PINNED_OUTPUTS = {
     ("section5", ()): (
         "71ed4b1909971170e7c25e1e6b4aa62c5165f571df1a47d747d94544d4941a78",
-        "e4a7769b39aad505d3f2088c2eae961f4743eb172a42203c5925feac86b66c0f"),
+        "e4a7769b39aad505d3f2088c2eae961f4743eb172a42203c5925feac86b66c0f",
+        "2e84cf21c9be3764122c67e1e1c2293f1cca51a0af05207c73a6dec13e6b938b"),
     ("section5", ("--seed", "7")): (
         "71ed4b1909971170e7c25e1e6b4aa62c5165f571df1a47d747d94544d4941a78",
-        "e4a7769b39aad505d3f2088c2eae961f4743eb172a42203c5925feac86b66c0f"),
+        "e4a7769b39aad505d3f2088c2eae961f4743eb172a42203c5925feac86b66c0f",
+        "2e84cf21c9be3764122c67e1e1c2293f1cca51a0af05207c73a6dec13e6b938b"),
     ("gauss-diff", ()): (
         "06471e95d1ba920b039d80bd81dab93366091f881cb9001f0d12e6f4e1edff02",
-        "82cef8b4fede7c71966aa9ab2e0960335db87fda1f4be171af723617988ea966"),
+        "82cef8b4fede7c71966aa9ab2e0960335db87fda1f4be171af723617988ea966",
+        "cc9d0fd2e42e65d83f08781dbfd5334dd85b27661fb8ba2a69ae493e3e1985c3"),
     ("gauss-diff", ("--rho", "0.3", "--steps", "6", "--samples", "50000", "--seed", "11")): (
         "b2603b3afe4a552e9e5d01b39d81b2a33b5b745d53bb4f972e58f46d06318b43",
-        "2483bc5e9eb70e14ab77ab13475f34dd1eafd85771004f54205f3243e1b8adc4"),
+        "2483bc5e9eb70e14ab77ab13475f34dd1eafd85771004f54205f3243e1b8adc4",
+        "9ddad5fa1665c124ae4bdf4329f39bc57518028d46cbe0512e7270e822644e57"),
     ("gauss-binary", ()): (
         "99bfd2a97e94d62f0168a40e4af2598c76e2919a8bed96a49dc49a51067b525a",
-        "65b2a9229e9b31308a4b5763cec51ba834cb86de3a6cab52feb29ff876a2651e"),
+        "65b2a9229e9b31308a4b5763cec51ba834cb86de3a6cab52feb29ff876a2651e",
+        "448286da6f1799ec9fe518063000596e7badbfc9a9576579f7097151c52471af"),
     ("gauss-binary", ("--rho", "0.5", "--power", "3")): (
         "e3576c8855955b39b12ed7416c319594bce4da7d05d866bfe2257a682092fbdb",
-        "e1a935229de133d0b38576549dffdbeb437f9cca0c5346984e970e85b9d9d10b"),
+        "e1a935229de133d0b38576549dffdbeb437f9cca0c5346984e970e85b9d9d10b",
+        "22993b3a768a189b321143de3beb40cac55195721359e46bf9a271333b264470"),
     ("uniform-grid", ()): (
         "fc8c0af7ecfe6a70246591e172ea063fac39d26d8457c308ce377b4f525bff47",
-        "8fa091390cccf2e9c638c0562247a53a68458a34be8bc6d6413caa77cd490c2a"),
+        "8fa091390cccf2e9c638c0562247a53a68458a34be8bc6d6413caa77cd490c2a",
+        "b90e85f6aa23a8c89742ab9bdd2b16d51245c85eaa20451789be9d2472dadb82"),
     ("uniform-grid", ("--target-d", "0.2", "--samples", "200000", "--seed", "3")): (
         "95c9668db74db151c156b877a5887360be40c18c526ac282be2bff546e0475f0",
-        "aa5f128b972e104a30ed9f1a1a315ca33cbbb0cefc366714a105c2785286bc8b"),
+        "aa5f128b972e104a30ed9f1a1a315ca33cbbb0cefc366714a105c2785286bc8b",
+        "76001b5edbc8557614736832d92fc17d821feb271337960fe2d5ff46675596dd"),
 }
 
 
@@ -226,11 +236,14 @@ PINNED_OUTPUTS = {
                          ids=[" ".join((e,) + a) for e, a in PINNED_OUTPUTS])
 def test_experiment_outputs_pinned(experiment, settings, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("FCMAC_SEED", raising=False)
-    for fmt, want in zip(("csv", "json"), PINNED_OUTPUTS[experiment, settings]):
+    *files, printed = PINNED_OUTPUTS[experiment, settings]
+    for fmt, want in zip(("csv", "json"), files):
         out = tmp_path / f"out.{fmt}"
         assert main(["experiment", experiment, *settings, "--format", fmt,
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, fmt
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == printed, f"stdout with {fmt}"
 
 
 class TestGraphCommands:
@@ -322,3 +335,26 @@ class TestChannelCommands:
         with pytest.raises(SystemExit) as err:
             main(["channel", "gmac"])  # missing required --power
         assert err.value.code == 2
+
+
+# non-finite or empty Gaussian settings: exit 2 with the parameter named
+NON_FINITE_GAUSSIAN = [
+    (["channel", "gmac", "--power", "nan"], "power"),
+    (["channel", "gmac", "--power", "inf"], "power"),
+    (["channel", "gmac", "--power", "5", "--noise-var", "nan"], "noise_var"),
+    (["experiment", "gauss-diff", "--power", "nan", "--samples", "20000"], "power"),
+    (["experiment", "gauss-binary", "--power", "nan"], "power"),
+    (["experiment", "gauss-diff", "--sigma2", "inf", "--samples", "20000"], "sigma2"),
+    (["experiment", "gauss-diff", "--power-min", "nan", "--samples", "20000"], "power_min"),
+    (["experiment", "gauss-diff", "--power-max", "inf", "--samples", "20000"], "power_max"),
+    (["experiment", "gauss-diff", "--steps", "0", "--samples", "20000"], "steps"),
+]
+
+
+@pytest.mark.parametrize("argv,parameter", NON_FINITE_GAUSSIAN,
+                         ids=[" ".join(a[1:]) for a, _ in NON_FINITE_GAUSSIAN])
+def test_non_finite_gaussian_settings_exit_2(argv, parameter, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {parameter} must be "), captured.err
+    assert "RESULT" not in captured.out and "sum_rate_bits" not in captured.out

@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
 
+from fcmac import channels, experiments, feasibility, schemes
 from fcmac.experiments import run_experiment, UnknownExperimentError
 
 
@@ -64,3 +66,47 @@ class TestGaussDiffRegistry:
 def test_unknown_experiment_raises():
     with pytest.raises(UnknownExperimentError):
         run_experiment("missing")
+
+
+class TestComputedOnce:
+    """Each experiment computes every quantity once and derives its scheme
+    reports from those values."""
+
+    @pytest.mark.parametrize("experiment_id", ["gauss-diff", "uniform-grid"])
+    def test_each_seeded_block_drawn_once(self, experiment_id, monkeypatch):
+        drawn = Counter()
+        block_rng = schemes._block_rng
+
+        def counting(seed, block):
+            drawn[seed, block] += 1
+            return block_rng(seed, block)
+
+        monkeypatch.setattr(schemes, "_block_rng", counting)
+        res = run_experiment(experiment_id, seed=5, samples=150_000)
+        assert sorted(drawn) == [(5, b) for b in range(3)]
+        assert set(drawn.values()) == {1}
+        mc = next(s.distortion_mc for s in res.schemes if s.distortion_mc is not None)
+        assert (mc.samples, mc.seed) == (150_000, 5)
+
+    def test_section5_searches_capacity_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # count through every binding a caller could reach
+        capacity = counting("capacity", channels.mac_sum_capacity_independent)
+        check = counting("check", feasibility.check_feasibility)
+        monkeypatch.setattr(channels, "mac_sum_capacity_independent", capacity)
+        monkeypatch.setattr(experiments, "mac_sum_capacity_independent", capacity)
+        monkeypatch.setattr(feasibility, "check_feasibility", check)
+        monkeypatch.setattr(experiments, "check_feasibility", check)
+        res = run_experiment("section5")
+        assert calls == {"capacity": 1, "check": 2}  # joint and independent codes
+        by_id = {s.scheme_id: s for s in res.schemes}
+        assert by_id["1"].channel_sum_rate_bits == res.row(
+            "adder_sum_capacity_independent").value
+        assert by_id["3"].margin_bits == res.row("joint_code_sum_margin").value

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fcmac import schemes
 from fcmac.probability import entropy, validate
 from fcmac.schemes import (
     GaussianPairSource,
@@ -21,6 +22,8 @@ from fcmac.schemes import (
     run_scheme,
     sample_offdiagonal_uniform,
 )
+
+from _support import loop_grid_distortion, loop_monte_carlo_af, loop_offdiagonal_points
 
 LOG2_3 = math.log2(3.0)
 
@@ -58,6 +61,19 @@ class TestClosedForms:
             af_distortion(1.0, 2.0)
         with pytest.raises(ValueError):
             GaussianPairSource(sigma2=0.0)
+
+    @pytest.mark.parametrize("power,sigma2,named", [
+        (float("nan"), 1.0, "power"), (float("inf"), 1.0, "power"),
+        (1.0, float("nan"), "sigma2"), (1.0, float("inf"), "sigma2")])
+    def test_non_finite_parameters_rejected(self, power, sigma2, named):
+        for fn in (centralized_bound, af_distortion):
+            with pytest.raises(ValueError, match=f"^{named} must be finite"):
+                fn(power, 0.5, sigma2)
+        with pytest.raises(ValueError, match=f"^{named} must be finite"):
+            monte_carlo_af(power, 0.5, sigma2, samples=20_000)
+        if named == "sigma2":
+            with pytest.raises(ValueError, match="^sigma2 must be finite"):
+                GaussianPairSource(sigma2=sigma2)
 
 
 class TestGaussianPairSource:
@@ -192,6 +208,37 @@ class TestGridQuantizer:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             quantize_grid(GridQuantizer(0.0, 1.0, 3), np.zeros((4, 3)))
+
+
+class TestMonteCarloMatchesLoops:
+    """The shared block sampler and accumulator reproduce the per-routine
+    loops bit for bit, including a partial last block."""
+
+    @pytest.mark.parametrize("power,rho,sigma2,samples,seed", [
+        (5.0, 0.5, 1.0, 70_000, 3), (0.0, -0.25, 2.5, 10_000, 8), (3.0, 1.0, 0.5, 131_072, 2)])
+    def test_af(self, power, rho, sigma2, samples, seed):
+        mc = monte_carlo_af(power, rho, sigma2, samples=samples, seed=seed)
+        want = loop_monte_carlo_af(schemes._block_rng, power, rho, sigma2, samples, seed)
+        assert (mc.value, mc.halfwidth) == want
+
+    @pytest.mark.parametrize("cells,samples,seed", [(3, 70_000, 12), (5, 10_000, 1)])
+    def test_offdiagonal_sampler(self, cells, samples, seed):
+        got = sample_offdiagonal_uniform(cells, samples, seed=seed)
+        want = loop_offdiagonal_points(schemes._block_rng, cells, samples, seed)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cells,samples,seed", [(3, 70_000, 12), (4, 10_000, 5)])
+    def test_grid_distortion_and_cell_counts(self, cells, samples, seed):
+        points = loop_offdiagonal_points(schemes._block_rng, cells, samples, seed)
+        value, half, want_counts = loop_grid_distortion(points, cells)
+        counts = np.zeros((cells, cells), dtype=np.int64)
+        mc = monte_carlo_grid_distortion(cells, samples, seed, cell_counts=counts)
+        assert (mc.value, mc.halfwidth) == (value, half)
+        assert np.array_equal(counts, want_counts)
+        plain = monte_carlo_grid_distortion(cells, samples, seed)
+        assert (plain.value, plain.halfwidth) == (value, half)
+        _, pmf = quantize_grid(GridQuantizer(0.0, 1.0, cells), points)
+        assert np.array_equal(pmf.mass, want_counts / samples)
 
 
 class TestGridDistortion:
