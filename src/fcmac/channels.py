@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import Alphabet, AxisError, JointPMF, Kernel, compose, mutual_information
+from .probability import (Alphabet, AxisError, JointPMF, Kernel, compose, mutual_information,
+                          plogp)
 
 CAPACITY_GRID_POINTS = 51
 CAPACITY_GRID_CAP = 4_000_000
@@ -74,9 +75,7 @@ def _product_mutual_info(law3: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> fl
     py = np.einsum("i,j,ijy->y", p1, p2, law3)
     pos = py[py > 0]
     h_y = -float(np.sum(pos * np.log2(pos)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plog = np.where(law3 > 0, law3 * np.log2(np.where(law3 > 0, law3, 1.0)), 0.0)
-    h_y_given_x = -float(p1 @ plog.sum(axis=2) @ p2)
+    h_y_given_x = -float(p1 @ plogp(law3).sum(axis=2) @ p2)
     return h_y - h_y_given_x
 
 
@@ -137,10 +136,8 @@ def mac_sum_capacity_independent(mac: DiscreteMAC, grid_points: int = CAPACITY_G
 
     # vectorized grid sweep
     py = np.einsum("ai,bj,ijy->aby", g1, g2, law3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hy = -np.where(py > 0, py * np.log2(np.where(py > 0, py, 1.0)), 0.0).sum(axis=2)
-        plog = np.where(law3 > 0, law3 * np.log2(np.where(law3 > 0, law3, 1.0)), 0.0)
-    eh = g1 @ (-plog.sum(axis=2)) @ g2.T
+    hy = -plogp(py).sum(axis=2)
+    eh = g1 @ (-plogp(law3).sum(axis=2)) @ g2.T
     info = hy - eh
     flat = int(np.argmax(info))
     p1 = g1[flat // len(g2)].copy()

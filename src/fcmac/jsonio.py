@@ -42,7 +42,13 @@ def _expect_list(value, path: str) -> list:
 def _label(value, path: str):
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise SpecFormatError(path, "labels must be strings or numbers")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SpecFormatError(path, f"label {value} is not finite")
     return value
+
+
+def _index_path(idx) -> str:
+    return "".join(f"[{i}]" for i in idx)
 
 
 def _emit_label(value):
@@ -77,7 +83,7 @@ def _nested_floats(data, shape: tuple[int, ...], path: str) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
-        raise SpecFormatError(path + "".join(f"[{i}]" for i in idx),
+        raise SpecFormatError(path + _index_path(idx),
                               f"value {arr[idx]} is not finite")
     return arr
 
@@ -140,8 +146,11 @@ def mac_to_json(mac: DiscreteMAC) -> dict:
 def graph_from_json(obj, path: str = "$", name: str = "v") -> CharGraph:
     verts = _expect_list(_get(obj, "vertices", path), f"{path}.vertices")
     symbols = tuple(_label(v, f"{path}.vertices[{i}]") for i, v in enumerate(verts))
+    name = obj.get("name", name)
+    if not isinstance(name, str):
+        raise SpecFormatError(f"{path}.name", "graph name must be a string")
     try:
-        alphabet = Alphabet(obj.get("name", name), symbols)
+        alphabet = Alphabet(name, symbols)
     except ValueError as exc:
         raise SpecFormatError(f"{path}.vertices", str(exc)) from None
     edges = set()
@@ -184,7 +193,7 @@ def function_table_from_json(obj, path: str = "$") -> FunctionTable:
     it = np.nditer(np.zeros(shape), flags=["multi_index"])
     for _ in it:
         idx = it.multi_index
-        values[idx] = _label(flat[idx], f"{path}.values{list(idx)}")
+        values[idx] = _label(flat[idx], f"{path}.values{_index_path(idx)}")
     return FunctionTable(axes, values)
 
 

@@ -265,7 +265,16 @@ def compose(base: JointPMF, kernels: Iterable[Kernel]) -> JointPMF:
     return acc
 
 
+def plogp(a: np.ndarray) -> np.ndarray:
+    """Elementwise p * log2(p), with 0 wherever p is not positive."""
+    pos = a > 0
+    return np.where(pos, a * np.log2(np.where(pos, a, 1.0)), 0.0)
+
+
 def _plogp(flat: np.ndarray) -> float:
+    """Sum of p * log2(p) over the positive entries only. Entropy sums this
+    way rather than over ``plogp``: it is faster on small marginals, and
+    adding the zeros would change the rounding of every pinned output."""
     p = flat[flat > 0]
     return float(np.sum(p * np.log2(p)))
 

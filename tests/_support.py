@@ -14,7 +14,8 @@ import numpy as np
 
 from fcmac.channels import DiscreteMAC
 from fcmac.feasibility import DistortionTable, SystemSpec
-from fcmac.graphs import CharGraph, FunctionTable
+from fcmac.graphs import (_CGE_SEED, CharGraph, ConditionalGraphEntropyResult, FunctionTable,
+                          conditional_chromatic_entropy, stable_sets)
 from fcmac.probability import Alphabet, JointPMF, Kernel
 
 
@@ -340,6 +341,75 @@ def loop_adjacency_masks(graph: CharGraph) -> list[int]:
         masks[idx[a]] |= 1 << idx[b]
         masks[idx[b]] |= 1 << idx[a]
     return masks
+
+
+def loop_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *, restarts: int = 16,
+                                   tol: float = 1e-8, max_iter: int = 10_000,
+                                   ) -> ConditionalGraphEntropyResult:
+    """Conditional graph entropy with one restart after another and a Python
+    loop per row of p*log2(p), as the graph layer did before the restarts
+    ran as one array stack."""
+    sets = stable_sets(g, maximal_only=True)
+    n1, n2 = joint.mass.shape
+    nw = len(sets)
+    allowed = np.zeros((n1, nw))
+    for j, s in enumerate(sets):
+        for v in s:
+            allowed[g.vertices.index(v), j] = 1.0
+
+    p = joint.mass.astype(float)
+    p1 = p.sum(axis=1)
+    p2 = p.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p2_given_1 = np.where(p1[:, None] > 0, p / np.where(p1[:, None] > 0, p1[:, None], 1), 0.0)
+        p1_given_2 = np.where(p2[None, :] > 0, p / np.where(p2[None, :] > 0, p2[None, :], 1), 0.0)
+
+    def row_plogp(mat: np.ndarray) -> np.ndarray:
+        out = np.zeros(mat.shape[0])
+        for i, row in enumerate(mat):
+            pos = row[row > 0]
+            out[i] = float(np.sum(pos * np.log2(pos)))
+        return out
+
+    def objective(q: np.ndarray) -> float:
+        r = p1_given_2.T @ q                       # r[u2, w]
+        h_w_u2 = -float(np.sum(p2 * row_plogp(r)))
+        h_w_u1 = -float(np.sum(p1 * row_plogp(q)))
+        return h_w_u2 - h_w_u1
+
+    upper = conditional_chromatic_entropy(g, joint, 1)
+    rng = np.random.default_rng(_CGE_SEED)
+    best_val = float("inf")
+    best_q = None
+    all_converged = True
+    for restart in range(max(restarts, 1)):
+        if restart == 0:
+            q = allowed.copy()
+        else:
+            q = rng.random((n1, nw)) * allowed
+        q /= q.sum(axis=1, keepdims=True)
+        prev = float("inf")
+        converged = False
+        for _ in range(max_iter):
+            cur = objective(q)
+            if prev - cur < tol:
+                converged = True
+                break
+            prev = cur
+            r = p1_given_2.T @ q
+            logr = np.log2(np.maximum(r, 1e-300))
+            a = p2_given_1 @ logr                  # a[u1, w]
+            a = np.where(allowed > 0, a, -np.inf)
+            a = a - a.max(axis=1, keepdims=True)
+            q = np.exp2(a)
+            q /= q.sum(axis=1, keepdims=True)
+        val = objective(q)
+        all_converged = all_converged and converged
+        if val < best_val:
+            best_val = val
+            best_q = q
+    value = min(max(best_val, 0.0), upper)
+    return ConditionalGraphEntropyResult(value, upper, best_q, tuple(sets), all_converged)
 
 
 # --- Monte Carlo references -------------------------------------------------

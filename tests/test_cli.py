@@ -358,3 +358,16 @@ def test_non_finite_gaussian_settings_exit_2(argv, parameter, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {parameter} must be "), captured.err
     assert "RESULT" not in captured.out and "sum_rate_bits" not in captured.out
+
+
+def test_gauss_diff_at_full_correlation(tmp_path, capsys):
+    # the AF closed form is 0 at rho = 1, so the Monte Carlo error row is
+    # the absolute error there and says so
+    out = tmp_path / "rho1.json"
+    assert main(["experiment", "gauss-diff", "--rho", "1", "--samples", "10000",
+                 "--steps", "3", "--format", "json", "--out", str(out)]) == 0
+    assert "RESULT: PASS" in capsys.readouterr().out
+    rows = {r["label"]: r for r in json.loads(out.read_text())["rows"]}
+    row = rows["mc_af_relative_error"]
+    assert row["value"] == 0.0
+    assert row["note"].endswith("; absolute error, the closed form is 0")

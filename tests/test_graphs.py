@@ -12,6 +12,7 @@ from _support import (
     grid_conditional_graph_entropy,
     loop_adjacency_masks,
     loop_characteristic_edges,
+    loop_conditional_graph_entropy,
     loop_or_product_edges,
     loop_sorted_edges,
     loop_zigzag,
@@ -435,6 +436,47 @@ class TestFastPathsAgainstLoops:
             g = characteristic_graph(joint, f, **kwargs)
             assert g.edges == loop_characteristic_edges(joint, f, **kwargs)
             assert g.sorted_edges() == loop_sorted_edges(g)
+
+    @pytest.mark.parametrize("restarts", [1, 2, 16])
+    @pytest.mark.parametrize("max_iter", [1, 2, 5, None])
+    def test_conditional_graph_entropy(self, restarts, max_iter):
+        rng = np.random.default_rng(35 + 10 * restarts + (max_iter or 0))
+        kwargs = dict(restarts=restarts)
+        if max_iter is not None:
+            kwargs["max_iter"] = max_iter
+        for case in range(6):
+            n = int(rng.integers(3, 9))
+            g = random_graph(rng, n)
+            m = int(rng.integers(1, 5))
+            if case % 3 == 0:         # one peer per vertex
+                mass = np.zeros((n, m))
+                mass[np.arange(n), rng.integers(0, m, size=n)] = rng.random(n) + 0.5
+            else:                     # full support, or one vertex without mass
+                mass = rng.random((n, m)) + 0.05
+                if case % 3 == 2:
+                    mass[rng.integers(n)] = 0.0
+            joint = JointPMF((g.vertices, alph("p", m)), mass / mass.sum())
+            got = conditional_graph_entropy(g, joint, **kwargs)
+            want = loop_conditional_graph_entropy(g, joint, **kwargs)
+            assert abs(got.value - want.value) <= 1e-12
+            assert got.upper_bound == want.upper_bound
+            assert got.sets == want.sets
+            assert got.converged == want.converged
+
+            q = got.kernel
+            assert q.shape == (n, len(got.sets))
+            np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            for i, v in enumerate(g.vertices):
+                for j, s in enumerate(got.sets):
+                    if v not in s:
+                        assert q[i, j] == 0.0
+            # I(W; U1 | U2) = H(W | U2) - H(W | U1) of the returned kernel,
+            # clamped like the solver's value to [0, upper_bound]
+            triple = {(i, k, j): float(joint.mass[i, k] * q[i, j])
+                      for i in range(n) for k in range(m) for j in range(len(got.sets))}
+            objective = (dict_conditional_entropy(triple, (2,), (1,))
+                         - dict_conditional_entropy(triple, (2,), (0,)))
+            assert abs(min(max(objective, 0.0), got.upper_bound) - got.value) <= 1e-12
 
     def test_threshold_calls_distortion_once_per_ordered_label_pair(self):
         joint = presets.ternary_source_joint("w1", "w2")

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from _support import alph, random_kernel, random_pmf, random_system_spec
 from fcmac import jsonio, presets
 from fcmac.channels import adder_mac
-from fcmac.feasibility import check_feasibility
+from fcmac.cli import main
+from fcmac.feasibility import DistortionTable, check_feasibility
 from fcmac.graphs import characteristic_graph, min_entropy_coloring
-from fcmac.probability import marginalize
+from fcmac.probability import Kernel, marginalize, validate
 
 
 class TestPmfRoundTrip:
@@ -207,3 +209,114 @@ class TestFiles:
         assert jsonio.pmf_from_json(data).mass.sum() == pytest.approx(1.0)
         raw = json.loads(path.read_text())
         assert raw["axes"][0]["name"] == "u1"
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def _json_leaves(obj, path="$"):
+    """(path, container, key) of every scalar in a parsed JSON document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        where = f"{path}.{key}" if isinstance(obj, dict) else f"{path}[{key}]"
+        if isinstance(value, (dict, list)):
+            yield from _json_leaves(value, where)
+        else:
+            yield where, obj, key
+
+
+def _index_path(idx) -> str:
+    return "".join(f"[{i}]" for i in idx)
+
+
+class TestNonFiniteInjection:
+    """NaN or +-Inf at a random index of a random object is refused at that
+    index; no constructor or reader hands back a value."""
+
+    def test_pmf(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            pmf = random_pmf(rng, rng.integers(1, 5, size=int(rng.integers(1, 4))))
+            idx = tuple(int(rng.integers(k)) for k in pmf.mass.shape)
+            bad = NON_FINITE[int(rng.integers(3))]
+            mass = pmf.mass.copy()
+            mass[idx] = bad
+            report = validate(type(pmf)(pmf.axes, mass))
+            assert not report.ok
+            assert report.problems[0].kind == "non_finite_entry"
+            assert report.problems[0].index == idx
+            obj = json.loads(json.dumps(dict(jsonio.pmf_to_json(pmf), mass=mass.tolist())))
+            with pytest.raises(jsonio.SpecFormatError) as err:
+                jsonio.pmf_from_json(obj)
+            assert err.value.path == "$.mass" + _index_path(idx)
+
+    def test_kernel(self):
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            sizes = rng.integers(1, 4, size=3)
+            k = random_kernel(rng, (alph("a", sizes[0]), alph("b", sizes[1])),
+                              (alph("c", sizes[2]),))
+            idx = tuple(int(rng.integers(n)) for n in k.rows.shape)
+            rows = k.rows.copy()
+            rows[idx] = NON_FINITE[int(rng.integers(3))]
+            with pytest.raises(ValueError, match="not finite"):
+                Kernel(k.from_axes, k.to_axes, rows)
+            obj = json.loads(json.dumps(dict(jsonio.kernel_to_json(k), rows=rows.tolist())))
+            for reader in (jsonio.kernel_from_json, jsonio.mac_from_json):
+                with pytest.raises(jsonio.SpecFormatError) as err:
+                    reader(obj)
+                assert err.value.path == "$.rows" + _index_path(idx)
+
+    def test_distortion_table(self):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            labels = tuple(f"g{i}" for i in range(n))
+            values = rng.uniform(0.2, 1.0, size=(n, n))
+            np.fill_diagonal(values, 0.0)
+            idx = tuple(int(i) for i in rng.integers(n, size=2))
+            values[idx] = NON_FINITE[int(rng.integers(3))]
+            with pytest.raises(ValueError, match="not finite"):
+                DistortionTable(labels, labels, values)
+            obj = json.loads(json.dumps({"function_range": list(labels),
+                                         "decoder_range": list(labels),
+                                         "values": values.tolist()}))
+            with pytest.raises(jsonio.SpecFormatError) as err:
+                jsonio.distortion_from_json(obj)
+            assert err.value.path == "$.values" + _index_path(idx)
+
+    def test_system_spec_file(self, tmp_path, capsys):
+        # every scalar of the document is a candidate: masses, kernel rows,
+        # distortion values, target_d, and the labels and names in between
+        rng = np.random.default_rng(44)
+        for trial in range(40):
+            obj = jsonio.system_spec_to_json(random_system_spec(rng))
+            leaves = list(_json_leaves(obj))
+            where, container, key = leaves[int(rng.integers(len(leaves)))]
+            container[key] = NON_FINITE[int(rng.integers(3))]
+            text = json.dumps(obj)
+            with pytest.raises(jsonio.SpecFormatError) as err:
+                jsonio.system_spec_from_json(json.loads(text))
+            assert err.value.path == where
+            spec = tmp_path / f"spec{trial}.json"
+            spec.write_text(text)
+            assert main(["check", "theorem1", "--spec", str(spec)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {where}: "), captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_label_names_its_path(self, bad):
+        obj = jsonio.system_spec_to_json(presets.section5_system("joint"))
+        obj["function"]["values"][0][1] = bad
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.system_spec_from_json(obj)
+        assert err.value.path == "$.function.values[0][1]"
+        obj = {"vertices": ["a", bad], "edges": []}
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.graph_from_json(obj)
+        assert err.value.path == "$.vertices[1]"
+        obj = {"name": bad, "vertices": ["a", "b"], "edges": []}
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.graph_from_json(obj)
+        assert err.value.path == "$.name"
