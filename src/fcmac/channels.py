@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import (Alphabet, AxisError, JointPMF, Kernel, compose, mutual_information,
-                          plogp)
+from .probability import (Alphabet, AxisError, JointPMF, Kernel, _plogp, compose,
+                          mutual_information, plogp)
 
 CAPACITY_GRID_POINTS = 51
 CAPACITY_GRID_CAP = 4_000_000
@@ -73,8 +73,7 @@ def mac_mutual_info(mac: DiscreteMAC, input_joint: JointPMF) -> float:
 def _product_mutual_info(law3: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> float:
     """I(X1,X2;Y) for independent inputs p1, p2 (law3 shaped inputs x output)."""
     py = np.einsum("i,j,ijy->y", p1, p2, law3)
-    pos = py[py > 0]
-    h_y = -float(np.sum(pos * np.log2(pos)))
+    h_y = -_plogp(py)
     h_y_given_x = -float(p1 @ plogp(law3).sum(axis=2) @ p2)
     return h_y - h_y_given_x
 

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 when everything passed, 1 for failed expectations or an
-infeasible system, 2 for usage, parse, or validation errors. The default
-seed comes from FCMAC_SEED when set.
+infeasible system, 2 for usage, parse, or validation errors and for paths
+that cannot be read or written. The default seed comes from FCMAC_SEED when
+set.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from fractions import Fraction
 from . import experiments, jsonio
 from .feasibility import check_feasibility
 from .graphs import (
-    SizeCapError,
     characteristic_graph,
     conditional_chromatic_entropy,
     conditional_graph_entropy,
     min_entropy_coloring,
 )
 from .channels import GaussianMAC, gmac_sum_rate, mac_sum_capacity_independent
-from .probability import AxisError
 from .schemes import DEFAULT_SEED
 
 
@@ -153,14 +152,8 @@ def _cmd_experiment(args) -> int:
         overrides["rho_x"] = args.rho_x
     try:
         result = experiments.run_experiment(args.id, seed=args.seed, **overrides)
-    except experiments.UnknownExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TypeError as exc:
         print(f"error: unsupported override for {args.id}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_experiment(result)
     if args.out:
@@ -172,12 +165,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        spec = jsonio.system_spec_from_json(jsonio.load_json(args.spec))
-        report = check_feasibility(spec)
-    except (jsonio.SpecFormatError, AxisError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = jsonio.system_spec_from_json(jsonio.load_json(args.spec))
+    report = check_feasibility(spec)
     payload = jsonio.feasibility_report_to_json(report)
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -216,72 +205,64 @@ def _numeric_label(value):
 
 
 def _cmd_graph(args) -> int:
-    try:
-        if args.graph_cmd == "build":
-            joint = jsonio.pmf_from_json(jsonio.load_json(args.joint))
-            table = jsonio.function_table_from_json(jsonio.load_json(args.function))
-            if args.delta is not None:
-                g = characteristic_graph(
-                    joint, table, delta=args.delta,
-                    range_distortion=lambda a, b: abs(_numeric_label(a) - _numeric_label(b)))
-            else:
-                g = characteristic_graph(joint, table)
-            text = json.dumps(jsonio.graph_to_json(g), indent=2, sort_keys=True) + "\n"
-            _write_text(args.out, text)
-            return 0
-        if args.graph_cmd == "color":
-            g = jsonio.graph_from_json(jsonio.load_json(args.graph))
+    if args.graph_cmd == "build":
+        joint = jsonio.pmf_from_json(jsonio.load_json(args.joint))
+        table = jsonio.function_table_from_json(jsonio.load_json(args.function))
+        if args.delta is not None:
+            g = characteristic_graph(
+                joint, table, delta=args.delta,
+                range_distortion=lambda a, b: abs(_numeric_label(a) - _numeric_label(b)))
+        else:
+            g = characteristic_graph(joint, table)
+        text = json.dumps(jsonio.graph_to_json(g), indent=2, sort_keys=True) + "\n"
+        _write_text(args.out, text)
+        return 0
+    if args.graph_cmd == "color":
+        g = jsonio.graph_from_json(jsonio.load_json(args.graph))
+        marginal = jsonio.pmf_from_json(jsonio.load_json(args.marginal))
+        coloring, bits = min_entropy_coloring(g, marginal, args.mode)
+        payload = jsonio.coloring_to_json(coloring)
+        print(f"entropy_bits {_fmt(bits)} ({args.mode})")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write_text(args.out, text)
+        return 0
+    if args.graph_cmd == "entropy":
+        g = jsonio.graph_from_json(jsonio.load_json(args.graph))
+        if args.kind == "chromatic":
+            if args.marginal is None:
+                print("error: --kind chromatic needs --marginal", file=sys.stderr)
+                return 2
             marginal = jsonio.pmf_from_json(jsonio.load_json(args.marginal))
-            coloring, bits = min_entropy_coloring(g, marginal, args.mode)
-            payload = jsonio.coloring_to_json(coloring)
-            print(f"entropy_bits {_fmt(bits)} ({args.mode})")
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            _write_text(args.out, text)
-            return 0
-        if args.graph_cmd == "entropy":
-            g = jsonio.graph_from_json(jsonio.load_json(args.graph))
-            if args.kind == "chromatic":
-                if args.marginal is None:
-                    print("error: --kind chromatic needs --marginal", file=sys.stderr)
-                    return 2
-                marginal = jsonio.pmf_from_json(jsonio.load_json(args.marginal))
-                _, bits = min_entropy_coloring(g, marginal, "exact")
-                payload = {"kind": "chromatic", "bits": bits}
+            _, bits = min_entropy_coloring(g, marginal, "exact")
+            payload = {"kind": "chromatic", "bits": bits}
+        else:
+            if args.joint is None:
+                print(f"error: --kind {args.kind} needs --joint", file=sys.stderr)
+                return 2
+            joint = jsonio.pmf_from_json(jsonio.load_json(args.joint))
+            if args.kind == "conditional-chromatic":
+                bits = conditional_chromatic_entropy(g, joint, args.n)
+                payload = {"kind": "conditional-chromatic", "n": args.n, "bits": bits}
             else:
-                if args.joint is None:
-                    print(f"error: --kind {args.kind} needs --joint", file=sys.stderr)
-                    return 2
-                joint = jsonio.pmf_from_json(jsonio.load_json(args.joint))
-                if args.kind == "conditional-chromatic":
-                    bits = conditional_chromatic_entropy(g, joint, args.n)
-                    payload = {"kind": "conditional-chromatic", "n": args.n, "bits": bits}
-                else:
-                    res = conditional_graph_entropy(g, joint)
-                    payload = {"kind": "conditional-graph", "bits": res.value,
-                               "upper_bound_bits": res.upper_bound,
-                               "converged": res.converged}
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return 0
-    except (jsonio.SpecFormatError, AxisError, SizeCapError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+                res = conditional_graph_entropy(g, joint)
+                payload = {"kind": "conditional-graph", "bits": res.value,
+                           "upper_bound_bits": res.upper_bound,
+                           "converged": res.converged}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0
     raise AssertionError("unreachable")
 
 
 def _cmd_channel(args) -> int:
-    try:
-        if args.channel_cmd == "capacity":
-            mac = jsonio.mac_from_json(jsonio.load_json(args.mac))
-            res = mac_sum_capacity_independent(mac)
-            payload = {"sum_capacity_bits": res.bits,
-                       "input1": [float(p) for p in res.input1],
-                       "input2": [float(p) for p in res.input2]}
-        else:
-            mac = GaussianMAC(args.power, args.noise_var)
-            payload = {"sum_rate_bits": gmac_sum_rate(mac, args.rho)}
-    except (jsonio.SpecFormatError, AxisError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.channel_cmd == "capacity":
+        mac = jsonio.mac_from_json(jsonio.load_json(args.mac))
+        res = mac_sum_capacity_independent(mac)
+        payload = {"sum_capacity_bits": res.bits,
+                   "input1": [float(p) for p in res.input1],
+                   "input2": [float(p) for p in res.input2]}
+    else:
+        mac = GaussianMAC(args.power, args.noise_var)
+        payload = {"sum_rate_bits": gmac_sum_rate(mac, args.rho)}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -358,13 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        try:
+    # every parse, validation and size-cap error is a ValueError; OSError
+    # covers paths that cannot be read or written
+    try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    return args.func(args)
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

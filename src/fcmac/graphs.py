@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .probability import Alphabet, AxisError, JointPMF, entropy, plogp
+from .probability import Alphabet, AxisError, JointPMF, plogp
 
-# Measured with one BLAS thread on a 2-vCPU Xeon VM. OR product at the cap,
-# worst case the complete graph (523,776 edges): 0.43-0.54 s; the ternary
-# comparison graph at n = 6 (729 vertices): 0.08-0.19 s. Edges are built as
-# symbol pairs, which is most of the time, so the cap is on vertices.
+# Measured with one BLAS thread on a 2-vCPU Xeon VM. At the cap, worst case
+# the complete graph (523,776 edges), the OR product itself takes 1-13 ms;
+# the views read from it afterwards take far longer: the symbol edge set
+# 0.21-0.45 s, sorted_edges 0.13-0.38 s, adjacency_masks 0.11-0.18 s. The
+# ternary comparison graph at n = 6 (729 vertices): 2.6-4.4 ms, then 94-138 ms
+# for its edge set. Those views grow with the square of the vertex count, so
+# the cap is on vertices.
 OR_PRODUCT_CAP = 1024
 # Vertices for exact colouring, stable-set enumeration and the graph entropies
 # built on them. At 12 vertices: stable_sets 10-15 ms (edgeless, 4095 stable
@@ -33,40 +37,44 @@ class SizeCapError(ValueError):
     """An exact search was asked to run beyond its configured size cap."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CharGraph:
     """Confusability graph over a source alphabet.
 
-    Edges are unordered pairs of vertex symbols, stored with the lower
-    alphabet index first. No self-loops. The graph also keeps its boolean
-    adjacency matrix in alphabet order, from which every query is answered.
+    The graph is its boolean adjacency matrix in alphabet order, from which
+    every query is answered. ``edges`` is a view of it: the unordered pairs
+    of vertex symbols, lower alphabet index first, built on first access.
+    No self-loops.
     """
 
     vertices: Alphabet
-    edges: frozenset
 
-    def __post_init__(self) -> None:
-        n = len(self.vertices)
+    def __init__(self, vertices: Alphabet, edges) -> None:
+        n = len(vertices)
         adj = np.zeros((n, n), dtype=bool)
-        for a, b in self.edges:
-            ia, ib = self.vertices.index(a), self.vertices.index(b)
+        for a, b in edges:
+            ia, ib = vertices.index(a), vertices.index(b)
             if ia == ib:
                 raise ValueError(f"self-loop at vertex {a!r}")
             adj[ia, ib] = adj[ib, ia] = True
-        self._settle(adj)
+        self._settle(vertices, adj)
 
     @classmethod
     def _from_adjacency(cls, vertices: Alphabet, adj: np.ndarray) -> "CharGraph":
         """Graph of a symmetric boolean matrix with a false diagonal."""
         g = object.__new__(cls)
-        object.__setattr__(g, "vertices", vertices)
-        g._settle(adj)
+        g._settle(vertices, adj)
         return g
 
-    def _settle(self, adj: np.ndarray) -> None:
+    def _settle(self, vertices: Alphabet, adj: np.ndarray) -> None:
         adj.setflags(write=False)
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "edges", frozenset(self.sorted_edges()))
+
+    @cached_property
+    def edges(self) -> frozenset:
+        # written once; racing threads would each store an equal set
+        return frozenset(self.sorted_edges())
 
     def has_edge(self, a, b) -> bool:
         return bool(self._adj[self.vertices.index(a), self.vertices.index(b)])
@@ -89,33 +97,20 @@ class Coloring:
     color_of: Mapping
 
     def __post_init__(self) -> None:
-        missing = [v for v in self.graph.vertices if v not in self.color_of]
+        verts = self.graph.vertices
+        missing = [v for v in verts if v not in self.color_of]
         if missing:
             raise ValueError(f"coloring misses vertices {missing}")
-        for a, b in self.graph.edges:
-            if self.color_of[a] == self.color_of[b]:
-                raise ValueError(f"edge ({a!r}, {b!r}) has equal colors")
+        code: dict = {}
+        codes = np.array([code.setdefault(self.color_of[v], len(code)) for v in verts])
+        clash = self.graph._adj & (codes[:, None] == codes)
+        if clash.any():
+            # symmetric with a false diagonal, so the first entry in row-major
+            # order is above the diagonal: the first in sorted_edges() order
+            i, j = np.argwhere(clash)[0]
+            a, b = verts.symbols[i], verts.symbols[j]
+            raise ValueError(f"edge ({a!r}, {b!r}) has equal colors")
         object.__setattr__(self, "color_of", dict(self.color_of))
-
-    def colors(self) -> tuple:
-        seen = []
-        for v in self.graph.vertices:
-            c = self.color_of[v]
-            if c not in seen:
-                seen.append(c)
-        return tuple(seen)
-
-    def color_alphabet(self, name: str) -> Alphabet:
-        return Alphabet(name, self.colors())
-
-    def class_masses(self, marginal: JointPMF) -> dict:
-        """Total marginal mass per color; marginal is a single-axis pmf."""
-        _check_vertex_axis(marginal, self.graph, "marginal")
-        out: dict = {}
-        for i, v in enumerate(self.graph.vertices):
-            c = self.color_of[v]
-            out[c] = out.get(c, 0.0) + float(marginal.mass[i])
-        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -71,6 +71,39 @@ def _flip(bit: str) -> str:
     return "1" if bit == "0" else "0"
 
 
+def _adder_color_system(base: JointPMF, color_of: dict, f: FunctionTable, decode: dict,
+                        distortion: DistortionTable, target_d: float,
+                        x_marginal: tuple | None = None) -> SystemSpec:
+    """The shape both bundled systems share.
+
+    The sources are ``base``'s two axes with one-symbol side information
+    everywhere. Each source is colored onto a bit by ``color_of``, the colors
+    ride the adder channel as x1 = c1, x2 = 1 - c2, and the decoder reads
+    ``decode`` on the color pair. With ``x_marginal``, the two channel inputs
+    are instead drawn from it independently of everything else.
+    """
+    u1, u2 = base.axes
+    z1, z2, z = _singleton("z1"), _singleton("z2"), _singleton("z")
+    c1 = Alphabet("c1", BITS)
+    c2 = Alphabet("c2", BITS)
+    source = JointPMF((u1, u2, z1, z2, z), base.mass[:, :, None, None, None])
+
+    w1 = Kernel.deterministic((u1, z1), (c1,), lambda s, _: color_of[s])
+    w2 = Kernel.deterministic((u2, z2), (c2,), lambda s, _: color_of[s])
+    mac = adder_mac()
+    x1_axis, x2_axis = mac.input_alphabets
+    if x_marginal is None:
+        x1 = Kernel.deterministic((c1,), (x1_axis,), lambda c: c)
+        x2 = Kernel.deterministic((c2,), (x2_axis,), _flip)
+    else:
+        x1 = Kernel.constant((c1,), (x1_axis,), x_marginal)
+        x2 = Kernel.constant((c2,), (x2_axis,), x_marginal)
+
+    decoder = FunctionTable.from_callable((c1, c2, z), lambda a, b, _: decode[(a, b)])
+    return SystemSpec(source, w1, w2, x1, x2, mac, f, decoder, distortion,
+                      target_d=target_d)
+
+
 def section5_system(code: str = "joint") -> SystemSpec:
     """Ternary comparison over the adder channel.
 
@@ -82,34 +115,16 @@ def section5_system(code: str = "joint") -> SystemSpec:
     covers source pairs with both outputs), so the decoder is the majority
     rule and the target distortion is the resulting 1/6.
     """
-    u1 = Alphabet("u1", TERNARY)
-    u2 = Alphabet("u2", TERNARY)
-    z1, z2, z = _singleton("z1"), _singleton("z2"), _singleton("z")
-    c1 = Alphabet("c1", BITS)
-    c2 = Alphabet("c2", BITS)
-    base = ternary_source_joint()
-    source = JointPMF((u1, u2, z1, z2, z), base.mass[:, :, None, None, None])
-
-    w1 = Kernel.deterministic((u1, z1), (c1,), lambda s, _: COLOR_OF[s])
-    w2 = Kernel.deterministic((u2, z2), (c2,), lambda s, _: COLOR_OF[s])
-    mac = adder_mac()
-    x1_axis, x2_axis = mac.input_alphabets
     if code == "joint":
-        x1 = Kernel.deterministic((c1,), (x1_axis,), lambda c: c)
-        x2 = Kernel.deterministic((c2,), (x2_axis,), _flip)
+        x_marginal = None
     elif code == "independent":
-        marginal = (2.0 / 3.0, 1.0 / 3.0)  # each color is 0 with probability 2/3
-        x1 = Kernel.constant((c1,), (x1_axis,), marginal)
-        x2 = Kernel.constant((c2,), (x2_axis,), marginal)
+        x_marginal = (2.0 / 3.0, 1.0 / 3.0)  # each color is 0 with probability 2/3
     else:
         raise ValueError(f"code must be 'joint' or 'independent', got {code!r}")
-
     decode = {("0", "0"): 0, ("0", "1"): 0, ("1", "0"): 1, ("1", "1"): 0}
-    decoder = FunctionTable.from_callable((c1, c2, z), lambda a, b, _: decode[(a, b)])
     distortion = DistortionTable((0, 1), (0, 1), [[0.0, 1.0], [1.0, 0.0]])
-    return SystemSpec(source, w1, w2, x1, x2, mac,
-                      comparison_function(), decoder, distortion,
-                      target_d=1.0 / 6.0)
+    return _adder_color_system(ternary_source_joint(), COLOR_OF, comparison_function(),
+                               decode, distortion, 1.0 / 6.0, x_marginal)
 
 
 # --- quantized-cell system -------------------------------------------------
@@ -149,36 +164,15 @@ def grid_system(cells: int = 3, target_d: float = 1.0 / 6.0) -> SystemSpec:
     """
     if cells != 3:
         raise ValueError("the color decoding table is only defined for 3 cells")
-    centers = grid_centers(cells)
-    symbols = tuple(str(i + 1) for i in range(cells))
-    u1 = Alphabet("u1", symbols)
-    u2 = Alphabet("u2", symbols)
-    z1, z2, z = _singleton("z1"), _singleton("z2"), _singleton("z")
-    c1 = Alphabet("c1", BITS)
-    c2 = Alphabet("c2", BITS)
-
     from .schemes import offdiagonal_cell_pmf
-    base = offdiagonal_cell_pmf(cells, "u1", "u2")
-    source = JointPMF((u1, u2, z1, z2, z), base.mass[:, :, None, None, None])
-
-    color_of = grid_color_of(cells)
-    w1 = Kernel.deterministic((u1, z1), (c1,), lambda s, _: color_of[s])
-    w2 = Kernel.deterministic((u2, z2), (c2,), lambda s, _: color_of[s])
-    mac = adder_mac()
-    x1_axis, x2_axis = mac.input_alphabets
-    x1 = Kernel.deterministic((c1,), (x1_axis,), lambda c: c)
-    x2 = Kernel.deterministic((c2,), (x2_axis,), _flip)
-
-    f = FunctionTable.from_callable(
-        (u1, u2), lambda a, b: abs(centers[int(a) - 1] - centers[int(b) - 1]))
+    centers = grid_centers(cells)
+    f = grid_cell_function(cells, "u1", "u2")
     gap1 = centers[1] - centers[0]
     gap2 = centers[2] - centers[0]
     decode = {("0", "0"): gap2, ("0", "1"): gap1,
               ("1", "0"): gap1, ("1", "1"): Fraction(0)}
-    decoder = FunctionTable.from_callable((c1, c2, z), lambda a, b, _: decode[(a, b)])
-
-    labels = sorted(set(f.range_labels()) | set(decoder.range_labels()))
+    labels = sorted(set(f.range_labels()) | set(decode.values()))
     costs = [[float(abs(a - b)) for b in labels] for a in labels]
     distortion = DistortionTable(tuple(labels), tuple(labels), costs)
-    return SystemSpec(source, w1, w2, x1, x2, mac, f, decoder, distortion,
-                      target_d=target_d)
+    return _adder_color_system(offdiagonal_cell_pmf(cells, "u1", "u2"), grid_color_of(cells),
+                               f, decode, distortion, target_d)

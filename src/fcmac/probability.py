@@ -49,9 +49,6 @@ class Alphabet:
         except (KeyError, TypeError):
             raise KeyError(f"{symbol!r} is not a symbol of alphabet {self.name!r}") from None
 
-    def renamed(self, name: str) -> "Alphabet":
-        return Alphabet(name, self.symbols)
-
 
 def _as_name_tuple(arg) -> tuple[str, ...]:
     if isinstance(arg, str):

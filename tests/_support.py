@@ -334,6 +334,13 @@ def loop_sorted_edges(graph: CharGraph) -> list[tuple]:
     return sorted(graph.edges, key=lambda e: (idx[e[0]], idx[e[1]]))
 
 
+def loop_coloring_clashes(graph: CharGraph, color_of) -> list[tuple]:
+    """Edges whose ends share a color, in ``sorted_edges()`` order: the
+    propriety loop ``Coloring`` ran over the symbol edge set before it
+    checked the adjacency matrix."""
+    return [(a, b) for a, b in loop_sorted_edges(graph) if color_of[a] == color_of[b]]
+
+
 def loop_adjacency_masks(graph: CharGraph) -> list[int]:
     idx = {s: i for i, s in enumerate(graph.vertices.symbols)}
     masks = [0] * len(idx)

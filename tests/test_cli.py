@@ -371,3 +371,33 @@ def test_gauss_diff_at_full_correlation(tmp_path, capsys):
     row = rows["mc_af_relative_error"]
     assert row["value"] == 0.0
     assert row["note"].endswith("; absolute error, the closed form is 0")
+
+
+class TestPathErrors:
+    """Paths that cannot be read or written exit 2 with a message, not a traceback."""
+
+    def test_experiment_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["experiment", "section5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+
+    def test_graph_build_out_in_missing_directory(self, spec_files, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.json"
+        assert main(["graph", "build", "--joint", str(spec_files["pmf"]),
+                     "--function", str(spec_files["function"]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+
+    def test_spec_is_a_directory_process_exit_code(self, tmp_path):
+        src = str(Path(fcmac.__file__).resolve().parent.parent)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "fcmac.cli", "check", "theorem1",
+                               "--spec", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and str(tmp_path) in proc.stderr
+        assert "Traceback" not in proc.stderr

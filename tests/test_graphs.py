@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,7 @@ from _support import (
     grid_conditional_graph_entropy,
     loop_adjacency_masks,
     loop_characteristic_edges,
+    loop_coloring_clashes,
     loop_conditional_graph_entropy,
     loop_or_product_edges,
     loop_sorted_edges,
@@ -144,6 +148,30 @@ class TestColoring:
             Coloring(g, {"1": 0, "2": 0, "3": 0})
         with pytest.raises(ValueError):
             Coloring(g, {"1": 0, "2": 1})
+
+    def test_propriety_check_against_loop(self):
+        rng = np.random.default_rng(23)
+        outcomes = set()
+        for case in range(300):
+            n = int(rng.integers(1, 11))
+            g = random_graph(rng, n)
+            if case % 4 == 3:       # greedy colorings are proper
+                color_of = min_entropy_coloring(
+                    g, random_pmf(rng, (n,), names=("v",)), "greedy")[0].color_of
+            else:
+                k = int(rng.integers(1, n + 1))
+                palette = [f"c{i}" for i in range(k)] if case % 2 else list(range(k))
+                color_of = {v: palette[int(rng.integers(k))] for v in g.vertices}
+            clashes = loop_coloring_clashes(g, color_of)
+            outcomes.add(not clashes)
+            if clashes:
+                a, b = clashes[0]
+                with pytest.raises(ValueError) as err:
+                    Coloring(g, color_of)
+                assert str(err.value) == f"edge ({a!r}, {b!r}) has equal colors"
+            else:
+                assert Coloring(g, color_of).color_of == color_of
+        assert outcomes == {True, False}
 
     def test_ternary_exact_value_and_classes(self):
         g = ternary_graph()
@@ -360,6 +388,59 @@ class TestZigzag:
         pmf = JointPMF((Alphabet("a", ("1", "2")), Alphabet("b", ("1", "2"))),
                        rng.dirichlet(np.ones(4)).reshape(2, 2) * 0.5 + 0.125)
         assert zigzag_check(pmf).holds
+
+
+class TestEdgeSetView:
+    """Symbol edges are a view of the adjacency matrix, built on first read."""
+
+    def test_algorithms_never_read_the_edge_set(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the symbol edge set was read")
+
+        monkeypatch.setattr(CharGraph, "edges", property(refuse), raising=False)
+        joint = presets.ternary_source_joint()
+        g = characteristic_graph(joint, presets.comparison_function())
+        marginal = marginalize(joint, "u1")
+        for n in range(1, 5):
+            assert len(or_product(g, n).vertices) == 3 ** n
+        assert conditional_chromatic_entropy(g, joint, 2) <= 2 / 3 + 1e-9
+        for mode in ("exact", "greedy"):
+            min_entropy_coloring(g, marginal, mode)
+        assert len(stable_sets(g)) == 2
+        conditional_graph_entropy(g, joint)
+
+    def test_cached_and_frozen(self):
+        g = or_product(ternary_graph(), 2)
+        assert g.edges is g.edges
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.vertices = g.vertices
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.edges = frozenset()
+        assert g != or_product(ternary_graph(), 2)
+
+    def test_threads_read_one_value(self):
+        g = or_product(ternary_graph(), 5)
+        want = loop_or_product_edges(ternary_graph(), 5)
+        start = threading.Barrier(8)
+        seen = []
+
+        def read():
+            start.wait(timeout=10)
+            seen.append(g.edges)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(seen) == 8
+        assert all(e == want for e in seen)
 
 
 class TestFastPathsAgainstLoops:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -182,6 +183,23 @@ class TestSystemSpecRoundTrip:
         with pytest.raises(jsonio.SpecFormatError) as err:
             jsonio.system_spec_from_json(obj)
         assert err.value.path == where
+
+
+# sha256 of each bundled system's spec JSON (sorted keys); the shared preset
+# builder must leave every byte of them unchanged
+PINNED_PRESET_SPECS = {
+    ("section5", "joint"): "665f23b8a5e32bb004462731d90e9e62cfa83483a25c4ac6124f33a661d56059",
+    ("section5", "independent"):
+        "5333e66f4220449a009376de2cafea31ddbed238c1dee9155815267c6c827ace",
+    ("grid", None): "9fd863a170b1da622da6591b33118834ce1c050690af6df3579275810983cd42",
+}
+
+
+@pytest.mark.parametrize("system,code", list(PINNED_PRESET_SPECS))
+def test_preset_specs_pinned(system, code):
+    spec = presets.section5_system(code) if system == "section5" else presets.grid_system()
+    text = json.dumps(jsonio.system_spec_to_json(spec), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PRESET_SPECS[system, code]
 
 
 class TestMacJson:
