@@ -246,7 +246,7 @@ def _cmd_graph(args) -> int:
             else:
                 res = conditional_graph_entropy(g, joint)
                 payload = {"kind": "conditional-graph", "bits": res.value,
-                           "upper_bound_bits": res.upper_bound,
+                           "gap_bits": res.gap, "upper_bound_bits": res.upper_bound,
                            "converged": res.converged}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0

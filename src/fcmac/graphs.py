@@ -23,9 +23,12 @@ OR_PRODUCT_CAP = 1024
 # built on them. At 12 vertices: stable_sets 10-15 ms (edgeless, 4095 stable
 # sets); exact min_entropy_coloring up to 0.19-0.27 s (worst of 112 random
 # graphs and marginals); with a full-support 12x12 joint,
-# conditional_chromatic_entropy up to 0.7-1.2 s (a random graph, p = 0.3),
-# and conditional_graph_entropy 1.66-1.74 s on four disjoint triangles (81
-# maximal stable sets; the colouring bound is 0.10-0.11 s of it).
+# conditional_chromatic_entropy up to 0.7-1.2 s (a random graph, p = 0.3).
+# conditional_graph_entropy on four disjoint triangles (81 maximal stable
+# sets) with the joint rng(s).random((12, 12)), s = 5, 6, 7: 0.61-1.0 s at
+# the default 10,000 iterations, the colouring bound 0.10-0.16 s of it; s = 5
+# stops certified, s = 6 and 7 stop at the iteration cap with gaps of 3.2e-7
+# and 4.2e-5 bits.
 EXACT_COLORING_CAP = 12
 # Multiply-adds |X|^2 |Y| of the zigzag matrix product. At the cap, worst
 # case a 2048x2048 support whose distinct rows are nested: 0.53-0.6 s.
@@ -320,22 +323,21 @@ def _min_entropy_partition(adj: list[int], weights: np.ndarray,
     return best_assign, max(best_val, 0.0)
 
 
-def _greedy_assignment(adj: list[int], vertex_mass: np.ndarray) -> list[int]:
-    """First-fit coloring over vertices in decreasing-mass order."""
-    n = len(adj)
-    order = sorted(range(n), key=lambda v: (-vertex_mass[v], v))
-    assign = [-1] * n
-    for v in order:
-        used = {assign[u] for u in range(n) if assign[u] >= 0 and adj[v] >> u & 1}
+def _greedy_assignment(adj: np.ndarray, vertex_mass: np.ndarray) -> list[int]:
+    """First-fit coloring over vertices in decreasing-mass order, ties by
+    index; ``adj`` is the boolean adjacency matrix."""
+    assign = np.full(len(adj), -1)
+    for v in np.argsort(-vertex_mass, kind="stable").tolist():
+        used = set(assign[adj[v]].tolist())     # -1 marks a neighbor not yet colored
         c = 0
         while c in used:
             c += 1
         assign[v] = c
     # renumber by first appearance in alphabet order so output is canonical
     remap: dict[int, int] = {}
-    for v in range(n):
-        remap.setdefault(assign[v], len(remap))
-    return [remap[a] for a in assign]
+    for a in assign.tolist():
+        remap.setdefault(a, len(remap))
+    return [remap[a] for a in assign.tolist()]
 
 
 def min_entropy_coloring(g: CharGraph, marginal: JointPMF, mode: str = "exact",
@@ -345,15 +347,14 @@ def min_entropy_coloring(g: CharGraph, marginal: JointPMF, mode: str = "exact",
     _check_vertex_axis(marginal, g, "marginal")
     if len(marginal.axes) != 1:
         raise AxisError("marginal must be a single-axis pmf over the vertices")
-    adj = g.adjacency_masks()
     mass = marginal.mass.astype(float)
     if mode == "exact":
         if len(g.vertices) > EXACT_COLORING_CAP:
             raise SizeCapError(
                 f"{len(g.vertices)} vertices exceeds the exact-mode cap of {EXACT_COLORING_CAP}")
-        assign, value = _min_entropy_partition(adj, mass.reshape(-1, 1))
+        assign, value = _min_entropy_partition(g.adjacency_masks(), mass.reshape(-1, 1))
     elif mode == "greedy":
-        assign = _greedy_assignment(adj, mass)
+        assign = _greedy_assignment(g._adj, mass)
         value = -sum(_plogp(t) for t in np.bincount(assign, weights=mass))
     else:
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
@@ -415,39 +416,37 @@ def stable_sets(g: CharGraph, maximal_only: bool = True) -> list[frozenset]:
 
 @dataclass(frozen=True)
 class ConditionalGraphEntropyResult:
-    """Solver output: best value found with its feasible-coloring upper bound."""
+    """Solver output: the objective at the returned kernel, its Frank-Wolfe
+    gap, and the feasible-coloring upper bound. By convexity the minimum lies
+    in ``[value - gap, value]``."""
 
     value: float
     upper_bound: float          # conditional chromatic entropy at n = 1
     kernel: np.ndarray          # p(stable set | vertex), rows in vertex order
     sets: tuple[frozenset, ...]
-    converged: bool
+    converged: bool             # gap <= tol at the returned kernel
+    gap: float
 
     @property
     def warning(self) -> bool:
         return not self.converged
 
 
-_CGE_SEED = 987654321
-
-
-def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *, restarts: int = 16,
+def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
                               tol: float = 1e-8, max_iter: int = 10_000,
                               ) -> ConditionalGraphEntropyResult:
     """Minimize I(W; U1 | U2) over stable-set-valued W with W - U1 - U2.
 
     Support is restricted to maximal stable sets (any stable set extends to
     a maximal one without raising the objective). The objective is convex in
-    the kernel, solved by alternating minimization with deterministic random
-    restarts; the first restart starts from the uniform interior point. The
-    restarts advance in lock-step as one (restart, u1, w) array stack; each
-    stops at its own convergence test, and the first strict minimum wins.
+    the kernel, solved by alternating minimization from the uniform interior
+    point. Each iterate's Frank-Wolfe gap bounds its distance to the minimum
+    from above (Jaggi 2013); the solver stops once the gap is at most
+    ``tol``, or after ``max_iter`` updates.
     """
     _check_vertex_axis(joint, g, "joint")
     sets = stable_sets(g, maximal_only=True)
-    n1, n2 = joint.mass.shape
-    nw = len(sets)
-    allowed = np.zeros((n1, nw), dtype=bool)
+    allowed = np.zeros((len(g.vertices), len(sets)), dtype=bool)
     for j, s in enumerate(sets):
         for v in s:
             allowed[g.vertices.index(v), j] = True
@@ -455,50 +454,34 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *, restarts: int = 
     p = joint.mass.astype(float)
     p1 = p.sum(axis=1)
     p2 = p.sum(axis=0)
+    q = allowed / allowed.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         p2_given_1 = np.where(p1[:, None] > 0, p / np.where(p1[:, None] > 0, p1[:, None], 1), 0.0)
         p1_given_2 = np.where(p2[None, :] > 0, p / np.where(p2[None, :] > 0, p2[None, :], 1), 0.0)
-
-    def objective(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-        # H(W|U2) - H(W|U1) per restart, with r[k, u2, w] = p(w | u2)
-        return plogp(q).sum(axis=2) @ p1 - plogp(r).sum(axis=2) @ p2
+        log_q = np.log2(q)
 
     upper = conditional_chromatic_entropy(g, joint, 1)
-    runs = max(restarts, 1)
-    rng = np.random.default_rng(_CGE_SEED)
-    q = np.empty((runs, n1, nw))
-    q[0] = allowed
-    q[1:] = rng.random((runs - 1, n1, nw)) * allowed
-    q /= q.sum(axis=2, keepdims=True)
-
-    kernels = np.empty_like(q)
-    values = np.empty(runs)
-    converged = np.zeros(runs, dtype=bool)
-    live = np.arange(runs)             # restart index of each slice of q, still iterating
-    prev = np.full(runs, np.inf)
-    for _ in range(max_iter):
-        r = p1_given_2.T @ q
-        cur = objective(q, r)
-        done = prev - cur < tol
-        if done.any():
-            ended = live[done]
-            kernels[ended], values[ended], converged[ended] = q[done], cur[done], True
-            keep = ~done
-            live, q, r, cur = live[keep], q[keep], r[keep], cur[keep]
-            if not live.size:
-                break
-        prev = cur
-        a = p2_given_1 @ np.log2(np.maximum(r, 1e-300))     # a[k, u1, w]
-        a = np.where(allowed, a, -np.inf)
-        q = np.exp2(a - a.max(axis=2, keepdims=True))
-        q /= q.sum(axis=2, keepdims=True)
-    if live.size:
-        kernels[live] = q
-        values[live] = objective(q, p1_given_2.T @ q)
-    best = int(np.argmin(values))
-    value = min(max(float(values[best]), 0.0), upper)
-    return ConditionalGraphEntropyResult(value, upper, kernels[best], tuple(sets),
-                                         bool(converged.all()))
+    for step in itertools.count():
+        r = p1_given_2.T @ q                                # r[u2, w] = p(w | u2)
+        a = p2_given_1 @ np.log2(np.maximum(r, 1e-300))     # a[u1, w]
+        q_log_q = plogp(q).sum(axis=1)
+        # the gradient is p(u1) (log2 q - a); per row, its mean under q minus
+        # its least allowed entry, which is nonnegative up to rounding
+        least = np.where(allowed, log_q - a, np.inf).min(axis=1)
+        gap = max(float(p1 @ (q_log_q - (q * a).sum(axis=1) - least)), 0.0)
+        if gap <= tol or step >= max_iter:
+            break
+        # log2 q is kept from the exponent, so entries that underflow to 0
+        # still have a finite gradient
+        e = np.where(allowed, a, -np.inf)
+        e -= e.max(axis=1, keepdims=True)
+        q = np.exp2(e)
+        total = q.sum(axis=1, keepdims=True)
+        q /= total
+        log_q = e - np.log2(total)
+    value = float(q_log_q @ p1 - plogp(r).sum(axis=1) @ p2)   # H(W|U2) - H(W|U1)
+    return ConditionalGraphEntropyResult(min(max(value, 0.0), upper), upper, q, tuple(sets),
+                                         gap <= tol, gap)
 
 
 @dataclass(frozen=True)

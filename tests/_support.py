@@ -14,7 +14,7 @@ import numpy as np
 
 from fcmac.channels import DiscreteMAC
 from fcmac.feasibility import DistortionTable, SystemSpec
-from fcmac.graphs import (_CGE_SEED, CharGraph, ConditionalGraphEntropyResult, FunctionTable,
+from fcmac.graphs import (CharGraph, ConditionalGraphEntropyResult, FunctionTable,
                           conditional_chromatic_entropy, stable_sets)
 from fcmac.probability import Alphabet, JointPMF, Kernel
 
@@ -350,12 +350,37 @@ def loop_adjacency_masks(graph: CharGraph) -> list[int]:
     return masks
 
 
+def loop_greedy_assignment(adj: list[int], vertex_mass: np.ndarray) -> list[int]:
+    """First-fit coloring over vertices in decreasing-mass order, scanning
+    every vertex's neighbor bitmask, as the graph layer did before it read
+    the adjacency matrix rows."""
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-vertex_mass[v], v))
+    assign = [-1] * n
+    for v in order:
+        used = {assign[u] for u in range(n) if assign[u] >= 0 and adj[v] >> u & 1}
+        c = 0
+        while c in used:
+            c += 1
+        assign[v] = c
+    # renumber by first appearance in alphabet order so output is canonical
+    remap: dict[int, int] = {}
+    for v in range(n):
+        remap.setdefault(assign[v], len(remap))
+    return [remap[a] for a in assign]
+
+
+LOOP_CGE_SEED = 987654321
+
+
 def loop_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *, restarts: int = 16,
                                    tol: float = 1e-8, max_iter: int = 10_000,
                                    ) -> ConditionalGraphEntropyResult:
-    """Conditional graph entropy with one restart after another and a Python
-    loop per row of p*log2(p), as the graph layer did before the restarts
-    ran as one array stack."""
+    """Conditional graph entropy with seeded random restarts, one after
+    another, each stopped once an iteration improves the objective by less
+    than ``tol``, and a Python loop per row of p*log2(p). It carries no
+    certificate: ``gap`` is NaN. Every value it returns is the objective at a
+    feasible kernel, so it bounds the minimum from above."""
     sets = stable_sets(g, maximal_only=True)
     n1, n2 = joint.mass.shape
     nw = len(sets)
@@ -385,7 +410,7 @@ def loop_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *, restarts: i
         return h_w_u2 - h_w_u1
 
     upper = conditional_chromatic_entropy(g, joint, 1)
-    rng = np.random.default_rng(_CGE_SEED)
+    rng = np.random.default_rng(LOOP_CGE_SEED)
     best_val = float("inf")
     best_q = None
     all_converged = True
@@ -416,7 +441,8 @@ def loop_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *, restarts: i
             best_val = val
             best_q = q
     value = min(max(best_val, 0.0), upper)
-    return ConditionalGraphEntropyResult(value, upper, best_q, tuple(sets), all_converged)
+    return ConditionalGraphEntropyResult(value, upper, best_q, tuple(sets), all_converged,
+                                         math.nan)
 
 
 # --- Monte Carlo references -------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fcmac
-from fcmac import feasibility, graphs, jsonio, presets
+from fcmac import experiments, feasibility, graphs, jsonio, presets, schemes
 from fcmac.channels import adder_mac
 from fcmac.cli import main
 from fcmac.probability import marginalize
@@ -125,6 +125,17 @@ class TestExperimentCommand:
     def test_bad_override_exits_2(self, capsys):
         assert main(["experiment", "section5", "--rho", "0.5"]) == 2
         assert "override" in capsys.readouterr().err
+
+    def test_over_cap_cells_refused_before_the_pmf(self, capsys, monkeypatch):
+        def no_pmf(*args, **kwargs):
+            raise AssertionError("the cell pmf must not be built")
+
+        monkeypatch.setattr(schemes, "offdiagonal_cell_pmf", no_pmf)
+        monkeypatch.setattr(experiments, "offdiagonal_cell_pmf", no_pmf)
+        with pytest.raises(ValueError, match="only defined for 3 cells"):
+            experiments.run_experiment("uniform-grid", cells=100000)
+        assert main(["experiment", "uniform-grid", "--cells", "100000"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_gauss_binary_values(self, capsys):
         assert main(["experiment", "gauss-binary", "--rho", "0.75",
@@ -295,6 +306,8 @@ class TestGraphCommands:
                      str(spec_files["pmf"])]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 < payload["bits"] <= payload["upper_bound_bits"] + 1e-9
+        bits, gap = payload["bits"], payload["gap_bits"]
+        assert bits - gap <= bits <= payload["upper_bound_bits"]
 
     def test_entropy_missing_input_exits_2(self, spec_files, tmp_path, capsys):
         graph_path = tmp_path / "graph.json"

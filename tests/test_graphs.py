@@ -17,6 +17,7 @@ from _support import (
     loop_characteristic_edges,
     loop_coloring_clashes,
     loop_conditional_graph_entropy,
+    loop_greedy_assignment,
     loop_or_product_edges,
     loop_sorted_edges,
     loop_zigzag,
@@ -315,10 +316,15 @@ class TestConditionalGraphEntropy:
         assert abs(res.value - oracle) <= 2e-3
 
     def test_iteration_cap_sets_warning_flag(self):
-        base = presets.ternary_source_joint()
+        # on the ternary preset the uniform start is already optimal (gap 0),
+        # so the cap is tested on a full-support joint one update cannot solve
+        mass = np.random.default_rng(26).dirichlet(np.ones(9)).reshape(3, 3) + 1 / 9
+        base = JointPMF((Alphabet("u1", presets.TERNARY), Alphabet("u2", presets.TERNARY)),
+                        mass / mass.sum())
         res = conditional_graph_entropy(ternary_graph(), base, max_iter=1)
         assert res.warning
         assert not res.converged
+        assert res.gap > 1e-8
         # the incumbent is still certified against the coloring upper bound
         assert 0.0 <= res.value <= res.upper_bound + 1e-9
 
@@ -443,6 +449,38 @@ class TestEdgeSetView:
         assert all(e == want for e in seen)
 
 
+def check_certified_solver(g: CharGraph, joint: JointPMF, kwargs: dict, loop):
+    """The solver's certificate against the loop reference and a run to a
+    1e-11 gap, and its kernel against the objective it reports."""
+    got = conditional_graph_entropy(g, joint, **kwargs)
+    # the loop's value is the objective at a feasible kernel, at least the minimum
+    assert got.value - got.gap <= loop.value + 1e-12
+    assert got.converged == (got.gap <= 1e-8)
+    if got.converged:
+        ref = conditional_graph_entropy(g, joint, tol=1e-11, max_iter=10**6)
+        assert ref.converged
+        assert got.value - got.gap <= ref.value <= got.value + 1e-12
+    assert got.upper_bound == loop.upper_bound
+    assert got.sets == loop.sets
+
+    n, m = joint.mass.shape
+    q = got.kernel
+    assert q.shape == (n, len(got.sets))
+    np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    for i, v in enumerate(g.vertices):
+        for j, s in enumerate(got.sets):
+            if v not in s:
+                assert q[i, j] == 0.0
+    # I(W; U1 | U2) = H(W | U2) - H(W | U1) of the returned kernel,
+    # clamped like the solver's value to [0, upper_bound]
+    triple = {(i, k, j): float(joint.mass[i, k] * q[i, j])
+              for i in range(n) for k in range(m) for j in range(len(got.sets))}
+    objective = (dict_conditional_entropy(triple, (2,), (1,))
+                 - dict_conditional_entropy(triple, (2,), (0,)))
+    assert abs(min(max(objective, 0.0), got.upper_bound) - got.value) <= 1e-12
+    return got
+
+
 class TestFastPathsAgainstLoops:
     """The matrix kernels against the pair loops they replaced."""
 
@@ -473,6 +511,15 @@ class TestFastPathsAgainstLoops:
             for a in verts:
                 for b in verts:
                     assert g.has_edge(a, b) == ((a, b) in normal or (b, a) in normal)
+
+    def test_greedy_assignment(self):
+        rng = np.random.default_rng(36)
+        for n in [1, 2, 300] + rng.integers(1, 301, size=20).tolist():
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.6), 1)
+            g = CharGraph._from_adjacency(alph("v", n), upper | upper.T)
+            mass = rng.integers(0, 4, size=n) / 4    # tied masses, some zero
+            assert (graphs._greedy_assignment(g._adj, mass)
+                    == loop_greedy_assignment(loop_adjacency_masks(g), mass))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -518,13 +565,11 @@ class TestFastPathsAgainstLoops:
             assert g.edges == loop_characteristic_edges(joint, f, **kwargs)
             assert g.sorted_edges() == loop_sorted_edges(g)
 
-    @pytest.mark.parametrize("restarts", [1, 2, 16])
+    @pytest.mark.parametrize("restarts", [1, 2, 16])   # of the loop reference
     @pytest.mark.parametrize("max_iter", [1, 2, 5, None])
     def test_conditional_graph_entropy(self, restarts, max_iter):
         rng = np.random.default_rng(35 + 10 * restarts + (max_iter or 0))
-        kwargs = dict(restarts=restarts)
-        if max_iter is not None:
-            kwargs["max_iter"] = max_iter
+        kwargs = {} if max_iter is None else dict(max_iter=max_iter)
         for case in range(6):
             n = int(rng.integers(3, 9))
             g = random_graph(rng, n)
@@ -537,27 +582,19 @@ class TestFastPathsAgainstLoops:
                 if case % 3 == 2:
                     mass[rng.integers(n)] = 0.0
             joint = JointPMF((g.vertices, alph("p", m)), mass / mass.sum())
-            got = conditional_graph_entropy(g, joint, **kwargs)
-            want = loop_conditional_graph_entropy(g, joint, **kwargs)
-            assert abs(got.value - want.value) <= 1e-12
-            assert got.upper_bound == want.upper_bound
-            assert got.sets == want.sets
-            assert got.converged == want.converged
+            loop = loop_conditional_graph_entropy(g, joint, restarts=restarts, **kwargs)
+            check_certified_solver(g, joint, kwargs, loop)
 
-            q = got.kernel
-            assert q.shape == (n, len(got.sets))
-            np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-            for i, v in enumerate(g.vertices):
-                for j, s in enumerate(got.sets):
-                    if v not in s:
-                        assert q[i, j] == 0.0
-            # I(W; U1 | U2) = H(W | U2) - H(W | U1) of the returned kernel,
-            # clamped like the solver's value to [0, upper_bound]
-            triple = {(i, k, j): float(joint.mass[i, k] * q[i, j])
-                      for i in range(n) for k in range(m) for j in range(len(got.sets))}
-            objective = (dict_conditional_entropy(triple, (2,), (1,))
-                         - dict_conditional_entropy(triple, (2,), (0,)))
-            assert abs(min(max(objective, 0.0), got.upper_bound) - got.value) <= 1e-12
+    def test_conditional_graph_entropy_at_the_cap(self):
+        # four disjoint triangles: 81 maximal stable sets on 12 vertices
+        verts = alph("v", 12)
+        g = CharGraph(verts, frozenset((verts.symbols[3 * t + i], verts.symbols[3 * t + j])
+                                       for t in range(4) for i, j in ((0, 1), (0, 2), (1, 2))))
+        mass = np.random.default_rng(5).random((12, 12))
+        joint = JointPMF((verts, alph("p", 12)), mass / mass.sum())
+        # one short loop run keeps the test fast; the 1e-11 run is the tight bound
+        loop = loop_conditional_graph_entropy(g, joint, restarts=1, max_iter=100)
+        assert len(check_certified_solver(g, joint, {}, loop).sets) == 81
 
     def test_threshold_calls_distortion_once_per_ordered_label_pair(self):
         joint = presets.ternary_source_joint("w1", "w2")
