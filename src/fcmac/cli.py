@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import experiments, jsonio
@@ -65,47 +66,29 @@ def _rows_csv(header, rows) -> str:
     return buf.getvalue()
 
 
+# the columns of an experiment's result rows, in both output formats
+_ROW_FIELDS = ("label", "value", "units", "expected", "tolerance", "reference",
+               "status", "note")
+
+
 def _result_json(result: experiments.ExperimentResult) -> dict:
     out = {
         "experiment": result.experiment_id,
         "passed": result.passed,
-        "rows": [
-            {"label": r.label, "value": r.value, "units": r.units,
-             "expected": r.expected, "tolerance": r.tolerance,
-             "reference": r.reference, "status": r.status, "note": r.note}
-            for r in result.rows
-        ],
-        "schemes": [
-            {"scheme": s.scheme_id,
-             "source_entropy_bits": s.source_entropy_bits,
-             "color_entropy_bits": s.color_entropy_bits,
-             "channel_sum_rate_bits": s.channel_sum_rate_bits,
-             "verdict": s.verdict, "margin_bits": s.margin_bits,
-             "distortion_analytic": s.distortion_analytic,
-             "distortion_mc": None if s.distortion_mc is None else {
-                 "value": s.distortion_mc.value,
-                 "halfwidth": s.distortion_mc.halfwidth,
-                 "samples": s.distortion_mc.samples,
-                 "seed": s.distortion_mc.seed},
-             "lipschitz_alpha": s.lipschitz_alpha,
-             "note": s.note}
-            for s in result.schemes
-        ],
+        "rows": [{k: getattr(r, k) for k in _ROW_FIELDS} for r in result.rows],
+        "schemes": [{("scheme" if k == "scheme_id" else k): v for k, v in asdict(s).items()}
+                    for s in result.schemes],
     }
     if result.sweep_rows is not None:
         out["sweep"] = {"header": list(result.sweep_header),
-                        "rows": [[v for v in row] for row in result.sweep_rows]}
+                        "rows": [list(row) for row in result.sweep_rows]}
     return out
 
 
 def _experiment_csv(result: experiments.ExperimentResult) -> str:
     if result.sweep_rows is not None:
         return _rows_csv(result.sweep_header, result.sweep_rows)
-    header = ("label", "value", "units", "expected", "tolerance", "reference",
-              "status", "note")
-    rows = [(r.label, r.value, r.units, r.expected, r.tolerance, r.reference,
-             r.status, r.note) for r in result.rows]
-    return _rows_csv(header, rows)
+    return _rows_csv(_ROW_FIELDS, ([getattr(r, k) for k in _ROW_FIELDS] for r in result.rows))
 
 
 def _print_experiment(result: experiments.ExperimentResult) -> None:

@@ -25,6 +25,7 @@ from .graphs import characteristic_graph, min_entropy_coloring, zigzag_check
 from .probability import compose, conditional_entropy, entropy, marginalize
 from .schemes import (
     DEFAULT_SEED,
+    MIN_MC_SAMPLES,
     SchemeReport,
     af_distortion,
     binary_pair_correlation,
@@ -43,9 +44,23 @@ FOUR_THIRDS = 4.0 / 3.0
 
 EXPERIMENT_IDS = ("section5", "gauss-diff", "gauss-binary", "uniform-grid")
 
+# Largest sweep and Monte Carlo sizes a run accepts, from the wall time of the
+# whole CLI run, interpreter start included, on a 2-vCPU Xeon VM with one BLAS
+# thread. gauss-diff at MAX_STEPS: 0.8 s printing only, 1.7-1.9 s with a CSV
+# --out, 2.4-2.8 s with a JSON --out (the default 40 steps: 0.35-0.39 s).
+# MAX_SAMPLES draws: gauss-diff 0.9-1.1 s, uniform-grid 0.7-0.8 s. Both caps
+# at once, JSON out: 3.5-3.7 s.
+MAX_STEPS = 100_000
+MAX_SAMPLES = 10_000_000
+
 
 class UnknownExperimentError(ValueError):
     pass
+
+
+def _check_count(name: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be between {low} and {high}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -244,11 +259,11 @@ def _gauss_binary(seed: int = DEFAULT_SEED, rho: float = 0.75, power: float = 5.
 def _gauss_diff(seed: int = DEFAULT_SEED, rho: float = 0.5, sigma2: float = 1.0,
                 power: float = 5.0, power_min: float = 0.5, power_max: float = 20.0,
                 steps: int = 40, samples: int = 1_000_000) -> ExperimentResult:
+    _check_count("steps", steps, 1, MAX_STEPS)
+    _check_count("samples", samples, MIN_MC_SAMPLES, MAX_SAMPLES)
     for name, bound in (("power_min", power_min), ("power_max", power_max)):
         if not (math.isfinite(bound) and bound >= 0):
             raise ValueError(f"{name} must be finite and nonnegative, got {bound}")
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
     powers = np.linspace(power_min, power_max, int(steps))
     cen = np.array([centralized_bound(p, rho, sigma2) for p in powers])
     af = np.array([af_distortion(p, rho, sigma2) for p in powers])
@@ -298,6 +313,7 @@ def _uniform_grid(seed: int = DEFAULT_SEED, cells: int = 3,
                   ) -> ExperimentResult:
     # first, so that any cells but 3 is refused before the cells^2 pmf exists
     system = presets.grid_system(cells=cells, target_d=target_d)
+    _check_count("samples", samples, MIN_MC_SAMPLES, MAX_SAMPLES)
     registered = abs(target_d - 1.0 / 6.0) < 1e-12
     cell_pmf = offdiagonal_cell_pmf(cells)
     off_mass = 1.0 / (cells * cells - cells)

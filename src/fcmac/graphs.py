@@ -14,14 +14,13 @@ from .probability import Alphabet, AxisError, JointPMF, plogp
 # Measured with one BLAS thread on a 2-vCPU Xeon VM. At the cap, worst case
 # the complete graph (523,776 edges), the OR product itself takes 1-13 ms;
 # the views read from it afterwards take far longer: the symbol edge set
-# 0.21-0.45 s, sorted_edges 0.13-0.38 s, adjacency_masks 0.11-0.18 s. The
-# ternary comparison graph at n = 6 (729 vertices): 2.6-4.4 ms, then 94-138 ms
-# for its edge set. Those views grow with the square of the vertex count, so
-# the cap is on vertices.
+# 0.21-0.45 s, sorted_edges 0.13-0.38 s. The ternary comparison graph at
+# n = 6 (729 vertices): 2.6-4.4 ms, then 94-138 ms for its edge set. Those
+# views grow with the square of the vertex count, so the cap is on vertices.
 OR_PRODUCT_CAP = 1024
 # Vertices for exact colouring, stable-set enumeration and the graph entropies
-# built on them. At 12 vertices: stable_sets 10-15 ms (edgeless, 4095 stable
-# sets); exact min_entropy_coloring up to 0.19-0.27 s (worst of 112 random
+# built on them. At 12 vertices: stable_sets 5-8 ms (edgeless, 4095 stable
+# sets; 0.4-0.6 ms for its one maximal set); exact min_entropy_coloring up to 0.19-0.27 s (worst of 112 random
 # graphs and marginals); with a full-support 12x12 joint,
 # conditional_chromatic_entropy up to 0.7-1.2 s (a random graph, p = 0.3).
 # conditional_graph_entropy on four disjoint triangles (81 maximal stable
@@ -81,10 +80,6 @@ class CharGraph:
 
     def has_edge(self, a, b) -> bool:
         return bool(self._adj[self.vertices.index(a), self.vertices.index(b)])
-
-    def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighbor bitmask, indexed in alphabet order."""
-        return [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in self._adj]
 
     def sorted_edges(self) -> list[tuple]:
         syms = self.vertices.symbols
@@ -245,28 +240,30 @@ def _plogp(x: float) -> float:
     return x * np.log2(x) if x > 0 else 0.0
 
 
-def _min_entropy_partition(adj: list[int], weights: np.ndarray,
+def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
                            ) -> tuple[list[int], float]:
     """Exact minimum of H(class | column) over proper partitions.
 
-    ``weights[v, z]`` is the joint mass of vertex v with condition value z
-    (one column for the unconditional problem). Vertices are processed in
-    index order; branch-and-bound prunes on a per-column relaxation (all
-    remaining column mass merged into the column's largest class). Ties
-    resolve to the first partition in lexicographic restricted-growth
-    order, i.e. the lexicographically smallest color-class partition.
+    ``adj`` is the boolean adjacency matrix and ``weights[v, z]`` the joint
+    mass of vertex v with condition value z (one column for the
+    unconditional problem). Vertices are processed in index order;
+    branch-and-bound prunes on a per-column relaxation (all remaining column
+    mass merged into the column's largest class). Ties resolve to the first
+    partition in lexicographic restricted-growth order, i.e. the
+    lexicographically smallest color-class partition.
     """
     n, m = weights.shape
     col_total = weights.sum(axis=0)
     h_cond = -sum(_plogp(c) for c in col_total)  # H(Z), subtracted at the end
+    # classes hold only vertices placed before v, so the classes v may not
+    # join are those of its earlier neighbours
+    earlier = [np.flatnonzero(adj[v, :v]).tolist() for v in range(n)]
 
     best_assign: list[int] | None = None
     best_val = float("inf")
     assign = [0] * n
-    class_masks: list[int] = []
     class_mass: list[np.ndarray] = []
-    # running sum of p*log2(p) over all (class, column) cells
-    state = {"s": 0.0}
+    s = 0.0     # running sum of p*log2(p) over all (class, column) cells
 
     def bound(remaining: np.ndarray) -> float:
         total = 0.0
@@ -281,9 +278,9 @@ def _min_entropy_partition(adj: list[int], weights: np.ndarray,
         return total - h_cond
 
     def descend(v: int, remaining: np.ndarray) -> None:
-        nonlocal best_assign, best_val
+        nonlocal best_assign, best_val, s
         if v == n:
-            val = -state["s"] - h_cond
+            val = -s - h_cond
             if val < best_val - 1e-12:
                 best_val = val
                 best_assign = assign.copy()
@@ -292,31 +289,21 @@ def _min_entropy_partition(adj: list[int], weights: np.ndarray,
             return
         w = weights[v]
         rem = remaining - w
-        bit = 1 << v
-        for c in range(len(class_masks) + 1):
-            if c < len(class_masks):
-                if class_masks[c] & adj[v]:
-                    continue
-                old = class_mass[c].copy()
-                ds = sum(_plogp(o + x) - _plogp(o) for o, x in zip(old, w))
-                class_masks[c] |= bit
-                class_mass[c] = old + w
-                state["s"] += ds
-                assign[v] = c
-                descend(v + 1, rem)
-                class_masks[c] &= ~bit
-                class_mass[c] = old
-                state["s"] -= ds
-            else:
-                ds = sum(_plogp(x) for x in w)
-                class_masks.append(bit)
-                class_mass.append(w.copy())
-                state["s"] += ds
-                assign[v] = c
-                descend(v + 1, rem)
-                class_masks.pop()
-                class_mass.pop()
-                state["s"] -= ds
+        taken = {assign[u] for u in earlier[v]}
+        for c in range(len(class_mass) + 1):
+            if c in taken:
+                continue
+            if c == len(class_mass):      # opening a class joins an empty one
+                class_mass.append(np.zeros(m))
+            old = class_mass[c]
+            ds = sum(_plogp(o + x) - _plogp(o) for o, x in zip(old, w))
+            class_mass[c] = old + w
+            s += ds
+            assign[v] = c
+            descend(v + 1, rem)
+            class_mass[c] = old
+            s -= ds
+        class_mass.pop()
 
     descend(0, col_total.copy())
     assert best_assign is not None
@@ -352,7 +339,7 @@ def min_entropy_coloring(g: CharGraph, marginal: JointPMF, mode: str = "exact",
         if len(g.vertices) > EXACT_COLORING_CAP:
             raise SizeCapError(
                 f"{len(g.vertices)} vertices exceeds the exact-mode cap of {EXACT_COLORING_CAP}")
-        assign, value = _min_entropy_partition(g.adjacency_masks(), mass.reshape(-1, 1))
+        assign, value = _min_entropy_partition(g._adj, mass.reshape(-1, 1))
     elif mode == "greedy":
         assign = _greedy_assignment(g._adj, mass)
         value = -sum(_plogp(t) for t in np.bincount(assign, weights=mass))
@@ -392,26 +379,35 @@ def conditional_chromatic_entropy(g: CharGraph, joint: JointPMF, n: int = 1) -> 
                            f" over the cap of {EXACT_COLORING_CAP}")
     gn = or_product(g, n)
     jn = iid_pair_power(joint, n)
-    _, value = _min_entropy_partition(gn.adjacency_masks(), jn.mass.astype(float))
+    _, value = _min_entropy_partition(gn._adj, jn.mass.astype(float))
     return float(value) / n
+
+
+def _stable_rows(g: CharGraph, maximal_only: bool) -> np.ndarray:
+    """Membership rows of the nonempty stable sets, optionally only the
+    maximal ones, ordered by sum(2**v for v in the set)."""
+    n = len(g.vertices)
+    if n > EXACT_COLORING_CAP:
+        raise SizeCapError(f"{n} vertices exceeds the enumeration cap of {EXACT_COLORING_CAP}")
+    member = np.zeros((1, n), dtype=bool)       # the empty set
+    for v in range(n):
+        # the stable sets of vertices before v, then those of them v can join
+        grown = member[~(member & g._adj[v]).any(axis=1)]
+        grown[:, v] = True
+        member = np.concatenate([member, grown])
+    member = member[1:]
+    if maximal_only:
+        # [set, v]: v has a neighbour in the set; float32 counts them exactly
+        touched = member.astype(np.float32) @ g._adj.astype(np.float32) > 0
+        member = member[(member | touched).all(axis=1)]     # no vertex can be added
+    return member
 
 
 def stable_sets(g: CharGraph, maximal_only: bool = True) -> list[frozenset]:
     """Stable (independent) vertex sets, optionally only the maximal ones."""
-    n = len(g.vertices)
-    if n > EXACT_COLORING_CAP:
-        raise SizeCapError(f"{n} vertices exceeds the enumeration cap of {EXACT_COLORING_CAP}")
-    adj = g.adjacency_masks()
     syms = g.vertices.symbols
-    stable_masks = []
-    for mask in range(1, 1 << n):
-        if all(not (adj[v] & mask) for v in range(n) if mask >> v & 1):
-            stable_masks.append(mask)
-    if maximal_only:
-        def extendable(mask: int) -> bool:
-            return any(not (mask >> v & 1) and not (adj[v] & mask) for v in range(n))
-        stable_masks = [m for m in stable_masks if not extendable(m)]
-    return [frozenset(syms[v] for v in range(n) if m >> v & 1) for m in stable_masks]
+    return [frozenset(itertools.compress(syms, row))
+            for row in _stable_rows(g, maximal_only).tolist()]
 
 
 @dataclass(frozen=True)
@@ -445,11 +441,11 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     ``tol``, or after ``max_iter`` updates.
     """
     _check_vertex_axis(joint, g, "joint")
-    sets = stable_sets(g, maximal_only=True)
-    allowed = np.zeros((len(g.vertices), len(sets)), dtype=bool)
-    for j, s in enumerate(sets):
-        for v in s:
-            allowed[g.vertices.index(v), j] = True
+    rows = _stable_rows(g, maximal_only=True)
+    sets = [frozenset(itertools.compress(g.vertices.symbols, row)) for row in rows.tolist()]
+    # C order: a transposed view would pass q to BLAS in F order, which sums
+    # the products below in another order
+    allowed = np.ascontiguousarray(rows.T)
 
     p = joint.mass.astype(float)
     p1 = p.sum(axis=1)

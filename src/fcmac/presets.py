@@ -16,6 +16,7 @@ from .channels import adder_mac
 from .feasibility import DistortionTable, SystemSpec
 from .graphs import FunctionTable
 from .probability import Alphabet, JointPMF, Kernel, compose
+from .schemes import GridQuantizer, offdiagonal_cell_pmf
 
 TERNARY = ("1", "2", "3")
 BITS = ("0", "1")
@@ -138,8 +139,8 @@ def grid_cell_function(cells: int = 3, name1: str = "w1", name2: str = "w2",
                        ) -> FunctionTable:
     """Absolute difference of cell centers, with exact fraction labels."""
     centers = grid_centers(cells)
-    axes = (Alphabet(name1, tuple(str(i + 1) for i in range(cells))),
-            Alphabet(name2, tuple(str(i + 1) for i in range(cells))))
+    q = GridQuantizer(0.0, 1.0, cells)
+    axes = (q.cell_alphabet(name1), q.cell_alphabet(name2))
     return FunctionTable.from_callable(
         axes, lambda a, b: abs(centers[int(a) - 1] - centers[int(b) - 1]))
 
@@ -150,7 +151,7 @@ def grid_color_of(cells: int = 3) -> dict:
 
 
 def grid_color_kernel(cells: int, source_name: str, color_name: str) -> Kernel:
-    src = Alphabet(source_name, tuple(str(i + 1) for i in range(cells)))
+    src = GridQuantizer(0.0, 1.0, cells).cell_alphabet(source_name)
     col = Alphabet(color_name, BITS)
     color_of = grid_color_of(cells)
     return Kernel.deterministic((src,), (col,), lambda s: color_of[s])
@@ -164,7 +165,6 @@ def grid_system(cells: int = 3, target_d: float = 1.0 / 6.0) -> SystemSpec:
     """
     if cells != 3:
         raise ValueError("the color decoding table is only defined for 3 cells")
-    from .schemes import offdiagonal_cell_pmf
     centers = grid_centers(cells)
     f = grid_cell_function(cells, "u1", "u2")
     gap1 = centers[1] - centers[0]

@@ -350,6 +350,83 @@ def loop_adjacency_masks(graph: CharGraph) -> list[int]:
     return masks
 
 
+def _plogp(x: float) -> float:
+    return x * np.log2(x) if x > 0 else 0.0
+
+
+def loop_min_entropy_partition(adj: list[int], weights: np.ndarray,
+                               ) -> tuple[list[int], float]:
+    """Exact minimum of H(class | column) over proper partitions, on
+    per-vertex neighbor bitmasks: the branch-and-bound as the graph layer ran
+    it before it read the adjacency matrix. Same vertex order, bound, pruning
+    rule and tie rule, so assignments and values must agree bit for bit."""
+    n, m = weights.shape
+    col_total = weights.sum(axis=0)
+    h_cond = -sum(_plogp(c) for c in col_total)  # H(Z), subtracted at the end
+
+    best_assign: list[int] | None = None
+    best_val = float("inf")
+    assign = [0] * n
+    class_masks: list[int] = []
+    class_mass: list[np.ndarray] = []
+    # running sum of p*log2(p) over all (class, column) cells
+    state = {"s": 0.0}
+
+    def bound(remaining: np.ndarray) -> float:
+        total = 0.0
+        for z in range(m):
+            r = remaining[z]
+            if class_mass:
+                mz = max(cm[z] for cm in class_mass)
+                sz = sum(_plogp(cm[z]) for cm in class_mass)
+                total += -(sz - _plogp(mz) + _plogp(mz + r))
+            else:
+                total += -_plogp(r)
+        return total - h_cond
+
+    def descend(v: int, remaining: np.ndarray) -> None:
+        nonlocal best_assign, best_val
+        if v == n:
+            val = -state["s"] - h_cond
+            if val < best_val - 1e-12:
+                best_val = val
+                best_assign = assign.copy()
+            return
+        if bound(remaining) >= best_val - 1e-12:
+            return
+        w = weights[v]
+        rem = remaining - w
+        bit = 1 << v
+        for c in range(len(class_masks) + 1):
+            if c < len(class_masks):
+                if class_masks[c] & adj[v]:
+                    continue
+                old = class_mass[c].copy()
+                ds = sum(_plogp(o + x) - _plogp(o) for o, x in zip(old, w))
+                class_masks[c] |= bit
+                class_mass[c] = old + w
+                state["s"] += ds
+                assign[v] = c
+                descend(v + 1, rem)
+                class_masks[c] &= ~bit
+                class_mass[c] = old
+                state["s"] -= ds
+            else:
+                ds = sum(_plogp(x) for x in w)
+                class_masks.append(bit)
+                class_mass.append(w.copy())
+                state["s"] += ds
+                assign[v] = c
+                descend(v + 1, rem)
+                class_masks.pop()
+                class_mass.pop()
+                state["s"] -= ds
+
+    descend(0, col_total.copy())
+    assert best_assign is not None
+    return best_assign, max(best_val, 0.0)
+
+
 def loop_greedy_assignment(adj: list[int], vertex_mass: np.ndarray) -> list[int]:
     """First-fit coloring over vertices in decreasing-mass order, scanning
     every vertex's neighbor bitmask, as the graph layer did before it read

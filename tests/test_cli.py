@@ -131,11 +131,29 @@ class TestExperimentCommand:
             raise AssertionError("the cell pmf must not be built")
 
         monkeypatch.setattr(schemes, "offdiagonal_cell_pmf", no_pmf)
+        monkeypatch.setattr(presets, "offdiagonal_cell_pmf", no_pmf)
         monkeypatch.setattr(experiments, "offdiagonal_cell_pmf", no_pmf)
         with pytest.raises(ValueError, match="only defined for 3 cells"):
             experiments.run_experiment("uniform-grid", cells=100000)
         assert main(["experiment", "uniform-grid", "--cells", "100000"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("experiment, flag, value", [
+        ("gauss-diff", "--steps", experiments.MAX_STEPS + 1),
+        ("gauss-diff", "--samples", experiments.MAX_SAMPLES + 1),
+        ("uniform-grid", "--samples", experiments.MAX_SAMPLES + 1),
+    ])
+    def test_over_cap_steps_and_samples_refused_before_any_work(
+            self, experiment, flag, value, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("an over-cap run must not start")
+
+        # the sweep's two curves and both Monte Carlo samplers
+        for name in ("centralized_bound", "af_distortion", "monte_carlo_af",
+                     "monte_carlo_grid_distortion"):
+            monkeypatch.setattr(experiments, name, no_run)
+        assert main(["experiment", experiment, flag, str(value)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must be between ")
 
     def test_gauss_binary_values(self, capsys):
         assert main(["experiment", "gauss-binary", "--rho", "0.75",

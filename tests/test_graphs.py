@@ -12,12 +12,14 @@ from _support import (
     alph,
     brute_force_min_conditional_entropy,
     dict_conditional_entropy,
+    enumerate_stable_sets,
     grid_conditional_graph_entropy,
     loop_adjacency_masks,
     loop_characteristic_edges,
     loop_coloring_clashes,
     loop_conditional_graph_entropy,
     loop_greedy_assignment,
+    loop_min_entropy_partition,
     loop_or_product_edges,
     loop_sorted_edges,
     loop_zigzag,
@@ -204,7 +206,7 @@ class TestColoring:
             pmf = random_pmf(rng, (n,), names=("v",))
             _, bits = min_entropy_coloring(g, pmf, "exact")
             oracle = brute_force_min_conditional_entropy(
-                g.adjacency_masks(), pmf.mass.reshape(-1, 1))
+                loop_adjacency_masks(g), pmf.mass.reshape(-1, 1))
             assert bits == pytest.approx(oracle, abs=1e-9)
 
     def test_exact_never_above_greedy(self):
@@ -285,6 +287,23 @@ class TestStableSets:
         maximal = stable_sets(g, maximal_only=True)
         assert sorted(tuple(sorted(s)) for s in maximal) == [("1", "2"), ("2", "3")]
 
+    def test_against_subset_filter(self):
+        rng = np.random.default_rng(38)
+        for n in [1, 12] + rng.integers(1, 13, size=40).tolist():
+            g = random_graph(rng, n, edge_prob=float(rng.choice([0.0, 0.3, 0.7, 1.0])))
+            syms = g.vertices.symbols
+            idx = {s: i for i, s in enumerate(syms)}
+            masks = enumerate_stable_sets(n, [(idx[a], idx[b]) for a, b in g.edges])
+
+            def sets(ms):
+                return [frozenset(syms[v] for v in range(n) if m >> v & 1) for m in ms]
+            assert stable_sets(g, maximal_only=False) == sets(masks)
+            # maximal: adding any vertex outside the set leaves the stable sets
+            stable = set(masks)
+            maximal = [m for m in masks
+                       if all(m >> v & 1 or m | 1 << v not in stable for v in range(n))]
+            assert stable_sets(g, maximal_only=True) == sets(maximal)
+
 
 class TestConditionalGraphEntropy:
     def test_complete_graph_exact(self):
@@ -343,6 +362,8 @@ class TestConditionalGraphEntropy:
             conditional_chromatic_entropy(big, joint, 1)
         with pytest.raises(SizeCapError):
             conditional_graph_entropy(big, joint)
+        with pytest.raises(SizeCapError, match="enumeration cap"):
+            stable_sets(big)
 
     def test_generic_oracle_path_agrees_with_solver(self):
         # full-support joint disables the factored oracle path
@@ -494,7 +515,6 @@ class TestFastPathsAgainstLoops:
             assert gn.vertices.symbols == tuple(itertools.product(g.vertices.symbols, repeat=n))
             assert gn.edges == loop_or_product_edges(g, n)
             assert gn.sorted_edges() == loop_sorted_edges(gn)
-            assert gn.adjacency_masks() == loop_adjacency_masks(gn)
 
     def test_graph_queries_from_edge_lists(self):
         rng = np.random.default_rng(32)
@@ -507,7 +527,6 @@ class TestFastPathsAgainstLoops:
             normal = {(a, b) if verts.index(a) < verts.index(b) else (b, a) for a, b in pairs}
             assert g.edges == normal
             assert g.sorted_edges() == loop_sorted_edges(g)
-            assert g.adjacency_masks() == loop_adjacency_masks(g)
             for a in verts:
                 for b in verts:
                     assert g.has_edge(a, b) == ((a, b) in normal or (b, a) in normal)
@@ -520,6 +539,24 @@ class TestFastPathsAgainstLoops:
             mass = rng.integers(0, 4, size=n) / 4    # tied masses, some zero
             assert (graphs._greedy_assignment(g._adj, mass)
                     == loop_greedy_assignment(loop_adjacency_masks(g), mass))
+
+    @pytest.mark.parametrize("peers", ["one-column", "one-peer", "full-support"])
+    def test_min_entropy_partition(self, peers):
+        # the bitmask branch-and-bound and the matrix one share their
+        # arithmetic, so assignments and values must be equal bit for bit
+        rng = np.random.default_rng(37)
+        for n in [12, 12] + rng.integers(1, 11, size=170).tolist():
+            g = random_graph(rng, n, edge_prob=0.3 if n == 12 else None)
+            if peers == "one-column":
+                weights = rng.dirichlet(np.ones(n)).reshape(n, 1)
+            elif peers == "one-peer":
+                weights = np.zeros((n, 4))
+                weights[np.arange(n), rng.integers(0, 4, size=n)] = rng.dirichlet(np.ones(n))
+            else:
+                m = 3 if n == 12 else int(rng.integers(2, 5))
+                weights = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+            assert (graphs._min_entropy_partition(g._adj, weights)
+                    == loop_min_entropy_partition(loop_adjacency_masks(g), weights))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
