@@ -57,7 +57,6 @@ from .schemes import (
     GaussianPairSource,
     GridQuantizer,
     MonteCarloEstimate,
-    SchemeReport,
     af_distortion,
     binary_pair_correlation,
     binary_quadrant_pmf,
@@ -68,7 +67,6 @@ from .schemes import (
     monte_carlo_grid_distortion,
     offdiagonal_cell_pmf,
     quantize_grid,
-    run_scheme,
     sample_offdiagonal_uniform,
 )
-from .experiments import ExperimentResult, ResultRow, run_experiment
+from .experiments import ExperimentResult, ResultRow, SchemeReport, run_experiment

@@ -57,6 +57,10 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _rows_csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -69,6 +73,9 @@ def _rows_csv(header, rows) -> str:
 # the columns of an experiment's result rows, in both output formats
 _ROW_FIELDS = ("label", "value", "units", "expected", "tolerance", "reference",
                "status", "note")
+# the `experiment` options passed on to the experiment when given
+_OVERRIDE_FIELDS = ("rho", "power", "power_min", "power_max", "sigma2", "target_d",
+                    "steps", "samples", "cells", "rho_x")
 
 
 def _result_json(result: experiments.ExperimentResult) -> dict:
@@ -122,17 +129,8 @@ def _print_experiment(result: experiments.ExperimentResult) -> None:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {}
-    for key in ("rho", "power", "power_min", "power_max", "sigma2", "target_d"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
-    for key in ("steps", "samples", "cells"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
-    if args.rho_x is not None:
-        overrides["rho_x"] = args.rho_x
+    overrides = {key: getattr(args, key) for key in _OVERRIDE_FIELDS
+                 if getattr(args, key) is not None}
     try:
         result = experiments.run_experiment(args.id, seed=args.seed, **overrides)
     except TypeError as exc:
@@ -152,7 +150,7 @@ def _cmd_check(args) -> int:
     report = check_feasibility(spec)
     payload = jsonio.feasibility_report_to_json(report)
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     elif args.format == "csv":
         rows = [(r.name, r.lhs_bits, r.rhs_bits, r.margin_bits, r.verdict)
                 for r in report.inequalities]
@@ -197,17 +195,14 @@ def _cmd_graph(args) -> int:
                 range_distortion=lambda a, b: abs(_numeric_label(a) - _numeric_label(b)))
         else:
             g = characteristic_graph(joint, table)
-        text = json.dumps(jsonio.graph_to_json(g), indent=2, sort_keys=True) + "\n"
-        _write_text(args.out, text)
+        _write_text(args.out, _json_text(jsonio.graph_to_json(g)))
         return 0
     if args.graph_cmd == "color":
         g = jsonio.graph_from_json(jsonio.load_json(args.graph))
         marginal = jsonio.pmf_from_json(jsonio.load_json(args.marginal))
         coloring, bits = min_entropy_coloring(g, marginal, args.mode)
-        payload = jsonio.coloring_to_json(coloring)
         print(f"entropy_bits {_fmt(bits)} ({args.mode})")
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        _write_text(args.out, text)
+        _write_text(args.out, _json_text(jsonio.coloring_to_json(coloring)))
         return 0
     if args.graph_cmd == "entropy":
         g = jsonio.graph_from_json(jsonio.load_json(args.graph))
@@ -231,7 +226,7 @@ def _cmd_graph(args) -> int:
                 payload = {"kind": "conditional-graph", "bits": res.value,
                            "gap_bits": res.gap, "upper_bound_bits": res.upper_bound,
                            "converged": res.converged}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(_json_text(payload))
         return 0
     raise AssertionError("unreachable")
 
@@ -246,7 +241,7 @@ def _cmd_channel(args) -> int:
     else:
         mac = GaussianMAC(args.power, args.noise_var)
         payload = {"sum_rate_bits": gmac_sum_rate(mac, args.rho)}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(_json_text(payload))
     return 0
 
 

@@ -25,8 +25,9 @@ from .graphs import characteristic_graph, min_entropy_coloring, zigzag_check
 from .probability import compose, conditional_entropy, entropy, marginalize
 from .schemes import (
     DEFAULT_SEED,
+    MAX_SAMPLES,
     MIN_MC_SAMPLES,
-    SchemeReport,
+    MonteCarloEstimate,
     af_distortion,
     binary_pair_correlation,
     binary_quadrant_pmf,
@@ -44,14 +45,12 @@ FOUR_THIRDS = 4.0 / 3.0
 
 EXPERIMENT_IDS = ("section5", "gauss-diff", "gauss-binary", "uniform-grid")
 
-# Largest sweep and Monte Carlo sizes a run accepts, from the wall time of the
-# whole CLI run, interpreter start included, on a 2-vCPU Xeon VM with one BLAS
-# thread. gauss-diff at MAX_STEPS: 0.8 s printing only, 1.7-1.9 s with a CSV
-# --out, 2.4-2.8 s with a JSON --out (the default 40 steps: 0.35-0.39 s).
-# MAX_SAMPLES draws: gauss-diff 0.9-1.1 s, uniform-grid 0.7-0.8 s. Both caps
-# at once, JSON out: 3.5-3.7 s.
+# Largest sweep a run accepts, from the wall time of the whole CLI run,
+# interpreter start included, on a 2-vCPU Xeon VM with one BLAS thread.
+# gauss-diff at MAX_STEPS: 0.8 s printing only, 1.7-1.9 s with a CSV --out,
+# 2.4-2.8 s with a JSON --out (the default 40 steps: 0.35-0.39 s). With
+# schemes.MAX_SAMPLES as well, JSON out: 3.5-3.7 s.
 MAX_STEPS = 100_000
-MAX_SAMPLES = 10_000_000
 
 
 class UnknownExperimentError(ValueError):
@@ -61,6 +60,22 @@ class UnknownExperimentError(ValueError):
 def _check_count(name: str, value: int, low: int, high: int) -> None:
     if not low <= value <= high:
         raise ValueError(f"{name} must be between {low} and {high}, got {value}")
+
+
+@dataclass(frozen=True)
+class SchemeReport:
+    """Per-scheme outcome of one experiment pipeline."""
+
+    scheme_id: str                  # "1" | "2" | "3" | "AF" | "centralized"
+    source_entropy_bits: float | None = None
+    color_entropy_bits: float | None = None
+    channel_sum_rate_bits: float | None = None
+    verdict: str | None = None      # strict | boundary | violated
+    margin_bits: float | None = None
+    distortion_analytic: float | None = None
+    distortion_mc: MonteCarloEstimate | None = None
+    lipschitz_alpha: float | None = None
+    note: str = ""
 
 
 @dataclass(frozen=True)

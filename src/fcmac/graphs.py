@@ -212,7 +212,7 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
     return CharGraph._from_adjacency(joint.axes[0], adj | adj.T)
 
 
-def or_product(g: CharGraph, n: int, cap: int = OR_PRODUCT_CAP) -> CharGraph:
+def or_product(g: CharGraph, n: int) -> CharGraph:
     """Block-length-n graph: tuples adjacent iff adjacent in some coordinate.
 
     Vertices are the n-tuples in ``itertools.product`` order. Two tuples are
@@ -225,8 +225,8 @@ def or_product(g: CharGraph, n: int, cap: int = OR_PRODUCT_CAP) -> CharGraph:
     if n == 1:
         return g
     base = len(g.vertices)
-    if base ** n > cap:
-        raise SizeCapError(f"{base}^{n} vertices exceeds the cap of {cap}")
+    if base ** n > OR_PRODUCT_CAP:
+        raise SizeCapError(f"{base}^{n} vertices exceeds the cap of {OR_PRODUCT_CAP}")
     apart = ~g._adj
     power = apart
     for _ in range(n - 1):

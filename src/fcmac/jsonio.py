@@ -143,10 +143,10 @@ def mac_to_json(mac: DiscreteMAC) -> dict:
     return kernel_to_json(mac.law)
 
 
-def graph_from_json(obj, path: str = "$", name: str = "v") -> CharGraph:
+def graph_from_json(obj, path: str = "$") -> CharGraph:
     verts = _expect_list(_get(obj, "vertices", path), f"{path}.vertices")
     symbols = tuple(_label(v, f"{path}.vertices[{i}]") for i, v in enumerate(verts))
-    name = obj.get("name", name)
+    name = obj.get("name", "v")
     if not isinstance(name, str):
         raise SpecFormatError(f"{path}.name", "graph name must be a string")
     try:

@@ -37,9 +37,9 @@ def ternary_source_joint(name1: str = "u1", name2: str = "u2") -> JointPMF:
     return JointPMF((Alphabet(name1, TERNARY), Alphabet(name2, TERNARY)), mass)
 
 
-def comparison_function(name1: str = "u1", name2: str = "u2") -> FunctionTable:
-    """Indicator that the first source exceeds the second (0/1 labels)."""
-    axes = (Alphabet(name1, TERNARY), Alphabet(name2, TERNARY))
+def comparison_function() -> FunctionTable:
+    """Indicator that u1 exceeds u2 (0/1 labels)."""
+    axes = (Alphabet("u1", TERNARY), Alphabet("u2", TERNARY))
     return FunctionTable.from_callable(axes, lambda a, b: 1 if int(a) > int(b) else 0)
 
 
@@ -50,15 +50,15 @@ def color_kernel_single(source_name: str, color_name: str) -> Kernel:
     return Kernel.deterministic((src,), (col,), lambda s: COLOR_OF[s])
 
 
-def side_info_kernel(name1: str = "u1", name2: str = "u2", z_name: str = "z") -> Kernel:
-    """Decoder side information: absolute difference of the ternary sources.
+def side_info_kernel() -> Kernel:
+    """Decoder side information z = |u1 - u2| of the ternary sources.
 
     The zero-difference symbol exists only to keep the map total; it has no
     mass under the off-diagonal source.
     """
-    a1 = Alphabet(name1, TERNARY)
-    a2 = Alphabet(name2, TERNARY)
-    z = Alphabet(z_name, ("0", "1", "2"))
+    a1 = Alphabet("u1", TERNARY)
+    a2 = Alphabet("u2", TERNARY)
+    z = Alphabet("z", ("0", "1", "2"))
     return Kernel.deterministic((a1, a2), (z,),
                                 lambda a, b: str(abs(int(a) - int(b))))
 

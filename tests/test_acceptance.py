@@ -44,7 +44,6 @@ from fcmac.schemes import (
     monte_carlo_af,
     monte_carlo_grid_distortion,
     offdiagonal_cell_pmf,
-    run_scheme,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -127,7 +126,7 @@ def test_criterion_4_binary_function_over_gaussian_mac():
     h = entropy(pair, ("w1", "w2"))
     corr = binary_pair_correlation(pair)
     mac = GaussianMAC(5.0)
-    reports = {r.scheme_id: r for r in run_scheme("gauss-binary")}
+    reports = {r.scheme_id: r for r in run_experiment("gauss-binary").schemes}
     checks = [
         ("sign-pair entropy 1.778 +- 5e-4", abs(h - 1.778) <= 5e-4),
         ("sign-pair correlation 0.540 +- 5e-3", abs(corr - 0.540) <= 5e-3),
@@ -170,8 +169,8 @@ def test_criterion_5_gaussian_closed_forms():
 def test_criterion_6_grid_pipeline():
     pmf = offdiagonal_cell_pmf(3)
     off = pmf.mass[~np.eye(3, dtype=bool)]
-    reports = {r.scheme_id: r for r in run_scheme("uniform-grid",
-                                                  samples=1_000_000, seed=20240902)}
+    reports = {r.scheme_id: r for r in run_experiment("uniform-grid", samples=1_000_000,
+                                                      seed=20240902).schemes}
     closed = grid_distortion_closed_form(3)
     mc = reports["3"].distortion_mc
     checks = [

@@ -11,6 +11,7 @@ from fcmac.channels import (
     mac_mutual_info,
     mac_sum_capacity_independent,
 )
+from fcmac.graphs import SizeCapError
 from fcmac.probability import Alphabet, AxisError, JointPMF, Kernel
 
 LOG2_3 = math.log2(3.0)
@@ -102,6 +103,14 @@ class TestSumCapacity:
         law = Kernel((big, x2), (y,), np.full((36, 2), 0.5))
         with pytest.raises(ValueError):
             mac_sum_capacity_independent(DiscreteMAC((big, x2), y, law))
+
+    def test_grid_cap_is_a_size_cap(self):
+        x1 = Alphabet("x1", tuple(str(i) for i in range(6)))
+        x2 = Alphabet("x2", tuple(str(i) for i in range(6)))
+        y = Alphabet("y", ("0", "1"))
+        law = Kernel((x1, x2), (y,), np.full((36, 2), 0.5))
+        with pytest.raises(SizeCapError, match="capacity grid of"):
+            mac_sum_capacity_independent(DiscreteMAC((x1, x2), y, law))
 
 
 class TestGaussianSumRate:

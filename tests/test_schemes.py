@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fcmac import schemes
+from fcmac.experiments import run_experiment
 from fcmac.probability import entropy, validate
 from fcmac.schemes import (
     GaussianPairSource,
@@ -19,7 +20,6 @@ from fcmac.schemes import (
     monte_carlo_grid_distortion,
     offdiagonal_cell_pmf,
     quantize_grid,
-    run_scheme,
     sample_offdiagonal_uniform,
 )
 
@@ -241,6 +241,22 @@ class TestMonteCarloMatchesLoops:
         assert np.array_equal(pmf.mass, want_counts / samples)
 
 
+class TestSampleCap:
+    @pytest.mark.parametrize("draw", [
+        lambda n: GaussianPairSource().sample(n),
+        lambda n: sample_offdiagonal_uniform(3, n),
+        lambda n: monte_carlo_af(5.0, 0.5, samples=n),
+        lambda n: monte_carlo_grid_distortion(3, samples=n),
+    ], ids=["pair-source", "offdiagonal", "mc-af", "mc-grid"])
+    def test_over_cap_refused_before_any_draw(self, draw, monkeypatch):
+        def no_draw(seed, block):
+            raise AssertionError("a sampler drew over the cap")
+
+        monkeypatch.setattr(schemes, "_block_rng", no_draw)
+        with pytest.raises(ValueError, match="^samples"):
+            draw(schemes.MAX_SAMPLES + 1)
+
+
 class TestGridDistortion:
     def test_closed_form_value(self):
         assert grid_distortion_closed_form(3) == pytest.approx(1 / 9, abs=1e-15)
@@ -269,7 +285,7 @@ class TestLipschitzBudget:
 
 class TestRunScheme:
     def test_section5_verdicts(self):
-        by_id = {r.scheme_id: r for r in run_scheme("section5")}
+        by_id = {r.scheme_id: r for r in run_experiment("section5").schemes}
         assert by_id["3"].verdict == "boundary"
         assert abs(by_id["3"].margin_bits) <= 1e-9
         assert by_id["2"].verdict == "violated"
@@ -278,13 +294,13 @@ class TestRunScheme:
         assert by_id["1"].verdict == "violated"
 
     def test_gauss_binary_verdicts(self):
-        by_id = {r.scheme_id: r for r in run_scheme("gauss-binary")}
+        by_id = {r.scheme_id: r for r in run_experiment("gauss-binary").schemes}
         assert by_id["2"].verdict == "violated"
         assert by_id["3"].verdict == "strict"
         assert by_id["3"].distortion_analytic == 0.0
 
     def test_uniform_grid_reports(self):
-        by_id = {r.scheme_id: r for r in run_scheme("uniform-grid", samples=50_000)}
+        by_id = {r.scheme_id: r for r in run_experiment("uniform-grid", samples=50_000).schemes}
         assert by_id["1"].verdict == "violated"
         assert by_id["1"].source_entropy_bits == pytest.approx(math.log2(6), abs=1e-9)
         assert by_id["2"].verdict == "violated"
@@ -293,15 +309,11 @@ class TestRunScheme:
         assert by_id["3"].distortion_mc.samples == 50_000
 
     def test_gauss_diff_reports(self):
-        by_id = {r.scheme_id: r for r in run_scheme("gauss-diff", samples=20_000)}
+        by_id = {r.scheme_id: r for r in run_experiment("gauss-diff", samples=20_000).schemes}
         assert by_id["centralized"].distortion_analytic == pytest.approx(1 / 11)
         assert by_id["AF"].distortion_analytic == pytest.approx(1 / 6)
         assert by_id["AF"].distortion_mc is not None
 
-    def test_config_dict_form(self):
-        reports = run_scheme({"experiment": "gauss-binary", "rho": 0.5})
-        assert {r.scheme_id for r in reports} == {"2", "3"}
-
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
-            run_scheme("nonesuch")
+            run_experiment("nonesuch")
