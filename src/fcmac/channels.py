@@ -13,10 +13,11 @@ from .probability import (Alphabet, AxisError, JointPMF, Kernel, _plogp, compose
                           mutual_information, plogp)
 
 CAPACITY_GRID_POINTS = 51
-# Capacity grid points. With one BLAS thread on a 2-vCPU Xeon VM and a random
-# binary-output law, the worst admitted pair, 1x6 inputs (3,478,761 points),
-# takes 24.5-24.9 s and 862 MB, nearly all enumerating the 6-symbol simplex;
-# 3x3 inputs (1,758,276 points) 0.76-0.86 s.
+# Capacity grid points. With one BLAS thread on a 2-vCPU Xeon VM and random
+# binary-output laws, the worst admitted pair, 1x6 inputs (3,478,761 points),
+# takes 1.07-1.26 s and 388 MB peak RSS (20.5-24.9 s and 862 MB while the
+# simplex grid took one np.bincount per point); 3x3 inputs (1,758,276 points)
+# 0.80 s and 120 MB; 2x4 0.47 s and 94 MB.
 CAPACITY_GRID_CAP = 4_000_000
 
 
@@ -84,13 +85,28 @@ def _product_mutual_info(law3: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> fl
 
 
 def _simplex_grid(dim: int, points: int) -> np.ndarray:
-    """All pmfs on ``dim`` symbols with entries in multiples of 1/(points-1)."""
+    """All pmfs on ``dim`` symbols with entries in multiples of 1/(points-1),
+    in ``itertools.combinations_with_replacement`` order: the first symbol's
+    count descending, then, for each, the rest in the same order."""
     steps = points - 1
-    rows = []
-    for combo in itertools.combinations_with_replacement(range(dim), steps):
-        counts = np.bincount(combo, minlength=dim)
-        rows.append(counts / steps)
-    return np.array(rows)
+    # blocks[t]: the count rows over the last d symbols that sum to t; every
+    # (d, t) block recurs under many leading counts, so each is built once
+    blocks = [np.array([[t]], dtype=np.min_scalar_type(steps)) for t in range(steps + 1)]
+    for d in range(2, dim):
+        blocks = [_prefix_counts(blocks, t) for t in range(steps + 1)]
+    counts = blocks[steps] if dim == 1 else _prefix_counts(blocks, steps)
+    return np.divide(counts, steps, dtype=float)
+
+
+def _prefix_counts(blocks: list[np.ndarray], t: int) -> np.ndarray:
+    """Count rows summing to ``t`` over one more leading symbol, whose count
+    runs from ``t`` down to 0 with ``blocks[t - k]`` after each ``k``."""
+    parts = [blocks[t - k] for k in range(t, -1, -1)]
+    sizes = [len(b) for b in parts]
+    out = np.empty((sum(sizes), parts[0].shape[1] + 1), dtype=parts[0].dtype)
+    out[:, 0] = np.repeat(np.arange(t, -1, -1), sizes)
+    out[:, 1:] = np.concatenate(parts)
+    return out
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:

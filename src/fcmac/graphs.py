@@ -20,14 +20,18 @@ from .probability import Alphabet, AxisError, JointPMF, plogp
 OR_PRODUCT_CAP = 1024
 # Vertices for exact colouring, stable-set enumeration and the graph entropies
 # built on them. At 12 vertices: stable_sets 5-8 ms (edgeless, 4095 stable
-# sets; 0.4-0.6 ms for its one maximal set); exact min_entropy_coloring up to 0.19-0.27 s (worst of 112 random
-# graphs and marginals); with a full-support 12x12 joint,
-# conditional_chromatic_entropy up to 0.7-1.2 s (a random graph, p = 0.3).
+# sets; 0.4-0.6 ms for its one maximal set). Worst of 200 random graphs (edge
+# probability 0.15-0.5, Dirichlet masses): exact min_entropy_coloring
+# 0.17-0.19 s, once 0.23 s under load from outside (0.71-0.84 s before the
+# branch-and-bound read its bound from the search state);
+# conditional_chromatic_entropy with a full-support 12x12 joint 0.13-0.19 s
+# (0.97-1.14 s before).
 # conditional_graph_entropy on four disjoint triangles (81 maximal stable
-# sets) with the joint rng(s).random((12, 12)), s = 5, 6, 7: 0.61-1.0 s at
-# the default 10,000 iterations, the colouring bound 0.10-0.16 s of it; s = 5
-# stops certified, s = 6 and 7 stop at the iteration cap with gaps of 3.2e-7
-# and 4.2e-5 bits.
+# sets) with the joint rng(s).random((12, 12)), s = 5, 6, 7: 0.36-0.69 s at
+# the default 10,000 iterations, the colouring bound 0.013-0.038 s of it
+# (0.09-0.14 s before); s = 5 stops certified, s = 6 and 7 stop at the
+# iteration cap with gaps of 3.2e-7 and 4.2e-5 bits. The solver's
+# iterations, not the colouring, bound this size.
 EXACT_COLORING_CAP = 12
 # Multiply-adds |X|^2 |Y| of the zigzag matrix product. At the cap, worst
 # case a 2048x2048 support whose distinct rows are nested: 0.53-0.6 s.
@@ -240,6 +244,14 @@ def _plogp(x: float) -> float:
     return x * np.log2(x) if x > 0 else 0.0
 
 
+class _PlogpMemo(dict):
+    """Scalar p*log2(p) by mass, computed on first lookup."""
+
+    def __missing__(self, x: float) -> float:
+        y = self[x] = _plogp(x)
+        return y
+
+
 def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
                            ) -> tuple[list[int], float]:
     """Exact minimum of H(class | column) over proper partitions.
@@ -251,6 +263,18 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
     mass merged into the column's largest class). Ties resolve to the first
     partition in lexicographic restricted-growth order, i.e. the
     lexicographically smallest color-class partition.
+
+    The search state makes the bound O(columns) per node. It keeps ``s``,
+    the running sum of p*log2(p) over every (class, column) cell, which is
+    also the sum over columns of each column's cell sum; each class's cell
+    masses with their p*log2(p) alongside, so placing a vertex evaluates only
+    the cells of the columns it has mass in; and ``peak``, each column's
+    largest class mass, which each child gets as its own copy. With ``r`` a
+    column's mass not yet placed, the bound is ``-s - H(Z)`` plus, per
+    column, ``plogp(peak) - plogp(peak + r)``. Scalar p*log2(p) is memoised
+    per call, keyed by the mass, and stays ``np.log2``: ``math.log2`` differs
+    from it in the last bit on about 0.2 % of inputs, which changes the
+    returned values.
     """
     n, m = weights.shape
     col_total = weights.sum(axis=0)
@@ -258,26 +282,19 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
     # classes hold only vertices placed before v, so the classes v may not
     # join are those of its earlier neighbours
     earlier = [np.flatnonzero(adj[v, :v]).tolist() for v in range(n)]
+    rows = weights.tolist()
+    # adding a zero cell leaves a class unchanged
+    support = [[(z, x) for z, x in enumerate(row) if x] for row in rows]
+    plogp_of = _PlogpMemo()
 
     best_assign: list[int] | None = None
     best_val = float("inf")
     assign = [0] * n
-    class_mass: list[np.ndarray] = []
+    cells: list[tuple[list[float], list[float]]] = []   # per class: masses, p*log2(p)
     s = 0.0     # running sum of p*log2(p) over all (class, column) cells
+    empty = ([0.0] * m, [0.0] * m)
 
-    def bound(remaining: np.ndarray) -> float:
-        total = 0.0
-        for z in range(m):
-            r = remaining[z]
-            if class_mass:
-                mz = max(cm[z] for cm in class_mass)
-                sz = sum(_plogp(cm[z]) for cm in class_mass)
-                total += -(sz - _plogp(mz) + _plogp(mz + r))
-            else:
-                total += -_plogp(r)
-        return total - h_cond
-
-    def descend(v: int, remaining: np.ndarray) -> None:
+    def descend(v: int, remaining: list[float], peak: list[float]) -> None:
         nonlocal best_assign, best_val, s
         if v == n:
             val = -s - h_cond
@@ -285,27 +302,38 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
                 best_val = val
                 best_assign = assign.copy()
             return
-        if bound(remaining) >= best_val - 1e-12:
+        # merging each column's remaining mass into its largest class changes
+        # that column's cell sum by plogp(peak + r) - plogp(peak)
+        bound = -s - h_cond
+        for p, r in zip(peak, remaining):
+            bound += plogp_of[p] - plogp_of[p + r]
+        if bound >= best_val - 1e-12:
             return
-        w = weights[v]
-        rem = remaining - w
+        rem = [r - x for r, x in zip(remaining, rows[v])]
         taken = {assign[u] for u in earlier[v]}
-        for c in range(len(class_mass) + 1):
+        for c in range(len(cells) + 1):
             if c in taken:
                 continue
-            if c == len(class_mass):      # opening a class joins an empty one
-                class_mass.append(np.zeros(m))
-            old = class_mass[c]
-            ds = sum(_plogp(o + x) - _plogp(o) for o, x in zip(old, w))
-            class_mass[c] = old + w
+            if c == len(cells):      # opening a class joins an empty one
+                cells.append(empty)
+            old = old_mass, old_logs = cells[c]
+            mass, logs, child_peak = old_mass.copy(), old_logs.copy(), peak.copy()
+            ds = 0
+            for z, x in support[v]:
+                t = mass[z] = old_mass[z] + x
+                y = logs[z] = plogp_of[t]
+                ds += y - old_logs[z]
+                if t > child_peak[z]:
+                    child_peak[z] = t
+            cells[c] = (mass, logs)
             s += ds
             assign[v] = c
-            descend(v + 1, rem)
-            class_mass[c] = old
+            descend(v + 1, rem, child_peak)
+            cells[c] = old
             s -= ds
-        class_mass.pop()
+        cells.pop()
 
-    descend(0, col_total.copy())
+    descend(0, col_total.tolist(), [0.0] * m)
     assert best_assign is not None
     return best_assign, max(best_val, 0.0)
 

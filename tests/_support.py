@@ -447,6 +447,18 @@ def loop_greedy_assignment(adj: list[int], vertex_mass: np.ndarray) -> list[int]
     return [remap[a] for a in assign]
 
 
+def loop_simplex_grid(dim: int, points: int) -> np.ndarray:
+    """Pmfs on ``dim`` symbols in multiples of 1/(points-1), one
+    ``np.bincount`` per combination with replacement: the capacity search's
+    grid as the channel layer built it before it assembled count blocks."""
+    steps = points - 1
+    rows = []
+    for combo in itertools.combinations_with_replacement(range(dim), steps):
+        counts = np.bincount(combo, minlength=dim)
+        rows.append(counts / steps)
+    return np.array(rows)
+
+
 LOOP_CGE_SEED = 987654321
 
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from _support import loop_simplex_grid
 from fcmac.channels import (
     DiscreteMAC,
     GaussianMAC,
+    _simplex_grid,
     adder_mac,
     gmac_sum_rate,
     mac_mutual_info,
@@ -111,6 +113,24 @@ class TestSumCapacity:
         law = Kernel((x1, x2), (y,), np.full((36, 2), 0.5))
         with pytest.raises(SizeCapError, match="capacity grid of"):
             mac_sum_capacity_independent(DiscreteMAC((x1, x2), y, law))
+
+    @pytest.mark.parametrize("points", [2, 3, 11, 51])
+    def test_simplex_grid_against_loop(self, points):
+        for dim in range(1, 7):
+            grid = _simplex_grid(dim, points)
+            if (dim, points) != (6, 51):
+                want = loop_simplex_grid(dim, points)
+                assert grid.dtype == want.dtype and grid.shape == want.shape
+                assert grid.tobytes() == want.tobytes()
+                continue
+            # the loop takes about 25 s here, so check instead that the rows
+            # are every composition of 50 into 6 counts, once each, in
+            # strictly descending lexicographic order: the loop's order above
+            counts = np.rint(grid * 50).astype(np.int64)
+            assert grid.tobytes() == (counts / 50).tobytes()
+            assert len(grid) == math.comb(55, 5)
+            assert (counts >= 0).all() and (counts.sum(axis=1) == 50).all()
+            assert (np.diff(counts @ 51 ** np.arange(5, -1, -1)) < 0).all()
 
 
 class TestGaussianSumRate:

@@ -540,23 +540,47 @@ class TestFastPathsAgainstLoops:
             assert (graphs._greedy_assignment(g._adj, mass)
                     == loop_greedy_assignment(loop_adjacency_masks(g), mass))
 
-    @pytest.mark.parametrize("peers", ["one-column", "one-peer", "full-support"])
+    @pytest.mark.parametrize("peers", ["one-column", "one-peer", "full-support",
+                                       "tied-eighths", "twelve-columns"])
     def test_min_entropy_partition(self, peers):
-        # the bitmask branch-and-bound and the matrix one share their
-        # arithmetic, so assignments and values must be equal bit for bit
+        # the bitmask branch-and-bound and the matrix one share the arithmetic
+        # of every leaf value; their bounds differ only in rounding, far
+        # inside the 1e-12 prune margin, so assignments and values must be
+        # equal bit for bit
         rng = np.random.default_rng(37)
         for n in [12, 12] + rng.integers(1, 11, size=170).tolist():
+            if peers == "twelve-columns" and n != 12:
+                continue
             g = random_graph(rng, n, edge_prob=0.3 if n == 12 else None)
             if peers == "one-column":
                 weights = rng.dirichlet(np.ones(n)).reshape(n, 1)
             elif peers == "one-peer":
                 weights = np.zeros((n, 4))
                 weights[np.arange(n), rng.integers(0, 4, size=n)] = rng.dirichlet(np.ones(n))
+            elif peers == "tied-eighths":
+                # exact multiples of 1/8: columns whose largest class masses
+                # tie, and bounds that land exactly on the best value
+                m = int(rng.integers(1, 4))
+                weights = rng.multinomial(8, np.full(n * m, 1 / (n * m))).reshape(n, m) / 8
+            elif peers == "twelve-columns":
+                weights = rng.dirichlet(np.ones(n * 12)).reshape(n, 12)
             else:
                 m = 3 if n == 12 else int(rng.integers(2, 5))
                 weights = rng.dirichlet(np.ones(n * m)).reshape(n, m)
             assert (graphs._min_entropy_partition(g._adj, weights)
                     == loop_min_entropy_partition(loop_adjacency_masks(g), weights))
+
+    def test_conditional_chromatic_entropy_of_pairs(self):
+        # block length 2 on 3-vertex bases: the OR product and the iid pair
+        # joint through the bitmask reference, halved
+        rng = np.random.default_rng(38)
+        for _ in range(40):
+            g = random_graph(rng, 3)
+            peers = int(rng.integers(1, 4))
+            joint = random_pmf(rng, (3, peers), ("v", "p"))
+            _, value = loop_min_entropy_partition(
+                loop_adjacency_masks(or_product(g, 2)), iid_pair_power(joint, 2).mass)
+            assert conditional_chromatic_entropy(g, joint, 2) == float(value) / 2
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
