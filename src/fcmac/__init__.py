@@ -46,7 +46,6 @@ from .feasibility import (
     DistortionTable,
     FeasibilityReport,
     SystemSpec,
-    assemble_joint,
     check_feasibility,
     expected_distortion,
     induce_remote_distortion,

@@ -131,11 +131,7 @@ def _print_experiment(result: experiments.ExperimentResult) -> None:
 def _cmd_experiment(args) -> int:
     overrides = {key: getattr(args, key) for key in _OVERRIDE_FIELDS
                  if getattr(args, key) is not None}
-    try:
-        result = experiments.run_experiment(args.id, seed=args.seed, **overrides)
-    except TypeError as exc:
-        print(f"error: unsupported override for {args.id}: {exc}", file=sys.stderr)
-        return 2
+    result = experiments.run_experiment(args.id, seed=args.seed, **overrides)
     _print_experiment(result)
     if args.out:
         if args.format == "json":

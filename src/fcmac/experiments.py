@@ -12,6 +12,7 @@ zigzag claim for the ternary example does not hold).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,8 +43,6 @@ LOG2_3 = math.log2(3.0)
 LOG2_6 = math.log2(6.0)
 COLOR_ENTROPY = LOG2_3 - 2.0 / 3.0          # entropy of a (2/3, 1/3) split
 FOUR_THIRDS = 4.0 / 3.0
-
-EXPERIMENT_IDS = ("section5", "gauss-diff", "gauss-binary", "uniform-grid")
 
 # Largest sweep a run accepts, from the wall time of the whole CLI run,
 # interpreter start included, on a 2-vCPU Xeon VM with one BLAS thread.
@@ -136,6 +135,11 @@ def run_experiment(experiment_id: str, seed: int = DEFAULT_SEED,
     except KeyError:
         raise UnknownExperimentError(
             f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}") from None
+    accepted = [name for name in inspect.signature(runner).parameters if name != "seed"]
+    unsupported = [name for name in overrides if name not in accepted]
+    if unsupported:
+        raise ValueError(f"unsupported override for {experiment_id}: {', '.join(unsupported)};"
+                         f" it accepts {', '.join(accepted) or 'no overrides'}")
     return runner(seed=seed, **overrides)
 
 
@@ -403,3 +407,4 @@ _RUNNERS = {
     "gauss-binary": _gauss_binary,
     "uniform-grid": _uniform_grid,
 }
+EXPERIMENT_IDS = tuple(_RUNNERS)

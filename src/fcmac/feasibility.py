@@ -33,15 +33,16 @@ FEASIBILITY_CELL_CAP = 2**23
 
 @dataclass(frozen=True, eq=False)
 class DistortionTable:
-    """Per-pair cost d(output, estimate) with d(a, b) = 0 iff a = b."""
+    """Per-pair cost d(output, estimate) with d(a, b) = 0 iff a = b. Each
+    label set is held as an ``Alphabet``, which refuses a repeated label."""
 
-    output_labels: tuple
-    estimate_labels: tuple
+    output_labels: Alphabet
+    estimate_labels: Alphabet
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        out = tuple(self.output_labels)
-        est = tuple(self.estimate_labels)
+        out = Alphabet("function_range", self.output_labels)
+        est = Alphabet("decoder_range", self.estimate_labels)
         vals = np.array(self.values, dtype=float)
         if vals.shape != (len(out), len(est)):
             raise ValueError(f"distortion shape {vals.shape} != {(len(out), len(est))}")
@@ -143,15 +144,6 @@ class SystemSpec:
         }
 
 
-def assemble_joint(spec: SystemSpec) -> JointPMF:
-    """Ten-axis joint with the chain factorization
-    source x w1 x w2 x x1 x x2 x channel: the dense reference for the
-    clique-wise check, which never builds it."""
-    return compose(spec.source_joint,
-                   [spec.w1_kernel, spec.w2_kernel,
-                    spec.x1_kernel, spec.x2_kernel, spec.channel.law])
-
-
 def verdict_from_margin(margin_bits: float) -> str:
     """``boundary`` within ``BOUNDARY_TOL`` of zero, else ``strict`` for a
     positive margin (rate below capacity) and ``violated`` for a negative one."""
@@ -204,17 +196,18 @@ def expected_distortion(spec: SystemSpec, joint: JointPMF | None = None) -> floa
     names = spec.axis_names
     keep = (names["u1"], names["u2"], names["w1"], names["w2"], names["z"])
     marg = reorder(marginalize(joint, keep), keep)
-    f_codes = _label_codes(spec.function.values, spec.distortion.output_labels)
-    d_codes = _label_codes(spec.decoder.values, spec.distortion.estimate_labels)
+    f_codes = _label_codes(spec.function, spec.distortion.output_labels)
+    d_codes = _label_codes(spec.decoder, spec.distortion.estimate_labels)
     cost = spec.distortion.values[f_codes[:, :, None, None, None],
                                   d_codes[None, None, :, :, :]]
     return float(np.sum(marg.mass * cost))
 
 
-def _label_codes(values: np.ndarray, labels: tuple) -> np.ndarray:
-    lut = {lbl: i for i, lbl in enumerate(labels)}
-    flat = np.array([lut[v] for v in values.ravel()], dtype=int)
-    return flat.reshape(values.shape)
+def _label_codes(table: FunctionTable, labels: Alphabet) -> np.ndarray:
+    """Each cell's label as its position in ``labels``, looked up once per
+    distinct label."""
+    lut = np.array([labels.index(v) for v in table.range_labels()], dtype=np.intp)
+    return lut[table._codes]
 
 
 def _require_cells(axes: tuple[Alphabet, ...]) -> None:
@@ -313,8 +306,8 @@ def induce_remote_distortion(posterior: Kernel, f: FunctionTable, g: FunctionTab
     w_axis, g_z = g.domain_axes
     _require(g_z.symbols == obs_z.symbols,
              "reconstruction side-info axis must match the observed side info")
-    f_codes = _label_codes(f.values, d.output_labels)          # (u, z)
-    g_codes = _label_codes(g.values, d.estimate_labels)        # (w, z~)
+    f_codes = _label_codes(f, d.output_labels)                 # (u, z)
+    g_codes = _label_codes(g, d.estimate_labels)               # (w, z~)
     post = posterior.tensor                                    # (u~, z~, u, z)
     cost = d.values[f_codes[None, :, :, None],
                     np.transpose(g_codes)[:, None, None, :]]   # (z~, u, z, w)

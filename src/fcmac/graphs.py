@@ -117,7 +117,12 @@ class Coloring:
 
 @dataclass(frozen=True, eq=False)
 class FunctionTable:
-    """Total function on a product of alphabets, stored as a dense label table."""
+    """Total function on a product of alphabets, stored as a dense label table.
+
+    Labels must be hashable; labels that compare equal (``1`` and ``1.0``)
+    are one label. ``_codes`` holds each cell's label as its position in
+    ``range_labels()``.
+    """
 
     domain_axes: tuple[Alphabet, ...]
     values: np.ndarray
@@ -126,9 +131,15 @@ class FunctionTable:
         axes = tuple(self.domain_axes)
         values = np.empty(tuple(len(a) for a in axes), dtype=object)
         values[...] = np.asarray(self.values, dtype=object).reshape(values.shape)
+        code: dict = {}
+        codes = np.array([code.setdefault(v, len(code)) for v in values.flat],
+                         dtype=np.intp).reshape(values.shape)
         values.setflags(write=False)
+        codes.setflags(write=False)
         object.__setattr__(self, "domain_axes", axes)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_labels", tuple(code))
+        object.__setattr__(self, "_codes", codes)
 
     @staticmethod
     def from_callable(domain_axes, fn: Callable) -> "FunctionTable":
@@ -144,11 +155,7 @@ class FunctionTable:
 
     def range_labels(self) -> tuple:
         """Distinct output labels, ordered by first appearance in C order."""
-        seen = []
-        for v in self.values.ravel():
-            if v not in seen:
-                seen.append(v)
-        return tuple(seen)
+        return self._labels
 
     def reordered(self, names) -> "FunctionTable":
         """Permute domain axes into the given name order."""
@@ -179,10 +186,9 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
     Exact mode (``delta is None``): two symbols are joined when some
     positive-probability peer symbol makes the function values differ.
     Threshold mode: joined when the values differ by more than ``delta``
-    under ``range_distortion`` for some such peer. Labels must be hashable;
-    ``range_distortion`` is called once per ordered pair of
-    ``f.range_labels()``, and for vertices i < j the pair read is
-    (f(i, peer), f(j, peer)).
+    under ``range_distortion`` for some such peer. ``range_distortion`` is
+    called once per ordered pair of ``f.range_labels()``, and for vertices
+    i < j the pair read is (f(i, peer), f(j, peer)).
     """
     if len(joint.axes) != 2:
         raise AxisError(f"need a two-axis joint, got axes {joint.axis_names}")
@@ -199,8 +205,7 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
     else:
         pair_table = [[range_distortion(la, lb) > delta for lb in labels] for la in labels]
     confusable_labels = np.array(pair_table, dtype=bool)
-    code = {label: k for k, label in enumerate(labels)}
-    codes = np.array([code[v] for v in f.values.flat], dtype=np.intp).reshape(f.values.shape)
+    codes = f._codes
     support = joint.mass > 0
     n, m = support.shape
     adj = np.zeros((n, n), dtype=bool)
@@ -431,11 +436,15 @@ def _stable_rows(g: CharGraph, maximal_only: bool) -> np.ndarray:
     return member
 
 
+def _row_sets(g: CharGraph, rows: np.ndarray) -> list[frozenset]:
+    """The vertex sets of membership rows."""
+    syms = g.vertices.symbols
+    return [frozenset(itertools.compress(syms, row)) for row in rows.tolist()]
+
+
 def stable_sets(g: CharGraph, maximal_only: bool = True) -> list[frozenset]:
     """Stable (independent) vertex sets, optionally only the maximal ones."""
-    syms = g.vertices.symbols
-    return [frozenset(itertools.compress(syms, row))
-            for row in _stable_rows(g, maximal_only).tolist()]
+    return _row_sets(g, _stable_rows(g, maximal_only))
 
 
 @dataclass(frozen=True)
@@ -450,10 +459,6 @@ class ConditionalGraphEntropyResult:
     sets: tuple[frozenset, ...]
     converged: bool             # gap <= tol at the returned kernel
     gap: float
-
-    @property
-    def warning(self) -> bool:
-        return not self.converged
 
 
 def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
@@ -470,7 +475,7 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     """
     _check_vertex_axis(joint, g, "joint")
     rows = _stable_rows(g, maximal_only=True)
-    sets = [frozenset(itertools.compress(g.vertices.symbols, row)) for row in rows.tolist()]
+    sets = _row_sets(g, rows)
     # C order: a transposed view would pass q to BLAS in F order, which sums
     # the products below in another order
     allowed = np.ascontiguousarray(rows.T)

@@ -57,16 +57,20 @@ def _emit_label(value):
     return str(value)
 
 
+def _alphabet(name: str, symbols, path: str) -> Alphabet:
+    """The alphabet of a JSON array of labels found at ``path``."""
+    syms = tuple(_label(s, f"{path}[{i}]") for i, s in enumerate(_expect_list(symbols, path)))
+    try:
+        return Alphabet(name, syms)
+    except ValueError as exc:
+        raise SpecFormatError(path, str(exc)) from None
+
+
 def alphabet_from_json(obj, path: str) -> Alphabet:
     name = _get(obj, "name", path)
     if not isinstance(name, str):
         raise SpecFormatError(f"{path}.name", "alphabet name must be a string")
-    symbols = _expect_list(_get(obj, "symbols", path), f"{path}.symbols")
-    syms = tuple(_label(s, f"{path}.symbols[{i}]") for i, s in enumerate(symbols))
-    try:
-        return Alphabet(name, syms)
-    except ValueError as exc:
-        raise SpecFormatError(f"{path}.symbols", str(exc)) from None
+    return _alphabet(name, _get(obj, "symbols", path), f"{path}.symbols")
 
 
 def alphabet_to_json(a: Alphabet) -> dict:
@@ -144,15 +148,11 @@ def mac_to_json(mac: DiscreteMAC) -> dict:
 
 
 def graph_from_json(obj, path: str = "$") -> CharGraph:
-    verts = _expect_list(_get(obj, "vertices", path), f"{path}.vertices")
-    symbols = tuple(_label(v, f"{path}.vertices[{i}]") for i, v in enumerate(verts))
+    verts = _get(obj, "vertices", path)
     name = obj.get("name", "v")
     if not isinstance(name, str):
         raise SpecFormatError(f"{path}.name", "graph name must be a string")
-    try:
-        alphabet = Alphabet(name, symbols)
-    except ValueError as exc:
-        raise SpecFormatError(f"{path}.vertices", str(exc)) from None
+    alphabet = _alphabet(name, verts, f"{path}.vertices")
     edges = set()
     for i, e in enumerate(_expect_list(_get(obj, "edges", path), f"{path}.edges")):
         pair = _expect_list(e, f"{path}.edges[{i}]")
@@ -160,11 +160,11 @@ def graph_from_json(obj, path: str = "$") -> CharGraph:
             raise SpecFormatError(f"{path}.edges[{i}]", "an edge is a two-element array")
         a, b = pair
         for s in (a, b):
-            if s not in symbols:
+            if s not in alphabet:
                 raise SpecFormatError(f"{path}.edges[{i}]", f"unknown vertex {s!r}")
         edges.add((a, b))
     try:
-        return CharGraph(alphabet, frozenset(edges))
+        return CharGraph(alphabet, edges)
     except ValueError as exc:
         raise SpecFormatError(f"{path}.edges", str(exc)) from None
 
@@ -198,20 +198,14 @@ def function_table_from_json(obj, path: str = "$") -> FunctionTable:
 
 
 def function_table_to_json(f: FunctionTable) -> dict:
-    out = np.empty(f.values.shape, dtype=object)
-    flat_src = f.values.ravel()
-    flat_dst = out.ravel()
-    for i, v in enumerate(flat_src):
-        flat_dst[i] = _emit_label(v)
+    emitted = np.array([_emit_label(v) for v in f.range_labels()], dtype=object)
     return {"domain_axes": [alphabet_to_json(a) for a in f.domain_axes],
-            "values": out.tolist()}
+            "values": emitted[f._codes].tolist()}
 
 
 def distortion_from_json(obj, path: str = "$") -> DistortionTable:
-    outs = _expect_list(_get(obj, "function_range", path), f"{path}.function_range")
-    ests = _expect_list(_get(obj, "decoder_range", path), f"{path}.decoder_range")
-    out_labels = tuple(_label(v, f"{path}.function_range[{i}]") for i, v in enumerate(outs))
-    est_labels = tuple(_label(v, f"{path}.decoder_range[{i}]") for i, v in enumerate(ests))
+    out_labels, est_labels = (_alphabet(key, _get(obj, key, path), f"{path}.{key}")
+                              for key in ("function_range", "decoder_range"))
     values = _nested_floats(_get(obj, "values", path),
                             (len(out_labels), len(est_labels)), f"{path}.values")
     try:
@@ -284,8 +278,10 @@ def load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise SpecFormatError("$", f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # malformed text, or an integer over the digit limit
         raise SpecFormatError("$", f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise SpecFormatError("$", f"invalid JSON in {path}: nested too deeply") from None
 
 
 def dump_json(obj, path: str) -> None:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .channels import adder_mac
 from .feasibility import DistortionTable, SystemSpec
 from .graphs import FunctionTable
@@ -32,9 +30,7 @@ def _singleton(name: str) -> Alphabet:
 
 def ternary_source_joint(name1: str = "u1", name2: str = "u2") -> JointPMF:
     """Uniform mass 1/6 on every off-diagonal ternary pair."""
-    mass = np.full((3, 3), 1.0 / 6.0)
-    np.fill_diagonal(mass, 0.0)
-    return JointPMF((Alphabet(name1, TERNARY), Alphabet(name2, TERNARY)), mass)
+    return offdiagonal_cell_pmf(3, name1, name2)
 
 
 def comparison_function() -> FunctionTable:

@@ -43,6 +43,12 @@ class Alphabet:
     def __iter__(self):
         return iter(self.symbols)
 
+    def __contains__(self, symbol) -> bool:
+        try:
+            return symbol in self._position
+        except TypeError:       # unhashable, so not a symbol
+            return False
+
     def index(self, symbol) -> int:
         try:
             return self._position[symbol]
@@ -96,10 +102,7 @@ class JointPMF:
         return tuple(a.name for a in self.axes)
 
     def axis(self, name: str) -> Alphabet:
-        for a in self.axes:
-            if a.name == name:
-                return a
-        raise AxisError(f"no axis named {name!r}; have {self.axis_names}")
+        return self.axes[self.axis_position(name)]
 
     def axis_position(self, name: str) -> int:
         for i, a in enumerate(self.axes):

@@ -16,7 +16,7 @@ from fcmac.channels import DiscreteMAC
 from fcmac.feasibility import DistortionTable, SystemSpec
 from fcmac.graphs import (CharGraph, ConditionalGraphEntropyResult, FunctionTable,
                           conditional_chromatic_entropy, stable_sets)
-from fcmac.probability import Alphabet, JointPMF, Kernel
+from fcmac.probability import Alphabet, JointPMF, Kernel, compose
 
 
 # --- random instances -------------------------------------------------------
@@ -87,6 +87,15 @@ def random_system_spec(rng: np.random.Generator, sizes: dict | None = None) -> S
         distortion=DistortionTable(labels, labels, costs),
         target_d=float(rng.uniform(0.0, 1.0)),
     )
+
+
+def assemble_joint(spec: SystemSpec) -> JointPMF:
+    """Ten-axis joint with the chain factorization
+    source x w1 x w2 x x1 x x2 x channel: the dense reference for the
+    clique-wise check, which never builds it."""
+    return compose(spec.source_joint,
+                   [spec.w1_kernel, spec.w2_kernel,
+                    spec.x1_kernel, spec.x2_kernel, spec.channel.law])
 
 
 # --- dict-based information oracles -----------------------------------------
@@ -286,6 +295,21 @@ def _grid_cge_three_vertices(grids, cond, p1, p2, n2) -> float:
 
 
 # --- loop references for the vectorised graph kernels ------------------------
+
+def loop_label_codes(values: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Distinct labels of a label table by first appearance in C order, found
+    by comparing each cell with every label seen so far, and each cell's
+    position among them."""
+    labels: list = []
+    codes = np.empty(values.shape, dtype=np.intp)
+    for idx in itertools.product(*(range(n) for n in values.shape)):
+        v = values[idx]
+        k = next((k for k, seen in enumerate(labels) if seen == v), len(labels))
+        if k == len(labels):
+            labels.append(v)
+        codes[idx] = k
+    return tuple(labels), codes
+
 
 def loop_characteristic_edges(joint: JointPMF, f: FunctionTable, delta=None,
                               range_distortion=lambda a, b: abs(a - b)) -> set:

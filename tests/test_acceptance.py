@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from _support import (
+    assemble_joint,
     grid_conditional_graph_entropy,
     random_graph,
     random_kernel,
@@ -17,7 +18,7 @@ from _support import (
 from fcmac import presets
 from fcmac.channels import GaussianMAC, adder_mac, gmac_sum_rate, mac_sum_capacity_independent
 from fcmac.experiments import run_experiment
-from fcmac.feasibility import assemble_joint, check_feasibility
+from fcmac.feasibility import check_feasibility
 from fcmac.graphs import (
     CharGraph,
     characteristic_graph,

@@ -88,6 +88,17 @@ class TestCheckCommand:
         assert main(["check", "theorem1", "--spec", str(bad)]) == 2
         assert "$.target_d" in capsys.readouterr().err
 
+    def test_repeated_distortion_label_exits_2(self, tmp_path, spec_files, capsys):
+        obj = jsonio.load_json(str(spec_files["joint_spec"]))
+        # a third row equal to the second keeps d = 0 iff the labels are equal
+        obj["distortion"]["function_range"] = [0, 1, 1]
+        obj["distortion"]["values"].append([1.0, 0.0])
+        bad = tmp_path / "repeated.json"
+        jsonio.dump_json(obj, str(bad))
+        assert main(["check", "theorem1", "--spec", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: $.distortion.function_range: alphabet 'function_range' has duplicate")
+
     def test_cell_cap_exits_2(self, spec_files, monkeypatch, capsys):
         monkeypatch.setattr(feasibility, "FEASIBILITY_CELL_CAP", 10)
         assert main(["check", "theorem1", "--spec", str(spec_files["joint_spec"])]) == 2
@@ -125,6 +136,13 @@ class TestExperimentCommand:
     def test_bad_override_exits_2(self, capsys):
         assert main(["experiment", "section5", "--rho", "0.5"]) == 2
         assert "override" in capsys.readouterr().err
+
+    def test_every_unsupported_override_named(self, capsys):
+        assert main(["experiment", "gauss-binary", "--cells", "4",
+                     "--samples", "10000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unsupported override for gauss-binary: samples, cells;"
+            " it accepts rho, power, rho_x\n")
 
     def test_over_cap_cells_refused_before_the_pmf(self, capsys, monkeypatch):
         def no_pmf(*args, **kwargs):
@@ -402,6 +420,37 @@ def test_gauss_diff_at_full_correlation(tmp_path, capsys):
     row = rows["mc_af_relative_error"]
     assert row["value"] == 0.0
     assert row["note"].endswith("; absolute error, the closed form is 0")
+
+
+class TestUnparsableJson:
+    """Files the JSON parser itself refuses exit 2 with the root path ``$``."""
+
+    @staticmethod
+    def argv(command: str, bad: Path, spec_files, tmp_path) -> list[str]:
+        if command == "check":
+            return ["check", "theorem1", "--spec", str(bad)]
+        if command == "color":
+            return ["graph", "color", "--graph", str(bad),
+                    "--marginal", str(spec_files["marginal"])]
+        graph = tmp_path / "graph.json"
+        jsonio.dump_json(jsonio.graph_to_json(graphs.characteristic_graph(
+            presets.ternary_source_joint(), presets.comparison_function())), str(graph))
+        return ["graph", "entropy", "--graph", str(graph), "--kind", "conditional-graph",
+                "--joint", str(bad)]
+
+    @pytest.mark.parametrize("command", ["color", "entropy", "check"])
+    def test_deeply_nested_file_exits_2(self, command, spec_files, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(self.argv(command, bad, spec_files, tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: $: invalid JSON")
+
+    @pytest.mark.parametrize("command", ["color", "entropy", "check"])
+    def test_over_long_integer_exits_2(self, command, spec_files, tmp_path, capsys):
+        bad = tmp_path / "long.json"
+        bad.write_text('{"vertices": [' + "7" * 5000 + '], "edges": []}')
+        assert main(self.argv(command, bad, spec_files, tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: $: invalid JSON")
 
 
 class TestPathErrors:

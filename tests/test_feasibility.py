@@ -4,13 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _support import alph, random_system_spec
+from _support import alph, assemble_joint, random_system_spec
 from fcmac import feasibility, presets
 from fcmac.channels import DiscreteMAC, adder_mac
 from fcmac.feasibility import (
     DistortionTable,
     SystemSpec,
-    assemble_joint,
     check_feasibility,
     expected_distortion,
     induce_remote_distortion,
@@ -23,6 +22,7 @@ from fcmac.probability import (
     AxisError,
     JointPMF,
     Kernel,
+    compose,
     conditional_entropy,
     entropy,
     mutual_information,
@@ -45,6 +45,14 @@ class TestDistortionTable:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match=r"\(1, 0\) is not finite"):
             DistortionTable((0, 1), (0, 1), [[0.0, 1.0], [bad, 0.0]])
+
+    @pytest.mark.parametrize("outputs, estimates, values", [
+        ((0, 0), (0, 1), [[0.0, 1.0], [0.0, 5.0]]),   # cost(0, 1) would read either row
+        ((0, 1), (1, 1.0), [[1.0, 1.0], [0.0, 0.0]]),  # 1 and 1.0 are one label
+    ])
+    def test_repeated_label_refused(self, outputs, estimates, values):
+        with pytest.raises(ValueError, match="duplicate symbols"):
+            DistortionTable(outputs, estimates, values)
 
     def test_cost_lookup(self):
         d = DistortionTable((0, 1), (0, 1), [[0.0, 2.0], [3.0, 0.0]])
@@ -433,15 +441,21 @@ class TestCliqueCheck:
 
     def test_never_builds_the_dense_joint(self, monkeypatch):
         spec = presets.section5_system("joint")
+        built = []
 
-        def refuse(_spec):
-            raise AssertionError("the dense joint was built")
+        def at_most_seven_axes(base, kernels):
+            joint = compose(base, kernels)
+            built.append(len(joint.axes))
+            # the source clique has 7 axes, the channel clique 6, the dense joint 10
+            assert len(joint.axes) <= 7, f"a {len(joint.axes)}-axis joint was built"
+            return joint
 
-        monkeypatch.setattr(feasibility, "assemble_joint", refuse)
+        monkeypatch.setattr(feasibility, "compose", at_most_seven_axes)
         report = check_feasibility(spec)
         assert report.record("sum").verdict == "boundary"
         assert expected_distortion(spec) == report.achieved_distortion
         source_coding_region(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
+        assert built == [7, 6, 7, 7]
 
     def test_peak_memory_of_a_large_check(self):
         # 131,072 source-clique cells; the dense joint would have 5.9 M

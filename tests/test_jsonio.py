@@ -98,6 +98,10 @@ class TestGraphRoundTrip:
             jsonio.graph_from_json({"vertices": ["a"], "edges": [["a", "b"]]})
         assert "edges[0]" in str(err.value)
 
+    def test_unhashable_endpoint_names_its_edge(self):
+        with pytest.raises(jsonio.SpecFormatError, match=r"^\$\.edges\[1\]: unknown vertex"):
+            jsonio.graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["a", ["b"]]]})
+
     def test_self_loop_rejected(self):
         with pytest.raises(jsonio.SpecFormatError):
             jsonio.graph_from_json({"vertices": ["a", "b"], "edges": [["a", "a"]]})

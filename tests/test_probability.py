@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _support import dict_conditional_entropy, pmf_as_dict, random_pmf
+from _support import assemble_joint, dict_conditional_entropy, pmf_as_dict, random_pmf
 from fcmac import presets
 from fcmac.probability import (
     Alphabet,
@@ -245,7 +245,6 @@ class TestConditionalEntropy:
 class TestMutualInformation:
     def test_ternary_joint_code_value(self):
         reports = presets.section5_system("joint")
-        from fcmac.feasibility import assemble_joint
         joint = assemble_joint(reports)
         assert mutual_information(joint, ("x1", "x2"), "y") == pytest.approx(
             LOG2_3, abs=1e-9)
