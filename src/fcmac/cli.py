@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -241,7 +242,13 @@ def _cmd_channel(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call.
+
+    It holds only constants: parsing returns a fresh namespace each time, and
+    anything read per call, such as FCMAC_SEED, is resolved in ``main``.
+    """
     parser = argparse.ArgumentParser(
         prog="fcmac",
         description="Workbench for distributed computation of functions over"
@@ -311,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # every parse, validation and size-cap error is a ValueError; OSError
     # covers paths that cannot be read or written
     try:

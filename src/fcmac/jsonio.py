@@ -13,8 +13,18 @@ import numpy as np
 
 from .channels import DiscreteMAC
 from .feasibility import DistortionTable, FeasibilityReport, SystemSpec
-from .graphs import CharGraph, Coloring, FunctionTable
+from .graphs import CharGraph, Coloring, FunctionTable, SizeCapError
 from .probability import Alphabet, JointPMF, Kernel, validate
+
+# Vertices of a graph file, equal to OR_PRODUCT_CAP so that every OR product
+# the library builds can be read back. A file's vertex count alone sizes the n x n
+# adjacency matrix and the greedy colouring's quadratic work. At the cap a
+# whole `fcmac graph color --mode greedy` process, import included, takes
+# 0.18-0.22 s on the edgeless graph and 2.5-2.6 s with 161 MB peak RSS on
+# the complete graph (523,776 listed edges, a 6.2 MB file), most of it
+# reading the edge list. That part grows with the edges listed, about 4 us
+# each, which a vertex cap does not bound.
+GRAPH_FILE_VERTEX_CAP = 1024
 
 
 class SpecFormatError(ValueError):
@@ -39,12 +49,17 @@ def _expect_list(value, path: str) -> list:
     return value
 
 
-def _label(value, path: str):
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise SpecFormatError(path, "labels must be strings or numbers")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise SpecFormatError(path, f"label {value} is not finite")
-    return value
+def _check_labels(values, path_of) -> None:
+    """Refuse the first entry of ``values`` that is not a label.
+
+    ``path_of(position)`` names the offending entry; it is called only on
+    failure, so valid input builds no path strings.
+    """
+    for pos, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise SpecFormatError(path_of(pos), "labels must be strings or numbers")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SpecFormatError(path_of(pos), f"label {value} is not finite")
 
 
 def _index_path(idx) -> str:
@@ -59,9 +74,10 @@ def _emit_label(value):
 
 def _alphabet(name: str, symbols, path: str) -> Alphabet:
     """The alphabet of a JSON array of labels found at ``path``."""
-    syms = tuple(_label(s, f"{path}[{i}]") for i, s in enumerate(_expect_list(symbols, path)))
+    symbols = _expect_list(symbols, path)
+    _check_labels(symbols, lambda i: f"{path}[{i}]")
     try:
-        return Alphabet(name, syms)
+        return Alphabet(name, symbols)
     except ValueError as exc:
         raise SpecFormatError(path, str(exc)) from None
 
@@ -152,6 +168,9 @@ def graph_from_json(obj, path: str = "$") -> CharGraph:
     name = obj.get("name", "v")
     if not isinstance(name, str):
         raise SpecFormatError(f"{path}.name", "graph name must be a string")
+    if len(_expect_list(verts, f"{path}.vertices")) > GRAPH_FILE_VERTEX_CAP:
+        raise SizeCapError(f"{path}.vertices: {len(verts)} vertices exceeds the"
+                           f" graph-file cap of {GRAPH_FILE_VERTEX_CAP}")
     alphabet = _alphabet(name, verts, f"{path}.vertices")
     edges = set()
     for i, e in enumerate(_expect_list(_get(obj, "edges", path), f"{path}.edges")):
@@ -184,16 +203,13 @@ def function_table_from_json(obj, path: str = "$") -> FunctionTable:
                  for i, a in enumerate(axes_json))
     shape = tuple(len(a) for a in axes)
     data = _get(obj, "values", path)
-    values = np.empty(shape, dtype=object)
     try:
-        flat = np.asarray(data, dtype=object).reshape(shape)
+        values = np.asarray(data, dtype=object).reshape(shape)
     except ValueError:
         raise SpecFormatError(f"{path}.values",
                               f"values must form a dense table of shape {shape}") from None
-    it = np.nditer(np.zeros(shape), flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        values[idx] = _label(flat[idx], f"{path}.values{_index_path(idx)}")
+    _check_labels(values.flat, lambda pos: f"{path}.values"
+                  + _index_path(np.unravel_index(pos, shape)))
     return FunctionTable(axes, values)
 
 

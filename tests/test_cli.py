@@ -11,7 +11,7 @@ import pytest
 import fcmac
 from fcmac import experiments, feasibility, graphs, jsonio, presets, schemes
 from fcmac.channels import adder_mac
-from fcmac.cli import main
+from fcmac.cli import build_parser, main
 from fcmac.probability import marginalize
 
 
@@ -213,6 +213,31 @@ class TestExperimentCommand:
               "--seed", "1234", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_cached_parser_keeps_no_state_between_calls(self, spec_files, monkeypatch,
+                                                         capsys):
+        parser = build_parser()
+        assert build_parser() is parser
+        parsed = []
+
+        def recording_parse(argv):
+            parsed.append(type(parser).parse_args(parser, argv))
+            return parsed[-1]
+        monkeypatch.setattr(parser, "parse_args", recording_parse)
+        monkeypatch.delenv("FCMAC_SEED", raising=False)
+        with pytest.raises(SystemExit) as err:
+            main(["check", "theorem1"])     # missing --spec
+        assert err.value.code == 2
+        assert main(["check", "theorem1", "--spec", str(spec_files["joint_spec"]),
+                     "--allow-boundary"]) == 0
+        assert main(["experiment", "section5"]) == 0
+        monkeypatch.setenv("FCMAC_SEED", "4321")
+        assert main(["experiment", "section5"]) == 0
+        check, first, second = parsed
+        assert check.spec == str(spec_files["joint_spec"]) and check.allow_boundary
+        assert not hasattr(first, "spec") and not hasattr(first, "allow_boundary")
+        assert (first.seed, second.seed) == (schemes.DEFAULT_SEED, 4321)
+        assert first is not second
+
     def test_bad_seed_env_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("FCMAC_SEED", "abc")
         assert main(["experiment", "gauss-binary"]) == 2
@@ -367,6 +392,22 @@ class TestGraphCommands:
                      "--kind", "conditional-chromatic", "--joint",
                      str(spec_files["pmf"]), "--n", "7"]) == 2
         assert "error: OR-product has 2187 vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["color", "entropy"])
+    def test_over_cap_graph_file_exits_2_before_the_matrix(
+            self, command, spec_files, tmp_path, capsys, monkeypatch):
+        n = jsonio.GRAPH_FILE_VERTEX_CAP + 1
+        graph_path = tmp_path / "big.json"
+        graph_path.write_text(json.dumps({"vertices": list(range(n)), "edges": []}))
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("no adjacency matrix may be built over the cap")
+        monkeypatch.setattr(jsonio, "CharGraph", no_graph)
+        argv = ["graph", command, "--graph", str(graph_path),
+                "--marginal", str(spec_files["marginal"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: $.vertices: {n} vertices exceeds the graph-file cap of {n - 1}\n")
 
 
 class TestChannelCommands:

@@ -9,7 +9,7 @@ from fcmac import jsonio, presets
 from fcmac.channels import adder_mac
 from fcmac.cli import main
 from fcmac.feasibility import DistortionTable, check_feasibility
-from fcmac.graphs import characteristic_graph, min_entropy_coloring
+from fcmac.graphs import SizeCapError, characteristic_graph, min_entropy_coloring
 from fcmac.probability import Kernel, marginalize, validate
 
 
@@ -101,6 +101,13 @@ class TestGraphRoundTrip:
     def test_unhashable_endpoint_names_its_edge(self):
         with pytest.raises(jsonio.SpecFormatError, match=r"^\$\.edges\[1\]: unknown vertex"):
             jsonio.graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["a", ["b"]]]})
+
+    def test_vertex_cap(self):
+        cap = jsonio.GRAPH_FILE_VERTEX_CAP
+        g = jsonio.graph_from_json({"vertices": list(range(cap)), "edges": [[0, cap - 1]]})
+        assert len(g.vertices) == cap and g.has_edge(cap - 1, 0)
+        with pytest.raises(SizeCapError, match=rf"^\$\.vertices: {cap + 1} vertices exceeds"):
+            jsonio.graph_from_json({"vertices": list(range(cap + 1)), "edges": []})
 
     def test_self_loop_rejected(self):
         with pytest.raises(jsonio.SpecFormatError):
@@ -326,6 +333,29 @@ class TestNonFiniteInjection:
             captured = capsys.readouterr()
             assert captured.err.startswith(f"error: {where}: "), captured.err
             assert captured.out == ""
+
+    @pytest.mark.parametrize("bad, message", [
+        (True, "labels must be strings or numbers"),
+        (None, "labels must be strings or numbers"),
+        (["g0"], "labels must be strings or numbers"),
+        (float("nan"), "label nan is not finite"),
+        (float("-inf"), "label -inf is not finite"),
+    ])
+    def test_bad_decoder_label_names_its_cell(self, bad, message):
+        sizes = dict.fromkeys(("u1", "u2", "w1", "w2", "z", "x1", "x2", "y"), 2)
+        sizes.update(z1=1, z2=1)
+        obj = jsonio.system_spec_to_json(random_system_spec(np.random.default_rng(3), sizes))
+        values = obj["decoder"]["values"]
+        values[1][0][1] = bad
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.system_spec_from_json(obj)
+        assert str(err.value) == f"$.decoder.values[1][0][1]: {message}"
+        # of two bad cells, the first in C order is named
+        values[1][1][0] = float("inf")
+        values[0][1][1] = bad
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.system_spec_from_json(obj)
+        assert str(err.value) == f"$.decoder.values[0][1][1]: {message}"
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_label_names_its_path(self, bad):
