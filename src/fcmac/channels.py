@@ -14,10 +14,11 @@ from .probability import (Alphabet, AxisError, JointPMF, Kernel, _plogp, compose
 
 CAPACITY_GRID_POINTS = 51
 # Capacity grid points. With one BLAS thread on a 2-vCPU Xeon VM and random
-# binary-output laws, the worst admitted pair, 1x6 inputs (3,478,761 points),
-# takes 1.07-1.26 s and 388 MB peak RSS (20.5-24.9 s and 862 MB while the
-# simplex grid took one np.bincount per point); 3x3 inputs (1,758,276 points)
-# 0.80 s and 120 MB; 2x4 0.47 s and 94 MB.
+# binary-output laws (seeds 1-3), the worst admitted pair, 1x6 inputs
+# (3,478,761 points), takes 1.37-1.46 s and 388 MB peak RSS; 3x3 inputs
+# (1,758,276 points) 0.80-0.89 s and 120 MB; 2x4 0.40-0.46 s and 94 MB.
+# The grid and its sweep take nearly all of it: the refinement after it
+# takes 17-44 ms (32-68 ms while every evaluation recomputed H(Y | x1, x2)).
 CAPACITY_GRID_CAP = 4_000_000
 
 
@@ -76,12 +77,39 @@ def mac_mutual_info(mac: DiscreteMAC, input_joint: JointPMF) -> float:
     return mutual_information(joint, (a1.name, a2.name), mac.output_alphabet.name)
 
 
-def _product_mutual_info(law3: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> float:
-    """I(X1,X2;Y) for independent inputs p1, p2 (law3 shaped inputs x output)."""
+def _product_mutual_info(law3: np.ndarray, rows: np.ndarray, p1: np.ndarray,
+                         p2: np.ndarray) -> float:
+    """I(X1,X2;Y) for independent inputs p1, p2 (law3 shaped inputs x output;
+    rows[x1, x2] = -H(Y | x1, x2), the law's row sums of p log2 p)."""
     py = np.einsum("i,j,ijy->y", p1, p2, law3)
-    h_y = -_plogp(py)
-    h_y_given_x = -float(p1 @ plogp(law3).sum(axis=2) @ p2)
-    return h_y - h_y_given_x
+    return -_plogp(py) + float(p1 @ rows @ p2)
+
+
+def _block_scores(law3: np.ndarray, rows: np.ndarray, p: np.ndarray,
+                  other: np.ndarray) -> np.ndarray:
+    """g(x) = -sum_y V_x(y) log2 p(y) - H(Y | x, other) for each symbol x of
+    the first input block of ``law3``, at input ``p`` with the second input
+    held at ``other``; V_x is the output law of symbol x and p(y) the output
+    law, so that sum_x p(x) g(x) = I(X1,X2;Y). +inf for a symbol that would
+    put mass on an output of zero mass."""
+    v = other @ law3   # v[x, y] = V_x(y)
+    py = p @ v
+    dead = py <= 0
+    g = rows @ other - v @ np.log2(np.where(dead, 1.0, py))
+    if dead.any():
+        g[(v[:, dead] > 0).any(axis=1)] = math.inf
+    return g
+
+
+def _block_gap(law3: np.ndarray, rows: np.ndarray, p: np.ndarray,
+               other: np.ndarray) -> float:
+    """Frank-Wolfe gap max_x g(x) - I of the first input block (see
+    ``_block_scores``). I is concave in this block, so no change of ``p``
+    alone gains more than the gap; it is +inf when some symbol would open
+    an output of zero mass."""
+    g = _block_scores(law3, rows, p, other)
+    top = g.max()
+    return math.inf if top == math.inf else float(top - p @ g)
 
 
 def _simplex_grid(dim: int, points: int) -> np.ndarray:
@@ -133,6 +161,8 @@ class SumCapacityResult:
     bits: float
     input1: np.ndarray   # maximizing marginal on the first input
     input2: np.ndarray
+    gap1: float          # Frank-Wolfe gap of each input block at the result
+    gap2: float
 
 
 def mac_sum_capacity_independent(mac: DiscreteMAC) -> SumCapacityResult:
@@ -141,6 +171,12 @@ def mac_sum_capacity_independent(mac: DiscreteMAC) -> SumCapacityResult:
     Coarse grid over the two input simplices (first maximizer in grid order
     on ties), then coordinate refinement: golden-section line searches along
     pairwise mass exchanges, which are concave directions of the objective.
+    Each round starts with the Frank-Wolfe gap of each input block (see
+    ``_block_gap``) and the search stops once both are at most 1e-12, or once
+    a round gains less than 1e-12 bits, or after 60 rounds. The result
+    carries both gaps at the returned point; they certify that no change of
+    one input alone gains more, not that the point is the global maximum,
+    since the objective is not jointly concave in the two inputs.
     """
     law3 = mac.law_tensor
     n1, n2 = law3.shape[0], law3.shape[1]
@@ -152,21 +188,28 @@ def mac_sum_capacity_independent(mac: DiscreteMAC) -> SumCapacityResult:
             "input alphabets are too large for this search")
     g1 = _simplex_grid(n1, CAPACITY_GRID_POINTS)
     g2 = _simplex_grid(n2, CAPACITY_GRID_POINTS)
+    rows = plogp(law3).sum(axis=2)   # -H(Y | x1, x2)
 
     # vectorized grid sweep
     py = np.einsum("ai,bj,ijy->aby", g1, g2, law3)
     hy = -plogp(py).sum(axis=2)
-    eh = g1 @ (-plogp(law3).sum(axis=2)) @ g2.T
+    eh = g1 @ (-rows) @ g2.T
     info = hy - eh
     flat = int(np.argmax(info))
     p1 = g1[flat // len(g2)].copy()
     p2 = g2[flat % len(g2)].copy()
 
     def value(q1, q2) -> float:
-        return _product_mutual_info(law3, q1, q2)
+        return _product_mutual_info(law3, rows, q1, q2)
+
+    def gaps(q1, q2) -> tuple[float, float]:
+        return (_block_gap(law3, rows, q1, q2),
+                _block_gap(law3.transpose(1, 0, 2), rows.T, q2, q1))
 
     best = value(p1, p2)
     for _ in range(60):
+        if max(gaps(p1, p2)) <= 1e-12:
+            break
         improved = best
         for which in (0, 1):
             p = p1 if which == 0 else p2
@@ -193,7 +236,7 @@ def mac_sum_capacity_independent(mac: DiscreteMAC) -> SumCapacityResult:
     p2 = np.clip(p2, 0.0, 1.0)
     p1 /= p1.sum()
     p2 /= p2.sum()
-    return SumCapacityResult(float(best), p1, p2)
+    return SumCapacityResult(float(best), p1, p2, *gaps(p1, p2))
 
 
 def gmac_sum_rate(mac: GaussianMAC, rho_x: float = 0.0) -> float:

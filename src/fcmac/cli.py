@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -232,7 +233,10 @@ def _cmd_channel(args) -> int:
     if args.channel_cmd == "capacity":
         mac = jsonio.mac_from_json(jsonio.load_json(args.mac))
         res = mac_sum_capacity_independent(mac)
-        payload = {"sum_capacity_bits": res.bits,
+        # JSON has no infinity: a gap that is +inf, because a block could
+        # open an unused output, is written as null
+        gap1, gap2 = (g if math.isfinite(g) else None for g in (res.gap1, res.gap2))
+        payload = {"sum_capacity_bits": res.bits, "gap1_bits": gap1, "gap2_bits": gap2,
                    "input1": [float(p) for p in res.input1],
                    "input2": [float(p) for p in res.input2]}
     else:

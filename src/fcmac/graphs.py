@@ -36,6 +36,15 @@ EXACT_COLORING_CAP = 12
 # Multiply-adds |X|^2 |Y| of the zigzag matrix product. At the cap, worst
 # case a 2048x2048 support whose distinct rows are nested: 0.53-0.6 s.
 ZIGZAG_CAP = 2**33
+# Caps both |X|^2 |Z| (vertex pairs times peer symbols) and the square of
+# the distinct function labels of characteristic_graph. Worst case at the
+# cap: |X| = 1,024, one peer and 1,024 distinct labels, whose graph is
+# complete; a whole `fcmac graph build` process, import and the 21 MB output
+# file included, takes 3.3-4.0 s and 225 MB peak RSS, the graph itself
+# 0.12-0.29 s of it (exact and threshold mode). 32 vertices with 1,024 peers
+# and labels: 0.5-1.1 s. Every graph built under the cap has at most 1,024
+# vertices, so its file can be read back under GRAPH_FILE_VERTEX_CAP.
+CHARACTERISTIC_GRAPH_CAP = 2**20
 _BLOCK_CELLS = 2**20   # array cells per row block in the pairwise kernels
 
 
@@ -188,7 +197,9 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
     Threshold mode: joined when the values differ by more than ``delta``
     under ``range_distortion`` for some such peer. ``range_distortion`` is
     called once per ordered pair of ``f.range_labels()``, and for vertices
-    i < j the pair read is (f(i, peer), f(j, peer)).
+    i < j the pair read is (f(i, peer), f(j, peer)). Refuses with
+    ``SizeCapError``, before any label pair is compared, when |X|^2 |Z| or
+    the squared count of distinct labels exceeds ``CHARACTERISTIC_GRAPH_CAP``.
     """
     if len(joint.axes) != 2:
         raise AxisError(f"need a two-axis joint, got axes {joint.axis_names}")
@@ -200,6 +211,12 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
     if delta is not None and delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     labels = f.range_labels()
+    n, m = joint.mass.shape
+    if max(n * n * m, len(labels) ** 2) > CHARACTERISTIC_GRAPH_CAP:
+        raise SizeCapError(
+            f"characteristic graph of {n} vertices, {m} peer symbols and"
+            f" {len(labels)} distinct labels exceeds the cap of"
+            f" {CHARACTERISTIC_GRAPH_CAP} on vertices^2 x peers and on labels^2")
     if delta is None:
         pair_table = [[la != lb for lb in labels] for la in labels]
     else:
@@ -207,7 +224,6 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
     confusable_labels = np.array(pair_table, dtype=bool)
     codes = f._codes
     support = joint.mass > 0
-    n, m = support.shape
     adj = np.zeros((n, n), dtype=bool)
     rows = max(1, _BLOCK_CELLS // (n * m))
     for lo in range(0, n, rows):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from _support import loop_simplex_grid
+from _support import golden_capacity_reference, loop_simplex_grid
+from fcmac import channels
 from fcmac.channels import (
     DiscreteMAC,
     GaussianMAC,
+    _block_gap,
+    _block_scores,
     _simplex_grid,
     adder_mac,
     gmac_sum_rate,
@@ -14,7 +17,7 @@ from fcmac.channels import (
     mac_sum_capacity_independent,
 )
 from fcmac.graphs import SizeCapError
-from fcmac.probability import Alphabet, AxisError, JointPMF, Kernel
+from fcmac.probability import Alphabet, AxisError, JointPMF, Kernel, plogp
 
 LOG2_3 = math.log2(3.0)
 
@@ -22,6 +25,18 @@ LOG2_3 = math.log2(3.0)
 def input_joint(mass) -> JointPMF:
     mac = adder_mac()
     return JointPMF(mac.input_alphabets, mass)
+
+
+def random_mac(rng: np.random.Generator, n1: int, n2: int, ny: int,
+               deterministic: bool = False) -> DiscreteMAC:
+    x1 = Alphabet("x1", tuple(str(i) for i in range(n1)))
+    x2 = Alphabet("x2", tuple(str(i) for i in range(n2)))
+    y = Alphabet("y", tuple(str(i) for i in range(ny)))
+    if deterministic:
+        rows = np.eye(ny)[rng.integers(0, ny, size=n1 * n2)]
+    else:
+        rows = rng.dirichlet(np.full(ny, rng.choice([0.3, 1.0])), size=n1 * n2)
+    return DiscreteMAC((x1, x2), y, Kernel((x1, x2), (y,), rows))
 
 
 class TestAdderMac:
@@ -98,6 +113,43 @@ class TestSumCapacity:
             h_in = -(mass[mass > 0] * np.log2(mass[mass > 0])).sum()
             assert -1e-12 <= value <= min(h_in, LOG2_3) + 1e-9
 
+    def test_adder_stops_on_the_grid_certificate(self, monkeypatch):
+        calls = []
+        golden = channels._golden_max
+        monkeypatch.setattr(channels, "_golden_max",
+                            lambda *a: calls.append(a) or golden(*a))
+        res = mac_sum_capacity_independent(adder_mac())
+        assert calls == []
+        assert res.bits == 1.5
+        assert res.input1.tolist() == [0.5, 0.5] and res.input2.tolist() == [0.5, 0.5]
+        assert res.gap1 == 0.0 and res.gap2 == 0.0
+
+    def test_matches_the_golden_search_it_replaced(self):
+        # |X1|, |X2| <= 2 and |Y| <= 4, a quarter of the laws deterministic
+        rng = np.random.default_rng(1301)
+        changed = []
+        for k in range(200):
+            n1, n2 = (int(n) for n in rng.integers(1, 3, size=2))
+            mac = random_mac(rng, n1, n2, int(rng.integers(2, 5)), deterministic=k % 4 == 0)
+            res = mac_sum_capacity_independent(mac)
+            bits, in1, in2 = golden_capacity_reference(mac)
+            if (res.bits, res.input1.tobytes(), res.input2.tobytes()) != (
+                    bits, in1.tobytes(), in2.tobytes()):
+                changed.append((k, (n1, n2, len(mac.output_alphabet)), res.bits - bits))
+        assert all(d >= -1e-12 and abs(d) <= 1e-12 for _, _, d in changed), changed
+
+    def test_gaps_are_reported_at_the_result(self):
+        rng = np.random.default_rng(1302)
+        for _ in range(10):
+            mac = random_mac(rng, 2, 2, 3)
+            res = mac_sum_capacity_independent(mac)
+            law3 = mac.law_tensor
+            rows = plogp(law3).sum(axis=2)
+            assert res.gap1 == _block_gap(law3, rows, res.input1, res.input2)
+            assert res.gap2 == _block_gap(law3.transpose(1, 0, 2), rows.T,
+                                          res.input2, res.input1)
+            assert res.gap1 >= -1e-12 and res.gap2 >= -1e-12
+
     def test_cap_on_large_alphabets(self):
         big = Alphabet("x1", tuple(str(i) for i in range(6)))
         x2 = Alphabet("x2", tuple(str(i) for i in range(6)))
@@ -131,6 +183,63 @@ class TestSumCapacity:
             assert len(grid) == math.comb(55, 5)
             assert (counts >= 0).all() and (counts.sum(axis=1) == 50).all()
             assert (np.diff(counts @ 51 ** np.arange(5, -1, -1)) < 0).all()
+
+
+class TestBlockGap:
+    @staticmethod
+    def parts(mac):
+        law3 = mac.law_tensor
+        return law3, plogp(law3).sum(axis=2)
+
+    def test_weighted_scores_are_the_mutual_information(self):
+        rng = np.random.default_rng(1303)
+        for _ in range(50):
+            n1, n2, ny = (int(n) for n in rng.integers(1, 5, size=3))
+            mac = random_mac(rng, n1, n2, ny + 1)
+            law3, rows = self.parts(mac)
+            p1 = rng.dirichlet(np.ones(n1))
+            p2 = rng.dirichlet(np.ones(n2))
+            info = mac_mutual_info(mac, JointPMF(mac.input_alphabets, np.outer(p1, p2)))
+            g1 = _block_scores(law3, rows, p1, p2)
+            g2 = _block_scores(law3.transpose(1, 0, 2), rows.T, p2, p1)
+            assert p1 @ g1 == pytest.approx(info, abs=1e-12)
+            assert p2 @ g2 == pytest.approx(info, abs=1e-12)
+
+    def test_gap_is_nonnegative_and_bounds_block_gains(self):
+        rng = np.random.default_rng(1304)
+        for _ in range(50):
+            n1, n2, ny = (int(n) for n in rng.integers(1, 5, size=3))
+            mac = random_mac(rng, n1, n2, ny + 1)
+            law3, rows = self.parts(mac)
+            p1 = rng.dirichlet(np.ones(n1))
+            p2 = rng.dirichlet(np.ones(n2))
+            gap = _block_gap(law3, rows, p1, p2)
+            assert gap >= -1e-12
+            # concavity in the block: no other first input gains more than the gap
+            info = channels._product_mutual_info(law3, rows, p1, p2)
+            for q in rng.dirichlet(np.ones(n1), size=20):
+                assert channels._product_mutual_info(law3, rows, q, p2) <= info + gap + 1e-12
+
+    def test_zero_at_the_adder_optimum(self):
+        law3, rows = self.parts(adder_mac())
+        half = np.array([0.5, 0.5])
+        assert _block_gap(law3, rows, half, half) == 0.0
+        assert _block_gap(law3.transpose(1, 0, 2), rows.T, half, half) == 0.0
+
+    def test_infinite_when_a_block_can_open_an_unused_output(self):
+        law3, rows = self.parts(adder_mac())
+        zero = np.array([1.0, 0.0])
+        # both inputs at 0: output 1 is unused, and x1 = 1 would open it
+        assert _block_gap(law3, rows, zero, zero) == math.inf
+        assert _block_scores(law3, rows, zero, zero).tolist() == [0.0, math.inf]
+        # an output no symbol reaches leaves the gap finite
+        x = Alphabet("x1", ("0", "1"))
+        x2 = Alphabet("x2", ("0",))
+        y = Alphabet("y", ("0", "1", "2"))
+        mac = DiscreteMAC((x, x2), y, Kernel((x, x2), (y,), [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
+        law3, rows = self.parts(mac)
+        gap = _block_gap(law3, rows, np.array([0.5, 0.5]), np.array([1.0]))
+        assert math.isfinite(gap) and gap > 0
 
 
 class TestGaussianSumRate:

@@ -393,6 +393,16 @@ class TestGraphCommands:
                      str(spec_files["pmf"]), "--n", "7"]) == 2
         assert "error: OR-product has 2187 vertices" in capsys.readouterr().err
 
+    def test_build_over_cap_exits_2(self, spec_files, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "CHARACTERISTIC_GRAPH_CAP", 26)
+        out = tmp_path / "graph.json"
+        assert main(["graph", "build", "--joint", str(spec_files["pmf"]),
+                     "--function", str(spec_files["function"]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: characteristic graph of 3 vertices, 3 peer symbols")
+        assert "exceeds the cap of 26 on vertices^2 x peers and on labels^2" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["color", "entropy"])
     def test_over_cap_graph_file_exits_2_before_the_matrix(
             self, command, spec_files, tmp_path, capsys, monkeypatch):
@@ -415,6 +425,19 @@ class TestChannelCommands:
         assert main(["channel", "capacity", "--mac", str(spec_files["mac"])]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["sum_capacity_bits"] == pytest.approx(1.5, abs=1e-4)
+        assert payload["gap1_bits"] == 0.0 and payload["gap2_bits"] == 0.0
+
+    def test_capacity_writes_an_infinite_gap_as_null(self, spec_files, capsys, monkeypatch):
+        from fcmac import cli
+        from fcmac.channels import SumCapacityResult
+        half = np.array([0.5, 0.5])
+        monkeypatch.setattr(cli, "mac_sum_capacity_independent",
+                            lambda mac: SumCapacityResult(1.0, half, half, float("inf"), 0.25))
+        assert main(["channel", "capacity", "--mac", str(spec_files["mac"])]) == 0
+        out = capsys.readouterr().out
+        assert "Infinity" not in out
+        payload = json.loads(out)
+        assert payload["gap1_bits"] is None and payload["gap2_bits"] == 0.25
 
     def test_gmac(self, capsys):
         assert main(["channel", "gmac", "--power", "5", "--rho", "0.3"]) == 0

@@ -91,6 +91,27 @@ class TestCharacteristicGraph:
             characteristic_graph(presets.ternary_source_joint("w1", "w2"),
                                  presets.grid_cell_function(3), delta=-0.1)
 
+    @pytest.mark.parametrize("n,m,n_labels", [(1025, 1, 1), (1, 1025, 1025)])
+    def test_size_cap_refuses_before_the_label_table(self, n, m, n_labels):
+        # over the cap on vertices^2 x peers, then on distinct labels^2
+        axes = (alph("x", n), alph("z", m))
+        joint = JointPMF(axes, np.full((n, m), 1.0 / (n * m)))
+        f = FunctionTable(axes, np.arange(n * m).reshape(n, m) % n_labels)
+
+        def distortion(a, b):
+            raise AssertionError("no label pair may be compared over the cap")
+        with pytest.raises(SizeCapError, match=f"exceeds the cap of {2**20} "):
+            characteristic_graph(joint, f, delta=0, range_distortion=distortion)
+
+    def test_size_cap_boundary(self, monkeypatch):
+        joint = presets.ternary_source_joint()
+        f = presets.comparison_function()
+        monkeypatch.setattr(graphs, "CHARACTERISTIC_GRAPH_CAP", 27)   # 3^2 x 3
+        assert characteristic_graph(joint, f).sorted_edges() == [("1", "3")]
+        monkeypatch.setattr(graphs, "CHARACTERISTIC_GRAPH_CAP", 26)
+        with pytest.raises(SizeCapError, match="3 vertices, 3 peer symbols"):
+            characteristic_graph(joint, f)
+
     def test_second_encoder_graph_via_reorder(self):
         # the symmetric construction: swap the joint and the function domain
         from fcmac.probability import reorder

@@ -102,6 +102,30 @@ class TestGraphRoundTrip:
         with pytest.raises(jsonio.SpecFormatError, match=r"^\$\.edges\[1\]: unknown vertex"):
             jsonio.graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["a", ["b"]]]})
 
+    @pytest.mark.parametrize("edges,message", [
+        ("x", "$.edges: expected an array, got str"),
+        ([["a", "b"], "ab"], "$.edges[1]: expected an array, got str"),
+        ([["a", "b"], ["a"]], "$.edges[1]: an edge is a two-element array"),
+        ([["a", "b", "c"]], "$.edges[0]: an edge is a two-element array"),
+        ([["a", "z"]], "$.edges[0]: unknown vertex 'z'"),
+        ([["y", "z"]], "$.edges[0]: unknown vertex 'y'"),
+        ([["a", {"b": 1}]], "$.edges[0]: unknown vertex {'b': 1}"),
+        ([["a", None]], "$.edges[0]: unknown vertex None"),
+        # every edge is checked before any self-loop is
+        ([["a", "a"], ["b", "z"]], "$.edges[1]: unknown vertex 'z'"),
+        ([["a", "b"], ["c", "c"]], "$.edges: self-loop at vertex 'c'"),
+        ([[1.0, 1]], "$.edges: self-loop at vertex 1.0"),
+    ])
+    def test_edge_errors_name_their_path(self, edges, message):
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.graph_from_json({"vertices": ["a", "b", "c", 1, 2.5], "edges": edges})
+        assert str(err.value) == message
+
+    def test_edges_equal_as_labels_are_one_edge(self):
+        g = jsonio.graph_from_json({"vertices": ["a", "b", 1],
+                                    "edges": [["a", "b"], ["b", "a"], [1.0, "a"]]})
+        assert g.sorted_edges() == [("a", "b"), ("a", 1)]
+
     def test_vertex_cap(self):
         cap = jsonio.GRAPH_FILE_VERTEX_CAP
         g = jsonio.graph_from_json({"vertices": list(range(cap)), "edges": [[0, cap - 1]]})
