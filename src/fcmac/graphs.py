@@ -96,8 +96,12 @@ class CharGraph:
 
     def sorted_edges(self) -> list[tuple]:
         syms = self.vertices.symbols
+        return [(syms[i], syms[j]) for i, j in self._edge_indices()]
+
+    def _edge_indices(self):
+        """Index pairs (i, j), i < j, of the edges in row-major order."""
         rows, cols = np.nonzero(np.triu(self._adj, 1))
-        return [(syms[i], syms[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+        return zip(rows.tolist(), cols.tolist())
 
 
 @dataclass(frozen=True, eq=False)

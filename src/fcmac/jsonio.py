@@ -197,8 +197,9 @@ def graph_from_json(obj, path: str = "$") -> CharGraph:
 
 
 def graph_to_json(g: CharGraph) -> dict:
-    return {"vertices": [_emit_label(v) for v in g.vertices.symbols],
-            "edges": [[_emit_label(a), _emit_label(b)] for a, b in g.sorted_edges()]}
+    labels = [_emit_label(v) for v in g.vertices.symbols]
+    return {"vertices": labels,
+            "edges": [[labels[i], labels[j]] for i, j in g._edge_indices()]}
 
 
 def coloring_to_json(c: Coloring) -> dict:

@@ -274,9 +274,17 @@ def plogp(a: np.ndarray) -> np.ndarray:
 def _plogp(flat: np.ndarray) -> float:
     """Sum of p * log2(p) over the positive entries only. Entropy sums this
     way rather than over ``plogp``: it is faster on small marginals, and
-    adding the zeros would change the rounding of every pinned output."""
-    p = flat[flat > 0]
+    adding the zeros would change the rounding of every pinned output. When
+    every entry is positive the mask would select all of them, so ``flat``
+    is reduced itself: the same values in the same order, without copying a
+    full-support joint."""
+    p = flat if flat.min() > 0 else flat[flat > 0]
     return float(np.sum(p * np.log2(p)))
+
+
+def _joint_entropy(pmf: JointPMF) -> float:
+    """Entropy of ``pmf`` on all of its axes; 0 for the pmf on no axes."""
+    return -_plogp(pmf.mass.ravel()) if pmf.axes else 0.0
 
 
 def entropy(pmf: JointPMF, axes) -> float:
@@ -284,8 +292,13 @@ def entropy(pmf: JointPMF, axes) -> float:
     names = _as_name_tuple(axes)
     if not names:
         raise AxisError("entropy needs a non-empty axis set")
-    return -_plogp(marginalize(pmf, names).mass.ravel())
+    return _joint_entropy(marginalize(pmf, names))
 
+
+# The information measures below reduce their input once, to the marginal on
+# every axis they name, and sum each smaller marginal from the smallest one
+# already formed: a strided reduction of a large joint costs far more than
+# the entropies that share it.
 
 def conditional_entropy(pmf: JointPMF, target, given=()) -> float:
     """H(target | given) = H(target, given) - H(given)."""
@@ -295,9 +308,9 @@ def conditional_entropy(pmf: JointPMF, target, given=()) -> float:
         raise AxisError(f"target {t} and given {g} overlap")
     if not t:
         raise AxisError("conditional_entropy needs a non-empty target")
-    if not g:
-        return entropy(pmf, t)
-    return entropy(pmf, t + g) - entropy(pmf, g)
+    tg = marginalize(pmf, t + g)
+    h_g = _joint_entropy(marginalize(tg, g)) if g else 0.0
+    return _joint_entropy(tg) - h_g
 
 
 def mutual_information(pmf: JointPMF, a, b, given=()) -> float:
@@ -308,7 +321,14 @@ def mutual_information(pmf: JointPMF, a, b, given=()) -> float:
     for x, y in ((a, b), (a, g), (b, g)):
         if set(x) & set(y):
             raise AxisError(f"axis sets must be pairwise disjoint: {a}, {b}, {g}")
-    value = conditional_entropy(pmf, a, g) - conditional_entropy(pmf, a, b + g)
+    if not a:
+        raise AxisError("conditional_entropy needs a non-empty target")
+    abg = marginalize(pmf, a + b + g)
+    ag = marginalize(abg, a + g)
+    bg = marginalize(abg, b + g)
+    smaller = ag if ag.mass.size <= bg.mass.size else bg
+    h_g = _joint_entropy(marginalize(smaller, g)) if g else 0.0
+    value = (_joint_entropy(ag) - h_g) - (_joint_entropy(abg) - _joint_entropy(bg))
     if value < 0 and abs(value) < INFO_TOL:
         return 0.0
     return value
@@ -337,7 +357,7 @@ def slepian_wolf_bounds(pmf: JointPMF, first, second, given=()) -> SlepianWolfBo
     return SlepianWolfBounds(
         conditional_entropy(pmf, f, s + g),
         conditional_entropy(pmf, s, f + g),
-        conditional_entropy(pmf, f + s, g) if g else entropy(pmf, f + s),
+        conditional_entropy(pmf, f + s, g),
     )
 
 

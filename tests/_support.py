@@ -128,6 +128,30 @@ def dict_conditional_entropy(joint: dict, target_pos, given_pos) -> float:
     return dict_entropy(both) - dict_entropy(given)
 
 
+# --- information measures reduced from the full pmf --------------------------
+# The library's formulas before each measure reduced its pmf once: every
+# entropy is summed straight from the full tensor, with its own p log p.
+
+def _full_entropy(pmf: JointPMF, names: tuple) -> float:
+    keep = set(names)
+    drop = tuple(i for i, a in enumerate(pmf.axes) if a.name not in keep)
+    flat = (pmf.mass.sum(axis=drop) if drop else pmf.mass).ravel()
+    p = flat[flat > 0]
+    return -float(np.sum(p * np.log2(p)))
+
+
+def loop_conditional_entropy(pmf: JointPMF, target: tuple, given: tuple = ()) -> float:
+    if not given:
+        return _full_entropy(pmf, target)
+    return _full_entropy(pmf, target + given) - _full_entropy(pmf, given)
+
+
+def loop_mutual_information(pmf: JointPMF, a: tuple, b: tuple, given: tuple = ()) -> float:
+    value = (loop_conditional_entropy(pmf, a, given)
+             - loop_conditional_entropy(pmf, a, b + given))
+    return 0.0 if -1e-9 < value < 0 else value
+
+
 # --- exact-partition oracle --------------------------------------------------
 
 def brute_force_min_conditional_entropy(adj: list[int], weights: np.ndarray,
@@ -356,6 +380,17 @@ def loop_sorted_edges(graph: CharGraph) -> list[tuple]:
     """Edges ordered by the alphabet positions of their endpoints."""
     idx = {s: i for i, s in enumerate(graph.vertices.symbols)}
     return sorted(graph.edges, key=lambda e: (idx[e[0]], idx[e[1]]))
+
+
+def loop_graph_to_json(graph: CharGraph) -> dict:
+    """The graph file payload with each edge's two labels emitted one by one,
+    as ``jsonio.graph_to_json`` built it before it emitted each label once."""
+    def emit(value):
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            return value
+        return str(value)
+    return {"vertices": [emit(v) for v in graph.vertices.symbols],
+            "edges": [[emit(a), emit(b)] for a, b in loop_sorted_edges(graph)]}
 
 
 def loop_coloring_clashes(graph: CharGraph, color_of) -> list[tuple]:

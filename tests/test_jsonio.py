@@ -4,13 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from _support import alph, random_kernel, random_pmf, random_system_spec
+from _support import alph, loop_graph_to_json, random_kernel, random_pmf, random_system_spec
 from fcmac import jsonio, presets
 from fcmac.channels import adder_mac
 from fcmac.cli import main
 from fcmac.feasibility import DistortionTable, check_feasibility
-from fcmac.graphs import SizeCapError, characteristic_graph, min_entropy_coloring
-from fcmac.probability import Kernel, marginalize, validate
+from fcmac.graphs import CharGraph, SizeCapError, characteristic_graph, min_entropy_coloring
+from fcmac.probability import Alphabet, Kernel, marginalize, validate
 
 
 class TestPmfRoundTrip:
@@ -92,6 +92,22 @@ class TestGraphRoundTrip:
         assert obj == {"vertices": ["1", "2", "3"], "edges": [["1", "3"]]}
         back = jsonio.graph_from_json(obj)
         assert back.sorted_edges() == [("1", "3")]
+
+    @pytest.mark.parametrize("labels", [
+        [f"s{i}" for i in range(9)],
+        list(range(9)),
+        [0.5 * i for i in range(9)],
+        [(i, f"t{i}") for i in range(9)],
+        ["a", 1, 2.5, (0, "b"), ("c",), 3, "d", 4.25, (1, 2)],
+    ], ids=["str", "int", "float", "tuple", "mixed"])
+    def test_output_bytes_match_the_per_edge_emitter(self, labels):
+        rng = np.random.default_rng(1417)
+        for _ in range(20):
+            n = int(rng.integers(1, len(labels) + 1))
+            adj = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
+            g = CharGraph._from_adjacency(Alphabet("v", labels[:n]), adj | adj.T)
+            fast = json.dumps(jsonio.graph_to_json(g), indent=2, sort_keys=True)
+            assert fast == json.dumps(loop_graph_to_json(g), indent=2, sort_keys=True)
 
     def test_unknown_vertex_in_edge(self):
         with pytest.raises(jsonio.SpecFormatError) as err:

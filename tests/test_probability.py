@@ -4,8 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _support import assemble_joint, dict_conditional_entropy, pmf_as_dict, random_pmf
-from fcmac import presets
+from _support import (
+    alph,
+    assemble_joint,
+    dict_conditional_entropy,
+    loop_conditional_entropy,
+    loop_mutual_information,
+    pmf_as_dict,
+    random_pmf,
+)
+from fcmac import presets, probability
 from fcmac.probability import (
     Alphabet,
     AxisError,
@@ -351,6 +359,88 @@ class TestProperties:
             joint = compose(base, [k])
             back = marginalize(joint, ("a", "b"))
             assert np.abs(back.mass - base.mass).max() <= 1e-12
+
+
+def _split_instance(rng: np.random.Generator, case: int):
+    """A 2-6 axis pmf, possibly with zero cells or a zero-mass slice, and
+    disjoint axis sets (a, b, given) drawn from its axes, given empty in a
+    third of the cases; axes in none of them are summed out."""
+    sizes = tuple(int(s) for s in rng.integers(1, 4, size=int(rng.integers(2, 7))))
+    mass = rng.dirichlet(np.ones(math.prod(sizes))).reshape(sizes)
+    if case % 4 == 1:
+        mass[rng.random(sizes) < 0.4] = 0.0
+    elif case % 4 == 2:
+        axis = int(np.argmax(sizes))
+        index = [slice(None)] * len(sizes)
+        index[axis] = int(rng.integers(sizes[axis]))
+        mass[tuple(index)] = 0.0
+    if mass.sum() == 0.0:
+        mass[(0,) * len(sizes)] = 1.0
+    pmf = JointPMF(tuple(alph(f"v{i}", s) for i, s in enumerate(sizes)), mass / mass.sum())
+    role = rng.integers(0, 4, size=len(sizes))
+    role[int(rng.integers(len(sizes)))] = 0
+    if case % 3 == 0:
+        role[role == 2] = 3
+    a, b, given = (tuple(n for n, r in zip(pmf.axis_names, role) if r == k) for k in range(3))
+    return pmf, a, b, given
+
+
+class TestReduceOnce:
+    """The information measures reduce their pmf once and form the smaller
+    marginals from that reduction; the oracle reduces every entropy from the
+    full pmf, as the library did before."""
+
+    def test_agrees_with_the_full_pmf_oracle(self):
+        rng = np.random.default_rng(1414)
+        seen = {"zeros": 0, "no given": 0, "single-axis a": 0, "single-axis b": 0}
+        for case in range(400):
+            pmf, a, b, g = _split_instance(rng, case)
+            seen["zeros"] += bool((pmf.mass == 0).any())
+            seen["no given"] += not g
+            seen["single-axis a"] += len(a) == 1
+            seen["single-axis b"] += len(b) == 1
+            assert abs(mutual_information(pmf, a, b, g)
+                       - loop_mutual_information(pmf, a, b, g)) <= 1e-12
+            assert abs(mutual_information(pmf, a, b)
+                       - loop_mutual_information(pmf, a, b)) <= 1e-12
+            assert abs(conditional_entropy(pmf, a, b + g)
+                       - loop_conditional_entropy(pmf, a, b + g)) <= 1e-12
+            assert abs(conditional_entropy(pmf, a, g)
+                       - loop_conditional_entropy(pmf, a, g)) <= 1e-12
+        assert min(seen.values()) >= 50, seen
+
+    def test_empty_second_set_gives_exactly_zero(self):
+        rng = np.random.default_rng(1415)
+        for case in range(50):
+            pmf, a, _, g = _split_instance(rng, case)
+            assert mutual_information(pmf, a, (), g) == 0.0
+
+    @pytest.mark.parametrize("a,b,given", [
+        (("v0",), ("v1",), ("v2",)),
+        (("v0", "v3"), ("v1",), ("v2",)),
+        (("v0",), ("v1", "v2"), ()),
+        (("v0", "v1"), ("v2", "v3"), ()),
+        (("v3",), (), ("v1",)),
+        (("v2",), ("v0", "v1", "v3"), ()),
+    ])
+    def test_caller_pmf_is_reduced_once(self, monkeypatch, a, b, given):
+        pmf = random_pmf(np.random.default_rng(1416), (2, 3, 2, 4))
+        reduced = []
+        real = probability.marginalize
+
+        def counting(source, keep):
+            reduced.append(source is pmf)
+            return real(source, keep)
+        monkeypatch.setattr(probability, "marginalize", counting)
+        mutual_information(pmf, a, b, given)
+        assert sum(reduced) == 1
+        reduced.clear()
+        conditional_entropy(pmf, a, b + given)
+        assert sum(reduced) == 1
+        if b:
+            reduced.clear()
+            slepian_wolf_bounds(pmf, a, b, given)
+            assert sum(reduced) == 3
 
 
 class TestReorder:
