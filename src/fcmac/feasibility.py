@@ -25,9 +25,10 @@ from .probability import (
 BOUNDARY_TOL = 1e-9
 # Largest clique the check builds, in cells. At the cap (source clique
 # (u1, u2, z1, z2, z, w1, w2) with |U| = 64, two-symbol side information and
-# |W| = 16) one check takes about 0.41 s with a 270 MB tracemalloc peak on a
-# 2-vCPU Intel Xeon VM; |U| = 16, |W| = 8 (131,072 cells) takes 6.5 ms and
-# 4.2 MB. Time and memory grow linearly with the cell count.
+# |W| = 16) one check takes 0.21-0.23 s with a 135 MB tracemalloc peak on a
+# 2-vCPU Intel Xeon VM with one BLAS thread; |U| = 16, |W| = 8 (131,072
+# cells) takes 3.3-3.6 ms and 2.2 MB. Time and memory grow linearly with the
+# cell count.
 FEASIBILITY_CELL_CAP = 2**23
 
 

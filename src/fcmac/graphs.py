@@ -40,10 +40,12 @@ ZIGZAG_CAP = 2**33
 # the distinct function labels of characteristic_graph. Worst case at the
 # cap: |X| = 1,024, one peer and 1,024 distinct labels, whose graph is
 # complete; a whole `fcmac graph build` process, import and the 21 MB output
-# file included, takes 3.3-4.0 s and 225 MB peak RSS, the graph itself
-# 0.12-0.29 s of it (exact and threshold mode). 32 vertices with 1,024 peers
-# and labels: 0.5-1.1 s. Every graph built under the cap has at most 1,024
-# vertices, so its file can be read back under GRAPH_FILE_VERTEX_CAP.
+# file included, takes 2.7-3.1 s and 221 MB peak RSS. The graph itself is
+# 0.12-0.29 s of it (exact and threshold mode), graph_to_json 0.42-0.51 s
+# and the indented json.dumps of the output format 1.5-2.0 s. 32 vertices
+# with 1,024 peers and labels: 0.5-1.1 s. Every graph built under the cap
+# has at most 1,024 vertices, so its file can be read back under
+# GRAPH_FILE_VERTEX_CAP.
 CHARACTERISTIC_GRAPH_CAP = 2**20
 _BLOCK_CELLS = 2**20   # array cells per row block in the pairwise kernels
 

@@ -363,8 +363,8 @@ class TestProperties:
 
 def _split_instance(rng: np.random.Generator, case: int):
     """A 2-6 axis pmf, possibly with zero cells or a zero-mass slice, and
-    disjoint axis sets (a, b, given) drawn from its axes, given empty in a
-    third of the cases; axes in none of them are summed out."""
+    disjoint axis sets (a, b, given) drawn from its axes, given empty in at
+    least a third of the cases; axes in none of them are summed out."""
     sizes = tuple(int(s) for s in rng.integers(1, 4, size=int(rng.integers(2, 7))))
     mass = rng.dirichlet(np.ones(math.prod(sizes))).reshape(sizes)
     if case % 4 == 1:
