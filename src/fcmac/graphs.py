@@ -27,11 +27,11 @@ OR_PRODUCT_CAP = 1024
 # conditional_chromatic_entropy with a full-support 12x12 joint 0.13-0.19 s
 # (0.97-1.14 s before).
 # conditional_graph_entropy on four disjoint triangles (81 maximal stable
-# sets) with the joint rng(s).random((12, 12)), s = 5, 6, 7: 0.36-0.69 s at
-# the default 10,000 iterations, the colouring bound 0.013-0.038 s of it
-# (0.09-0.14 s before); s = 5 stops certified, s = 6 and 7 stop at the
-# iteration cap with gaps of 3.2e-7 and 4.2e-5 bits. The solver's
-# iterations, not the colouring, bound this size.
+# sets) with the joint rng(s).random((12, 12)), s = 5, 6, 7: 0.36-0.55 s at
+# the default 10,000 iterations (0.48-0.78 s before each step made fewer
+# numpy calls), the colouring bound 0.015-0.05 s of it; s = 5 stops
+# certified, s = 6 and 7 stop at the iteration cap with gaps of 3.2e-7 and
+# 4.2e-5 bits. The solver's iterations, not the colouring, bound this size.
 EXACT_COLORING_CAP = 12
 # Multiply-adds |X|^2 |Y| of the zigzag matrix product. At the cap, worst
 # case a 2048x2048 support whose distinct rows are nested: 0.53-0.6 s.
@@ -496,41 +496,41 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     ``tol``, or after ``max_iter`` updates.
     """
     _check_vertex_axis(joint, g, "joint")
+    if len(joint.axes) != 2:
+        raise AxisError("need a two-axis joint")
     rows = _stable_rows(g, maximal_only=True)
     sets = _row_sets(g, rows)
     # C order: a transposed view would pass q to BLAS in F order, which sums
     # the products below in another order
     allowed = np.ascontiguousarray(rows.T)
+    off = np.where(allowed, 0.0, -np.inf)       # added to mask the disallowed sets
 
     p = joint.mass.astype(float)
     p1 = p.sum(axis=1)
     p2 = p.sum(axis=0)
     q = allowed / allowed.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p2_given_1 = np.where(p1[:, None] > 0, p / np.where(p1[:, None] > 0, p1[:, None], 1), 0.0)
-        p1_given_2 = np.where(p2[None, :] > 0, p / np.where(p2[None, :] > 0, p2[None, :], 1), 0.0)
-        log_q = np.log2(q)
+    p2_given_1 = np.divide(p, p1[:, None], out=np.zeros_like(p), where=p1[:, None] > 0)
+    p1_given_2 = np.divide(p, p2, out=np.zeros_like(p), where=p2 > 0)
+    # finite everywhere: off the allowed sets q is 0, so those entries never count
+    log_q = np.log2(q, out=np.zeros_like(q), where=allowed)
 
     upper = conditional_chromatic_entropy(g, joint, 1)
     for step in itertools.count():
         r = p1_given_2.T @ q                                # r[u2, w] = p(w | u2)
         a = p2_given_1 @ np.log2(np.maximum(r, 1e-300))     # a[u1, w]
-        q_log_q = plogp(q).sum(axis=1)
         # the gradient is p(u1) (log2 q - a); per row, its mean under q minus
         # its least allowed entry, which is nonnegative up to rounding
-        least = np.where(allowed, log_q - a, np.inf).min(axis=1)
-        gap = max(float(p1 @ (q_log_q - (q * a).sum(axis=1) - least)), 0.0)
+        d = log_q - a
+        gap = max(float(p1 @ (np.einsum("ij,ij->i", q, d) - (d - off).min(axis=1))), 0.0)
         if gap <= tol or step >= max_iter:
             break
-        # log2 q is kept from the exponent, so entries that underflow to 0
-        # still have a finite gradient
-        e = np.where(allowed, a, -np.inf)
-        e -= e.max(axis=1, keepdims=True)
-        q = np.exp2(e)
+        e = a + off
+        top = e.max(axis=1, keepdims=True)
+        q = np.exp2(e - top)
         total = q.sum(axis=1, keepdims=True)
         q /= total
-        log_q = e - np.log2(total)
-    value = float(q_log_q @ p1 - plogp(r).sum(axis=1) @ p2)   # H(W|U2) - H(W|U1)
+        log_q = a - (top + np.log2(total))      # finite also where q underflows to 0
+    value = float(plogp(q).sum(axis=1) @ p1 - plogp(r).sum(axis=1) @ p2)   # H(W|U2) - H(W|U1)
     return ConditionalGraphEntropyResult(min(max(value, 0.0), upper), upper, q, tuple(sets),
                                          gap <= tol, gap)
 

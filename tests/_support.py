@@ -15,8 +15,8 @@ import numpy as np
 from fcmac.channels import DiscreteMAC
 from fcmac.feasibility import DistortionTable, SystemSpec
 from fcmac.graphs import (CharGraph, ConditionalGraphEntropyResult, FunctionTable,
-                          conditional_chromatic_entropy, stable_sets)
-from fcmac.probability import Alphabet, JointPMF, Kernel, compose
+                          _row_sets, _stable_rows, conditional_chromatic_entropy, stable_sets)
+from fcmac.probability import Alphabet, JointPMF, Kernel, compose, plogp
 
 
 # --- random instances -------------------------------------------------------
@@ -673,6 +673,46 @@ def loop_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *, restarts: i
     value = min(max(best_val, 0.0), upper)
     return ConditionalGraphEntropyResult(value, upper, best_q, tuple(sets), all_converged,
                                          math.nan)
+
+
+def frozen_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
+                                     tol: float = 1e-8, max_iter: int = 10_000,
+                                     ) -> ConditionalGraphEntropyResult:
+    """The certified solver's loop as it was before each step was cut to
+    fewer numpy calls: ``np.where`` masks, ``log2 q`` with -inf off the
+    allowed sets, and ``plogp(q)`` inside every step. Its kernels and values
+    are the ones the solver must keep bit for bit."""
+    rows = _stable_rows(g, maximal_only=True)
+    sets = _row_sets(g, rows)
+    allowed = np.ascontiguousarray(rows.T)
+
+    p = joint.mass.astype(float)
+    p1 = p.sum(axis=1)
+    p2 = p.sum(axis=0)
+    q = allowed / allowed.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p2_given_1 = np.where(p1[:, None] > 0, p / np.where(p1[:, None] > 0, p1[:, None], 1), 0.0)
+        p1_given_2 = np.where(p2[None, :] > 0, p / np.where(p2[None, :] > 0, p2[None, :], 1), 0.0)
+        log_q = np.log2(q)
+
+    upper = conditional_chromatic_entropy(g, joint, 1)
+    for step in itertools.count():
+        r = p1_given_2.T @ q
+        a = p2_given_1 @ np.log2(np.maximum(r, 1e-300))
+        q_log_q = plogp(q).sum(axis=1)
+        least = np.where(allowed, log_q - a, np.inf).min(axis=1)
+        gap = max(float(p1 @ (q_log_q - (q * a).sum(axis=1) - least)), 0.0)
+        if gap <= tol or step >= max_iter:
+            break
+        e = np.where(allowed, a, -np.inf)
+        e -= e.max(axis=1, keepdims=True)
+        q = np.exp2(e)
+        total = q.sum(axis=1, keepdims=True)
+        q /= total
+        log_q = e - np.log2(total)
+    value = float(q_log_q @ p1 - plogp(r).sum(axis=1) @ p2)
+    return ConditionalGraphEntropyResult(min(max(value, 0.0), upper), upper, q, tuple(sets),
+                                         gap <= tol, gap)
 
 
 # --- Monte Carlo references -------------------------------------------------

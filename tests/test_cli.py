@@ -377,6 +377,15 @@ class TestGraphCommands:
         assert main(["graph", "entropy", "--graph", str(graph_path),
                      "--kind", "conditional-graph"]) == 2
 
+    def test_conditional_graph_one_axis_joint_exits_2(self, spec_files, tmp_path, capsys):
+        graph_path = tmp_path / "graph.json"
+        main(["graph", "build", "--joint", str(spec_files["pmf"]),
+              "--function", str(spec_files["function"]), "--out", str(graph_path)])
+        capsys.readouterr()
+        assert main(["graph", "entropy", "--graph", str(graph_path),
+                     "--kind", "conditional-graph", "--joint",
+                     str(spec_files["marginal"])]) == 2
+        assert capsys.readouterr().err == "error: need a two-axis joint\n"
 
     def test_conditional_chromatic_over_cap_exits_2_before_the_product(
             self, spec_files, tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from _support import (
     brute_force_min_conditional_entropy,
     dict_conditional_entropy,
     enumerate_stable_sets,
+    frozen_conditional_graph_entropy,
     grid_conditional_graph_entropy,
     loop_adjacency_masks,
     loop_characteristic_edges,
@@ -386,6 +387,18 @@ class TestConditionalGraphEntropy:
         with pytest.raises(SizeCapError, match="enumeration cap"):
             stable_sets(big)
 
+    @pytest.mark.parametrize("peers", [(), (("0", "1"), ("x", "y"))])
+    def test_joint_without_two_axes_refused_before_any_work(self, peers, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("the joint must be refused before the stable sets")
+        monkeypatch.setattr(graphs, "_stable_rows", no_enumeration)
+        verts = ternary_graph().vertices
+        axes = (verts,) + tuple(Alphabet(f"p{i}", s) for i, s in enumerate(peers))
+        shape = tuple(len(a) for a in axes)
+        joint = JointPMF(axes, np.full(shape, 1 / np.prod(shape)))
+        with pytest.raises(AxisError, match="need a two-axis joint"):
+            conditional_graph_entropy(ternary_graph(), joint)
+
     def test_generic_oracle_path_agrees_with_solver(self):
         # full-support joint disables the factored oracle path
         rng = np.random.default_rng(26)
@@ -520,6 +533,21 @@ def check_certified_solver(g: CharGraph, joint: JointPMF, kwargs: dict, loop):
     objective = (dict_conditional_entropy(triple, (2,), (1,))
                  - dict_conditional_entropy(triple, (2,), (0,)))
     assert abs(min(max(objective, 0.0), got.upper_bound) - got.value) <= 1e-12
+    return got
+
+
+def check_against_frozen_solver(g: CharGraph, joint: JointPMF, kwargs: dict):
+    """The solver against its loop as it was before each step made fewer numpy
+    calls: the same kernel and value bit for bit, the same certificate flag,
+    and the gap equal up to the rounding of its last bits."""
+    got = conditional_graph_entropy(g, joint, **kwargs)
+    want = frozen_conditional_graph_entropy(g, joint, **kwargs)
+    assert got.kernel.tobytes() == want.kernel.tobytes()
+    assert got.value.hex() == want.value.hex()
+    assert got.upper_bound == want.upper_bound
+    assert got.sets == want.sets
+    assert got.converged == want.converged
+    assert abs(got.gap - want.gap) <= 1e-15
     return got
 
 
@@ -706,6 +734,34 @@ class TestFastPathsAgainstLoops:
         # one short loop run keeps the test fast; the 1e-11 run is the tight bound
         loop = loop_conditional_graph_entropy(g, joint, restarts=1, max_iter=100)
         assert len(check_certified_solver(g, joint, {}, loop).sets) == 81
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 5, None])
+    def test_conditional_graph_entropy_against_the_frozen_loop(self, max_iter):
+        rng = np.random.default_rng(150 + (6 if max_iter is None else max_iter))
+        kwargs = {} if max_iter is None else dict(max_iter=max_iter)
+        for case in range(16):
+            n = int(rng.integers(3, 9))
+            g = random_graph(rng, n)
+            m = int(rng.integers(2, 5))
+            if case % 4 == 0:         # one peer per vertex
+                mass = np.zeros((n, m))
+                mass[np.arange(n), rng.integers(0, m, size=n)] = rng.random(n) + 0.5
+            else:                     # full support, a vertex or a peer without mass
+                mass = rng.random((n, m)) + 0.05
+                if case % 4 == 2:
+                    mass[rng.integers(n)] = 0.0
+                elif case % 4 == 3:
+                    mass[:, rng.integers(m)] = 0.0
+            joint = JointPMF((g.vertices, alph("p", m)), mass / mass.sum())
+            check_against_frozen_solver(g, joint, kwargs)
+
+    def test_conditional_graph_entropy_against_the_frozen_loop_at_the_cap(self):
+        verts = alph("v", 12)
+        g = CharGraph(verts, frozenset((verts.symbols[3 * t + i], verts.symbols[3 * t + j])
+                                       for t in range(4) for i, j in ((0, 1), (0, 2), (1, 2))))
+        mass = np.random.default_rng(5).random((12, 12))
+        joint = JointPMF((verts, alph("p", 12)), mass / mass.sum())
+        assert check_against_frozen_solver(g, joint, {}).converged
 
     def test_threshold_calls_distortion_once_per_ordered_label_pair(self):
         joint = presets.ternary_source_joint("w1", "w2")
