@@ -243,6 +243,6 @@ def gmac_sum_rate(mac: GaussianMAC, rho_x: float = 0.0) -> float:
     """Sum-rate bound for jointly Gaussian inputs at correlation ``rho_x``:
     (1/2) log2(1 + 2P(1 + rho_x) / noise variance)."""
     if not -1.0 <= rho_x <= 1.0:
-        raise ValueError(f"input correlation must lie in [-1, 1], got {rho_x}")
+        raise ValueError(f"rho_x must lie in [-1, 1], got {rho_x}")
     snr = 2.0 * mac.power * (1.0 + rho_x) / mac.noise_var
     return 0.5 * math.log2(1.0 + snr)

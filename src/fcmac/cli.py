@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -29,16 +28,6 @@ from .graphs import (
 )
 from .channels import GaussianMAC, gmac_sum_rate, mac_sum_capacity_independent
 from .schemes import DEFAULT_SEED
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("FCMAC_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"FCMAC_SEED must be an integer, got {raw!r}") from None
 
 
 def _fmt(value) -> str:
@@ -59,10 +48,6 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _rows_csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -75,9 +60,6 @@ def _rows_csv(header, rows) -> str:
 # the columns of an experiment's result rows, in both output formats
 _ROW_FIELDS = ("label", "value", "units", "expected", "tolerance", "reference",
                "status", "note")
-# the `experiment` options passed on to the experiment when given
-_OVERRIDE_FIELDS = ("rho", "power", "power_min", "power_max", "sigma2", "target_d",
-                    "steps", "samples", "cells", "rho_x")
 
 
 def _result_json(result: experiments.ExperimentResult) -> dict:
@@ -131,8 +113,14 @@ def _print_experiment(result: experiments.ExperimentResult) -> None:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {key: getattr(args, key) for key in _OVERRIDE_FIELDS
-                 if getattr(args, key) is not None}
+    if args.seed is None:
+        raw = os.environ.get("FCMAC_SEED", str(DEFAULT_SEED))
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            raise ValueError(f"FCMAC_SEED must be an integer, got {raw!r}") from None
+    overrides = {name: getattr(args, name) for name in experiments.OVERRIDES
+                 if getattr(args, name) is not None}
     result = experiments.run_experiment(args.id, seed=args.seed, **overrides)
     _print_experiment(result)
     if args.out:
@@ -146,9 +134,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_check(args) -> int:
     spec = jsonio.system_spec_from_json(jsonio.load_json(args.spec))
     report = check_feasibility(spec)
-    payload = jsonio.feasibility_report_to_json(report)
     if args.format == "json":
-        text = _json_text(payload)
+        text = jsonio.json_text(jsonio.feasibility_report_to_json(report))
     elif args.format == "csv":
         rows = [(r.name, r.lhs_bits, r.rhs_bits, r.margin_bits, r.verdict)
                 for r in report.inequalities]
@@ -183,66 +170,62 @@ def _numeric_label(value):
                          " numeric function values") from None
 
 
-def _cmd_graph(args) -> int:
-    if args.graph_cmd == "build":
-        joint = jsonio.pmf_from_json(jsonio.load_json(args.joint))
-        table = jsonio.function_table_from_json(jsonio.load_json(args.function))
-        if args.delta is not None:
-            g = characteristic_graph(
-                joint, table, delta=args.delta,
-                range_distortion=lambda a, b: abs(_numeric_label(a) - _numeric_label(b)))
-        else:
-            g = characteristic_graph(joint, table)
-        _write_text(args.out, _json_text(jsonio.graph_to_json(g)))
-        return 0
-    if args.graph_cmd == "color":
-        g = jsonio.graph_from_json(jsonio.load_json(args.graph))
-        marginal = jsonio.pmf_from_json(jsonio.load_json(args.marginal))
-        coloring, bits = min_entropy_coloring(g, marginal, args.mode)
-        print(f"entropy_bits {_fmt(bits)} ({args.mode})")
-        _write_text(args.out, _json_text(jsonio.coloring_to_json(coloring)))
-        return 0
-    if args.graph_cmd == "entropy":
-        g = jsonio.graph_from_json(jsonio.load_json(args.graph))
-        if args.kind == "chromatic":
-            if args.marginal is None:
-                print("error: --kind chromatic needs --marginal", file=sys.stderr)
-                return 2
-            marginal = jsonio.pmf_from_json(jsonio.load_json(args.marginal))
-            _, bits = min_entropy_coloring(g, marginal, "exact")
-            payload = {"kind": "chromatic", "bits": bits}
-        else:
-            if args.joint is None:
-                print(f"error: --kind {args.kind} needs --joint", file=sys.stderr)
-                return 2
-            joint = jsonio.pmf_from_json(jsonio.load_json(args.joint))
-            if args.kind == "conditional-chromatic":
-                bits = conditional_chromatic_entropy(g, joint, args.n)
-                payload = {"kind": "conditional-chromatic", "n": args.n, "bits": bits}
-            else:
-                res = conditional_graph_entropy(g, joint)
-                payload = {"kind": "conditional-graph", "bits": res.value,
-                           "gap_bits": res.gap, "upper_bound_bits": res.upper_bound,
-                           "converged": res.converged}
-        sys.stdout.write(_json_text(payload))
-        return 0
-    raise AssertionError("unreachable")
+def _cmd_graph_build(args) -> int:
+    joint = jsonio.pmf_from_json(jsonio.load_json(args.joint))
+    table = jsonio.function_table_from_json(jsonio.load_json(args.function))
+    # the range distortion is read in threshold mode only, when --delta is given
+    g = characteristic_graph(
+        joint, table, delta=args.delta,
+        range_distortion=lambda a, b: abs(_numeric_label(a) - _numeric_label(b)))
+    _write_text(args.out, jsonio.json_text(jsonio.graph_to_json(g)))
+    return 0
 
 
-def _cmd_channel(args) -> int:
-    if args.channel_cmd == "capacity":
-        mac = jsonio.mac_from_json(jsonio.load_json(args.mac))
-        res = mac_sum_capacity_independent(mac)
-        # JSON has no infinity: a gap that is +inf, because a block could
-        # open an unused output, is written as null
-        gap1, gap2 = (g if math.isfinite(g) else None for g in (res.gap1, res.gap2))
-        payload = {"sum_capacity_bits": res.bits, "gap1_bits": gap1, "gap2_bits": gap2,
-                   "input1": [float(p) for p in res.input1],
-                   "input2": [float(p) for p in res.input2]}
+def _cmd_graph_color(args) -> int:
+    g = jsonio.graph_from_json(jsonio.load_json(args.graph))
+    marginal = jsonio.pmf_from_json(jsonio.load_json(args.marginal))
+    coloring, bits = min_entropy_coloring(g, marginal, args.mode)
+    print(f"entropy_bits {_fmt(bits)} ({args.mode})")
+    _write_text(args.out, jsonio.json_text(jsonio.coloring_to_json(coloring)))
+    return 0
+
+
+def _cmd_graph_entropy(args) -> int:
+    g = jsonio.graph_from_json(jsonio.load_json(args.graph))
+    needed = "marginal" if args.kind == "chromatic" else "joint"
+    if getattr(args, needed) is None:
+        raise ValueError(f"--kind {args.kind} needs --{needed}")
+    pmf = jsonio.pmf_from_json(jsonio.load_json(getattr(args, needed)))
+    if args.kind == "chromatic":
+        payload = {"kind": "chromatic", "bits": min_entropy_coloring(g, pmf, "exact")[1]}
+    elif args.kind == "conditional-chromatic":
+        payload = {"kind": "conditional-chromatic", "n": args.n,
+                   "bits": conditional_chromatic_entropy(g, pmf, args.n)}
     else:
-        mac = GaussianMAC(args.power, args.noise_var)
-        payload = {"sum_rate_bits": gmac_sum_rate(mac, args.rho)}
-    sys.stdout.write(_json_text(payload))
+        res = conditional_graph_entropy(g, pmf)
+        payload = {"kind": "conditional-graph", "bits": res.value,
+                   "gap_bits": res.gap, "upper_bound_bits": res.upper_bound,
+                   "converged": res.converged}
+    sys.stdout.write(jsonio.json_text(payload))
+    return 0
+
+
+def _cmd_channel_capacity(args) -> int:
+    mac = jsonio.mac_from_json(jsonio.load_json(args.mac))
+    res = mac_sum_capacity_independent(mac)
+    # JSON has no infinity: a gap that is +inf, because a block could
+    # open an unused output, is written as null
+    gap1, gap2 = (g if math.isfinite(g) else None for g in (res.gap1, res.gap2))
+    sys.stdout.write(jsonio.json_text({
+        "sum_capacity_bits": res.bits, "gap1_bits": gap1, "gap2_bits": gap2,
+        "input1": [float(p) for p in res.input1],
+        "input2": [float(p) for p in res.input2]}))
+    return 0
+
+
+def _cmd_channel_gmac(args) -> int:
+    rate = gmac_sum_rate(GaussianMAC(args.power, args.noise_var), args.rho)
+    sys.stdout.write(jsonio.json_text({"sum_rate_bits": rate}))
     return 0
 
 
@@ -251,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by every later call.
 
     It holds only constants: parsing returns a fresh namespace each time, and
-    anything read per call, such as FCMAC_SEED, is resolved in ``main``.
+    anything read per call, such as FCMAC_SEED, is resolved by the handler
+    that ``func`` names for the leaf subcommand.
     """
     parser = argparse.ArgumentParser(
         prog="fcmac",
@@ -264,16 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", help="write results to this path")
     exp.add_argument("--seed", type=int, default=None)
     exp.add_argument("--format", choices=("csv", "json"), default="csv")
-    exp.add_argument("--rho", type=float, default=None)
-    exp.add_argument("--power", type=float, default=None)
-    exp.add_argument("--power-min", dest="power_min", type=float, default=None)
-    exp.add_argument("--power-max", dest="power_max", type=float, default=None)
-    exp.add_argument("--steps", type=int, default=None)
-    exp.add_argument("--samples", type=int, default=None)
-    exp.add_argument("--rho-x", dest="rho_x", type=float, default=None)
-    exp.add_argument("--cells", type=int, default=None)
-    exp.add_argument("--sigma2", type=float, default=None)
-    exp.add_argument("--target-d", dest="target_d", type=float, default=None)
+    for name, kind in experiments.OVERRIDES.items():
+        exp.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
     exp.set_defaults(func=_cmd_experiment)
 
     check = sub.add_parser("check", help="check a system description")
@@ -294,11 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--delta", type=float, default=None,
                        help="threshold mode: confusable when values differ by more than this")
     build.add_argument("--out", default=None)
+    build.set_defaults(func=_cmd_graph_build)
     color = graph_sub.add_parser("color", help="minimum-entropy coloring")
     color.add_argument("--graph", required=True)
     color.add_argument("--marginal", required=True)
     color.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     color.add_argument("--out", default=None)
+    color.set_defaults(func=_cmd_graph_color)
     gent = graph_sub.add_parser("entropy", help="graph entropy quantities")
     gent.add_argument("--graph", required=True)
     gent.add_argument("--kind", choices=("chromatic", "conditional-chromatic",
@@ -306,17 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
     gent.add_argument("--marginal", default=None)
     gent.add_argument("--joint", default=None)
     gent.add_argument("--n", type=int, default=1)
-    graph.set_defaults(func=_cmd_graph)
+    gent.set_defaults(func=_cmd_graph_entropy)
 
     chan = sub.add_parser("channel", help="channel capacities and sum rates")
     chan_sub = chan.add_subparsers(dest="channel_cmd", required=True)
     cap = chan_sub.add_parser("capacity", help="independent-input sum capacity")
     cap.add_argument("--mac", required=True, help="channel kernel JSON file")
+    cap.set_defaults(func=_cmd_channel_capacity)
     gm = chan_sub.add_parser("gmac", help="Gaussian sum rate at an input correlation")
     gm.add_argument("--power", type=float, required=True)
     gm.add_argument("--rho", type=float, default=0.0)
     gm.add_argument("--noise-var", dest="noise_var", type=float, default=1.0)
-    chan.set_defaults(func=_cmd_channel)
+    gm.set_defaults(func=_cmd_channel_gmac)
 
     return parser
 
@@ -326,8 +305,6 @@ def main(argv=None) -> int:
     # every parse, validation and size-cap error is a ValueError; OSError
     # covers paths that cannot be read or written
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -135,7 +135,7 @@ def run_experiment(experiment_id: str, seed: int = DEFAULT_SEED,
     except KeyError:
         raise UnknownExperimentError(
             f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}") from None
-    accepted = [name for name in inspect.signature(runner).parameters if name != "seed"]
+    accepted = [p.name for p in _PARAMETERS[experiment_id]]
     unsupported = [name for name in overrides if name not in accepted]
     if unsupported:
         raise ValueError(f"unsupported override for {experiment_id}: {', '.join(unsupported)};"
@@ -408,3 +408,8 @@ _RUNNERS = {
     "uniform-grid": _uniform_grid,
 }
 EXPERIMENT_IDS = tuple(_RUNNERS)
+# the overrides each experiment takes (its runner's parameters but the seed), and
+# all of them in first-seen order with the type of their default, for the CLI
+_PARAMETERS = {eid: [p for p in inspect.signature(runner).parameters.values()
+                     if p.name != "seed"] for eid, runner in _RUNNERS.items()}
+OVERRIDES = {p.name: type(p.default) for params in _PARAMETERS.values() for p in params}

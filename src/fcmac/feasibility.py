@@ -132,7 +132,7 @@ class SystemSpec:
                      f"decoder output {lbl!r} missing from the distortion table")
         if not (math.isfinite(self.target_d) and self.target_d >= 0):
             raise ValueError(
-                f"target distortion must be finite and nonnegative, got {self.target_d}")
+                f"target_d must be finite and nonnegative, got {self.target_d}")
 
     @property
     def axis_names(self) -> dict:

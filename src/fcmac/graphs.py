@@ -214,7 +214,7 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
     for fa, ja in zip(f.domain_axes, joint.axes):
         if fa.symbols != ja.symbols:
             raise AxisError(f"function axis {fa.name!r} does not match joint axis {ja.name!r}")
-    if delta is not None and delta < 0:
+    if delta is not None and not delta >= 0:     # refuses NaN as well
         raise ValueError(f"delta must be nonnegative, got {delta}")
     labels = f.range_labels()
     n, m = joint.mass.shape
@@ -252,7 +252,7 @@ def or_product(g: CharGraph, n: int) -> CharGraph:
     diagonal is all true.
     """
     if n < 1:
-        raise ValueError(f"block length must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return g
     base = len(g.vertices)

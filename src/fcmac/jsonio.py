@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -94,10 +95,20 @@ def alphabet_to_json(a: Alphabet) -> dict:
 
 
 def _nested_floats(data, shape: tuple[int, ...], path: str) -> np.ndarray:
+    # float() reads true as 1.0 and "0.5" as 0.5, so the entries' types are checked
+    # first; an object array of JSON values is built without error, ragged or not
+    cells = np.array(data, dtype=object)
+    flat = cells.ravel().tolist()
+    if not set(map(type, flat)) <= {float, int}:
+        pos, value = next((i, v) for i, v in enumerate(flat) if type(v) not in (float, int))
+        if isinstance(value, list) or cells.ndim == 0:      # ragged, or not an array
+            raise SpecFormatError(path, "expected nested numeric arrays")
+        raise SpecFormatError(path + _index_path(np.unravel_index(pos, cells.shape)),
+                              f"expected a number, got {type(value).__name__}")
     try:
-        arr = np.array(data, dtype=float)
-    except (TypeError, ValueError):
-        raise SpecFormatError(path, "expected nested numeric arrays") from None
+        arr = cells.astype(float)
+    except OverflowError:
+        raise SpecFormatError(path, "an integer is too large for a float") from None
     if arr.shape != shape:
         raise SpecFormatError(path, f"shape {arr.shape} does not match axes {shape}")
     bad = np.argwhere(~np.isfinite(arr))
@@ -247,9 +258,10 @@ def distortion_to_json(d: DistortionTable) -> dict:
 
 def system_spec_from_json(obj, path: str = "$") -> SystemSpec:
     target = _get(obj, "target_d", path)
-    if (isinstance(target, bool) or not isinstance(target, (int, float))
-            or not math.isfinite(target)):
-        raise SpecFormatError(f"{path}.target_d", "target distortion must be a finite number")
+    # compared, not converted, so that an integer past the float range is refused too
+    if type(target) not in (int, float) or not 0 <= target <= sys.float_info.max:
+        raise SpecFormatError(f"{path}.target_d",
+                              "target distortion must be finite and nonnegative")
     try:
         return SystemSpec(
             source_joint=pmf_from_json(_get(obj, "source_joint", path), f"{path}.source_joint"),
@@ -309,7 +321,12 @@ def load_json(path: str):
         raise SpecFormatError("$", f"invalid JSON in {path}: nested too deeply") from None
 
 
+def json_text(obj) -> str:
+    """The one JSON layout of every file and report: indent 2, sorted keys and
+    a trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def dump_json(obj, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(obj))

@@ -160,7 +160,7 @@ def grid_system(cells: int = 3, target_d: float = 1.0 / 6.0) -> SystemSpec:
     identify the center gap on the off-diagonal support.
     """
     if cells != 3:
-        raise ValueError("the color decoding table is only defined for 3 cells")
+        raise ValueError("cells must be 3: the color decoding table is only defined for 3 cells")
     centers = grid_centers(cells)
     f = grid_cell_function(cells, "u1", "u2")
     gap1 = centers[1] - centers[0]

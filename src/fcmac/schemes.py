@@ -122,7 +122,7 @@ def _check_gauss_args(power: float, rho: float, sigma2: float) -> None:
     if not (math.isfinite(power) and power >= 0):
         raise ValueError(f"power must be finite and nonnegative, got {power}")
     if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"correlation rho must lie in [-1, 1], got {rho}")
+        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
 
@@ -154,7 +154,7 @@ def binary_quadrant_pmf(rho: float) -> JointPMF:
     """Sign pair (w1, w2) of a standard bivariate Gaussian at correlation rho:
     P(same signs) = 1/4 + asin(rho)/(2 pi) per quadrant."""
     if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     same = 0.25 + math.asin(rho) / (2.0 * math.pi)
     diff = 0.25 - math.asin(rho) / (2.0 * math.pi)
     axes = (Alphabet("w1", ("0", "1")), Alphabet("w2", ("0", "1")))

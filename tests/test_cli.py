@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -554,3 +555,213 @@ class TestPathErrors:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and str(tmp_path) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class _Inputs:
+    """Input files for the malformed-input cases, written under ``tmp_path``."""
+
+    def __init__(self, spec_files, tmp_path):
+        self.files, self.tmp, self.written = spec_files, tmp_path, 0
+        tmp_path.mkdir()
+        self.graph = str(tmp_path / "graph.json")
+        jsonio.dump_json(jsonio.graph_to_json(graphs.characteristic_graph(
+            presets.ternary_source_joint(), presets.comparison_function())), self.graph)
+
+    def __getitem__(self, key) -> str:
+        return str(self.files[key])
+
+    def text(self, text: str) -> str:
+        self.written += 1
+        path = self.tmp / f"input{self.written}.json"
+        path.write_text(text)
+        return str(path)
+
+    def edited(self, key: str, edit) -> str:
+        obj = json.loads(Path(self[key]).read_text())
+        edit(obj)
+        return self.text(json.dumps(obj))
+
+    def missing(self, name: str) -> str:
+        return str(self.tmp / "missing" / name)
+
+
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def edit(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = value
+    return edit
+
+
+def _recast(*keys_and_cast):
+    *keys, cast = keys_and_cast
+
+    def edit(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = [[cast(v) for v in row] for row in obj[keys[-1]]]
+    return edit
+
+
+def _check(spec: str) -> list[str]:
+    return ["check", "theorem1", "--spec", spec]
+
+
+def _unwritable(f: _Inputs, argv: list[str]) -> tuple[list[str], str]:
+    out = f.missing("out")
+    return argv + ["--out", out], f"[Errno 2] No such file or directory: {out!r}"
+
+
+_TRUNCATED = '{"axes": [{"name": "u1", "symbols": [0, 1'
+_DEEP = "[" * 100_000 + "]" * 100_000
+_BIG_GRAPH = json.dumps({"vertices": list(range(jsonio.GRAPH_FILE_VERTEX_CAP + 1)),
+                         "edges": []})
+
+# Malformed input through every leaf subcommand. Each case maps the input
+# files to (argv, the text that must follow "error: "), which is a $ path, a
+# parameter name, or the operating system's message naming the path. A case
+# whose name mentions FCMAC_SEED runs with FCMAC_SEED=x1, the others with it unset.
+MALFORMED_INPUT = {
+    # check theorem1
+    "check truncated file": lambda f: (_check(f.text(_TRUNCATED)), "$: invalid JSON in "),
+    "check deeply nested file": lambda f: (_check(f.text(_DEEP)), "$: invalid JSON in "),
+    "check mismatched rows": lambda f: (
+        _check(f.edited("joint_spec", lambda o: o["x1_kernel"]["rows"].append([0.5, 0.5]))),
+        "$.x1_kernel.rows: shape (3, 2) does not match axes (2, 2)"),
+    "check ragged rows": lambda f: (
+        _check(f.edited("joint_spec", lambda o: o["x1_kernel"]["rows"][0].pop())),
+        "$.x1_kernel.rows: expected nested numeric arrays"),
+    "check nan mass": lambda f: (
+        _check(f.edited("joint_spec", _set("source_joint", "mass", 0, 1, 0, 0, 0, math.nan))),
+        "$.source_joint.mass[0][1][0][0][0]: value nan is not finite"),
+    "check boolean kernel": lambda f: (
+        _check(f.edited("joint_spec", _recast("x1_kernel", "rows", bool))),
+        "$.x1_kernel.rows[0][0]: expected a number, got bool"),
+    "check string kernel": lambda f: (
+        _check(f.edited("joint_spec", _recast("x1_kernel", "rows", lambda v: str(int(v))))),
+        "$.x1_kernel.rows[0][0]: expected a number, got str"),
+    "check boolean among floats": lambda f: (
+        _check(f.edited("joint_spec", _set("w2_kernel", "rows", 1, 0, True))),
+        "$.w2_kernel.rows[1][0]: expected a number, got bool"),
+    "check boolean distortion": lambda f: (
+        _check(f.edited("joint_spec", _recast("distortion", "values", bool))),
+        "$.distortion.values[0][0]: expected a number, got bool"),
+    "check integer past the float range": lambda f: (
+        _check(f.edited("joint_spec", _set("channel", "rows", 0, 0, 10 ** 400))),
+        "$.channel.rows: an integer is too large for a float"),
+    "check negative target": lambda f: (
+        _check(f.edited("joint_spec", _set("target_d", -0.5))),
+        "$.target_d: target distortion must be finite and nonnegative"),
+    "check integer target past the float range": lambda f: (
+        _check(f.edited("joint_spec", _set("target_d", 10 ** 400))),
+        "$.target_d: target distortion must be finite and nonnegative"),
+    "check unwritable out": lambda f: _unwritable(f, _check(f["joint_spec"])),
+    # graph build
+    "graph build truncated joint": lambda f: (
+        ["graph", "build", "--joint", f.text(_TRUNCATED), "--function", f["function"]],
+        "$: invalid JSON in "),
+    "graph build boolean mass": lambda f: (
+        ["graph", "build", "--joint", f.edited("pmf", _set("mass", 2, 1, False)),
+         "--function", f["function"]], "$.mass[2][1]: expected a number, got bool"),
+    "graph build delta nan": lambda f: (
+        ["graph", "build", "--joint", f["pmf"], "--function", f["grid_function"],
+         "--delta", "nan"], "delta must be nonnegative, got nan"),
+    "graph build negative delta": lambda f: (
+        ["graph", "build", "--joint", f["pmf"], "--function", f["grid_function"],
+         "--delta", "-0.5"], "delta must be nonnegative, got -0.5"),
+    "graph build mismatched function": lambda f: (
+        ["graph", "build", "--joint", f["pmf"],
+         "--function", f.edited("function", lambda o: o["values"].pop())],
+        "$.values: values must form a dense table of shape (3, 3)"),
+    "graph build unwritable out": lambda f: _unwritable(
+        f, ["graph", "build", "--joint", f["pmf"], "--function", f["function"]]),
+    # graph color
+    "graph color truncated graph": lambda f: (
+        ["graph", "color", "--graph", f.text(_TRUNCATED), "--marginal", f["marginal"]],
+        "$: invalid JSON in "),
+    "graph color over-cap graph file": lambda f: (
+        ["graph", "color", "--graph", f.text(_BIG_GRAPH), "--marginal", f["marginal"]],
+        "$.vertices: 1025 vertices exceeds the graph-file cap"),
+    "graph color string mass": lambda f: (
+        ["graph", "color", "--graph", f.graph,
+         "--marginal", f.edited("marginal", _set("mass", 1, "0.5"))],
+        "$.mass[1]: expected a number, got str"),
+    "graph color nan mass": lambda f: (
+        ["graph", "color", "--graph", f.graph,
+         "--marginal", f.edited("marginal", _set("mass", 0, math.nan))],
+        "$.mass[0]: value nan is not finite"),
+    "graph color unwritable out": lambda f: _unwritable(
+        f, ["graph", "color", "--graph", f.graph, "--marginal", f["marginal"]]),
+    # graph entropy
+    "graph entropy deeply nested joint": lambda f: (
+        ["graph", "entropy", "--graph", f.graph, "--kind", "conditional-graph",
+         "--joint", f.text(_DEEP)], "$: invalid JSON in "),
+    "graph entropy chromatic without marginal": lambda f: (
+        ["graph", "entropy", "--graph", f.graph], "--kind chromatic needs --marginal"),
+    "graph entropy conditional without joint": lambda f: (
+        ["graph", "entropy", "--graph", f.graph, "--kind", "conditional-graph"],
+        "--kind conditional-graph needs --joint"),
+    "graph entropy n 0": lambda f: (
+        ["graph", "entropy", "--graph", f.graph, "--kind", "conditional-chromatic",
+         "--joint", f["pmf"], "--n", "0"], "n must be >= 1, got 0"),
+    "graph entropy boolean joint": lambda f: (
+        ["graph", "entropy", "--graph", f.graph, "--kind", "conditional-chromatic",
+         "--joint", f.edited("pmf", _recast("mass", bool))],
+        "$.mass[0][0]: expected a number, got bool"),
+    # channel capacity
+    "channel capacity truncated mac": lambda f: (
+        ["channel", "capacity", "--mac", f.text(_TRUNCATED)], "$: invalid JSON in "),
+    "channel capacity mismatched rows": lambda f: (
+        ["channel", "capacity", "--mac", f.edited("mac", lambda o: o["rows"].pop())],
+        "$.rows: shape (3, 3) does not match axes (4, 3)"),
+    "channel capacity boolean rows": lambda f: (
+        ["channel", "capacity", "--mac", f.edited("mac", _recast("rows", bool))],
+        "$.rows[0][0]: expected a number, got bool"),
+    "channel capacity nan rows": lambda f: (
+        ["channel", "capacity", "--mac", f.edited("mac", _set("rows", 3, 2, math.nan))],
+        "$.rows[3][2]: value nan is not finite"),
+    # channel gmac
+    "channel gmac power nan": lambda f: (
+        ["channel", "gmac", "--power", "nan"], "power must be finite"),
+    "channel gmac rho 2": lambda f: (
+        ["channel", "gmac", "--power", "5", "--rho", "2"], "rho_x must lie in [-1, 1]"),
+    "channel gmac noise 0": lambda f: (
+        ["channel", "gmac", "--power", "5", "--noise-var", "0"], "noise_var must be finite"),
+    # experiment
+    "experiment bad FCMAC_SEED": lambda f: (
+        ["experiment", "gauss-binary"], "FCMAC_SEED must be an integer, got 'x1'"),
+    "experiment over-cap steps": lambda f: (
+        ["experiment", "gauss-diff", "--steps", str(experiments.MAX_STEPS + 1)],
+        "steps must be between 1 and"),
+    "experiment over-cap samples": lambda f: (
+        ["experiment", "uniform-grid", "--samples", str(schemes.MAX_SAMPLES + 1)],
+        "samples must be between"),
+    "experiment over-cap cells": lambda f: (
+        ["experiment", "uniform-grid", "--cells", "4"], "cells must be 3: "),
+    "experiment gauss-binary rho 2": lambda f: (
+        ["experiment", "gauss-binary", "--rho", "2"], "rho must lie in [-1, 1]"),
+    "experiment gauss-binary rho-x nan": lambda f: (
+        ["experiment", "gauss-binary", "--rho-x", "nan"], "rho_x must lie in [-1, 1]"),
+    "experiment gauss-diff rho 2": lambda f: (
+        ["experiment", "gauss-diff", "--rho", "2", "--samples", "10000"],
+        "rho must lie in [-1, 1]"),
+    "experiment uniform-grid negative target": lambda f: (
+        ["experiment", "uniform-grid", "--target-d", "-1", "--samples", "10000"],
+        "target_d must be finite and nonnegative"),
+    "experiment unwritable out": lambda f: _unwritable(f, ["experiment", "section5"]),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUT))
+def test_malformed_input_exits_2(case, spec_files, tmp_path, monkeypatch, capsys):
+    argv, lead = MALFORMED_INPUT[case](_Inputs(spec_files, tmp_path / "inputs"))
+    if "FCMAC_SEED" in case:
+        monkeypatch.setenv("FCMAC_SEED", "x1")
+    else:
+        monkeypatch.delenv("FCMAC_SEED", raising=False)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lead}"), err
+    assert err.count("\n") == 1 and "Traceback" not in err

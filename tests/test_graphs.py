@@ -92,6 +92,18 @@ class TestCharacteristicGraph:
             characteristic_graph(presets.ternary_source_joint("w1", "w2"),
                                  presets.grid_cell_function(3), delta=-0.1)
 
+    @pytest.mark.parametrize("delta", [float("nan"), Fraction(-1, 6), -math.inf])
+    def test_nan_and_negative_delta_refused_by_name(self, delta):
+        with pytest.raises(ValueError, match="^delta must be nonnegative"):
+            characteristic_graph(presets.ternary_source_joint("w1", "w2"),
+                                 presets.grid_cell_function(3), delta=delta)
+
+    @pytest.mark.parametrize("delta", [0, Fraction(1, 6), math.inf])
+    def test_nonnegative_delta_accepted(self, delta):
+        g = characteristic_graph(presets.ternary_source_joint("w1", "w2"),
+                                 presets.grid_cell_function(3), delta=delta)
+        assert (len(g.sorted_edges()) == 0) == (delta == math.inf)
+
     @pytest.mark.parametrize("n,m,n_labels", [(1025, 1, 1), (1, 1025, 1025)])
     def test_size_cap_refuses_before_the_label_table(self, n, m, n_labels):
         # over the cap on vertices^2 x peers, then on distinct labels^2

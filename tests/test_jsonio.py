@@ -412,3 +412,91 @@ class TestNonFiniteInjection:
         with pytest.raises(jsonio.SpecFormatError) as err:
             jsonio.graph_from_json(obj)
         assert err.value.path == "$.name"
+
+
+# the numeric arrays of a system file; every other scalar is a label or a name
+_NUMERIC_ARRAYS = (".mass", ".rows", ".distortion.values")
+
+
+class TestNonNumbersInNumericArrays:
+    """A boolean, string or null among the numbers of a numeric array is
+    refused at its index; a float conversion would read true as 1.0 and
+    "0.5" as 0.5."""
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", "1", None])
+    def test_system_spec_file(self, bad):
+        rng = np.random.default_rng(45)
+        for _ in range(40):
+            obj = jsonio.system_spec_to_json(random_system_spec(rng))
+            leaves = [leaf for leaf in _json_leaves(obj)
+                      if any(part + "[" in leaf[0] for part in _NUMERIC_ARRAYS)]
+            where, container, key = leaves[int(rng.integers(len(leaves)))]
+            container[key] = bad
+            with pytest.raises(jsonio.SpecFormatError) as err:
+                jsonio.system_spec_from_json(json.loads(json.dumps(obj)))
+            assert str(err.value) == f"{where}: expected a number, got {type(bad).__name__}"
+
+    def test_whole_kernel_of_booleans_or_strings(self):
+        obj = jsonio.system_spec_to_json(presets.section5_system("joint"))
+        rows = obj["x1_kernel"]["rows"]
+        for cast in (bool, lambda v: str(int(v))):
+            obj["x1_kernel"]["rows"] = [[cast(v) for v in row] for row in rows]
+            with pytest.raises(jsonio.SpecFormatError) as err:
+                jsonio.system_spec_from_json(obj)
+            assert err.value.path == "$.x1_kernel.rows[0][0]"
+
+    def test_first_offender_in_c_order_is_named(self):
+        obj = jsonio.pmf_to_json(presets.ternary_source_joint())
+        obj["mass"][2][0] = True
+        obj["mass"][1][2] = "x"
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.pmf_from_json(obj)
+        assert str(err.value) == "$.mass[1][2]: expected a number, got str"
+
+    def test_integers_are_numbers(self):
+        obj = jsonio.distortion_to_json(presets.section5_system("joint").distortion)
+        obj["values"] = [[int(v) for v in row] for row in obj["values"]]
+        table = jsonio.distortion_from_json(obj)
+        assert table.values.dtype == float
+
+    def test_ragged_and_shape_messages_unchanged(self):
+        obj = jsonio.pmf_to_json(presets.ternary_source_joint())
+        for mass, message in (([[0.5, 0.5], [0.0]], "expected nested numeric arrays"),
+                              ([[0.5, [0.5]], [0.0, 0.0]], "expected nested numeric arrays"),
+                              ("abc", "expected nested numeric arrays"),
+                              ([[0.5, 0.5]], "shape (1, 2) does not match axes (3, 3)")):
+            with pytest.raises(jsonio.SpecFormatError) as err:
+                jsonio.pmf_from_json(dict(obj, mass=mass))
+            assert str(err.value) == f"$.mass: {message}"
+
+    def test_integer_past_the_float_range(self):
+        obj = jsonio.kernel_to_json(presets.color_kernel_single("u1", "c1"))
+        obj["rows"][0][0] = 10 ** 400
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.kernel_from_json(obj)
+        assert str(err.value) == "$.rows: an integer is too large for a float"
+
+
+class TestTargetDistortion:
+    @pytest.mark.parametrize("bad", [-0.5, -1, pytest.param(10 ** 400, id="10**400"),
+                                     float("nan"), True, "0.1", None])
+    def test_refused_at_its_field(self, bad):
+        obj = jsonio.system_spec_to_json(presets.section5_system("joint"))
+        obj["target_d"] = bad
+        with pytest.raises(jsonio.SpecFormatError) as err:
+            jsonio.system_spec_from_json(obj)
+        assert str(err.value) == "$.target_d: target distortion must be finite and nonnegative"
+
+    @pytest.mark.parametrize("good", [0, 0.0, 1, 0.25])
+    def test_accepted(self, good):
+        obj = jsonio.system_spec_to_json(presets.section5_system("joint"))
+        obj["target_d"] = good
+        assert jsonio.system_spec_from_json(obj).target_d == float(good)
+
+
+def test_json_text_is_the_file_layout(tmp_path):
+    obj = {"b": [1, 2.5, None], "a": {"y": True, "x": "s"}}
+    path = tmp_path / "out.json"
+    jsonio.dump_json(obj, str(path))
+    assert path.read_text(encoding="utf-8") == jsonio.json_text(obj)
+    assert jsonio.json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
