@@ -224,6 +224,9 @@ def _cmd_channel_capacity(args) -> int:
 
 
 def _cmd_channel_gmac(args) -> int:
+    # gmac_sum_rate would name its own parameter, rho_x
+    if not -1.0 <= args.rho <= 1.0:
+        raise ValueError(f"--rho must lie in [-1, 1], got {args.rho}")
     rate = gmac_sum_rate(GaussianMAC(args.power, args.noise_var), args.rho)
     sys.stdout.write(jsonio.json_text({"sum_rate_bits": rate}))
     return 0

@@ -48,7 +48,8 @@ FOUR_THIRDS = 4.0 / 3.0
 # interpreter start included, on a 2-vCPU Xeon VM with one BLAS thread.
 # gauss-diff at MAX_STEPS: 0.8 s printing only, 1.7-1.9 s with a CSV --out,
 # 2.4-2.8 s with a JSON --out (the default 40 steps: 0.35-0.39 s). With
-# schemes.MAX_SAMPLES as well, JSON out: 3.5-3.7 s.
+# schemes.MAX_SAMPLES as well, JSON out: 2.4-3.0 s on two block workers
+# (3.1-3.9 s on the same machine with the blocks on one thread).
 MAX_STEPS = 100_000
 
 

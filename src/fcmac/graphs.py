@@ -33,6 +33,13 @@ OR_PRODUCT_CAP = 1024
 # certified, s = 6 and 7 stop at the iteration cap with gaps of 3.2e-7 and
 # 4.2e-5 bits. The solver's iterations, not the colouring, bound this size.
 EXACT_COLORING_CAP = 12
+# Cells (|X||Z|)^n of the n-fold joint of iid_pair_power, checked before the
+# product is built, and its block length: the outer product holds 2n axes
+# and a numpy array at most 64. conditional_chromatic_entropy at the cap: one
+# vertex with a 1x2 joint at n = 16, 0.19 s; three vertices with a 3x85 joint
+# at n = 2, 0.19-1.14 s, most of it colouring 7,225 peer columns.
+IID_POWER_CELL_CAP = 2**16
+_MAX_IID_BLOCK = 32
 # Multiply-adds |X|^2 |Y| of the zigzag matrix product. At the cap, worst
 # case a 2048x2048 support whose distinct rows are nested: 0.53-0.6 s.
 ZIGZAG_CAP = 2**33
@@ -256,7 +263,7 @@ def or_product(g: CharGraph, n: int) -> CharGraph:
     if n == 1:
         return g
     base = len(g.vertices)
-    if base ** n > OR_PRODUCT_CAP:
+    if _power_exceeds(base, n, OR_PRODUCT_CAP):
         raise SizeCapError(f"{base}^{n} vertices exceeds the cap of {OR_PRODUCT_CAP}")
     apart = ~g._adj
     power = apart
@@ -265,6 +272,19 @@ def or_product(g: CharGraph, n: int) -> CharGraph:
     verts = Alphabet(f"{g.vertices.name}^{n}",
                      tuple(itertools.product(g.vertices.symbols, repeat=n)))
     return CharGraph._from_adjacency(verts, ~power)
+
+
+def _power_exceeds(base: int, n: int, cap: int) -> bool:
+    """Whether base ** n > cap, multiplied out one factor at a time and
+    stopped once past the cap, so a huge n costs no more than a small one."""
+    if base <= 1:
+        return base > cap
+    power = 1
+    for _ in range(n):
+        power *= base
+        if power > cap:
+            return True
+    return False
 
 
 def _plogp(x: float) -> float:
@@ -408,15 +428,21 @@ def iid_pair_power(joint: JointPMF, n: int) -> JointPMF:
     """n-fold iid product of a two-axis joint, axes grouped per original axis."""
     if len(joint.axes) != 2:
         raise AxisError("need a two-axis joint")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return joint
+    if n > _MAX_IID_BLOCK:
+        raise SizeCapError(f"n must be at most {_MAX_IID_BLOCK} for an iid power, got {n}")
+    s1, s2 = joint.mass.shape
+    if _power_exceeds(s1 * s2, n, IID_POWER_CELL_CAP):
+        raise SizeCapError(f"{s1 * s2}^{n} joint cells exceeds the cap of {IID_POWER_CELL_CAP}")
     full = joint.mass
     for _ in range(n - 1):
         full = np.multiply.outer(full, joint.mass)
     # outer() orders axes (i1,j1,i2,j2,...); group the i's then the j's
     perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     full = np.transpose(full, perm)
-    s1, s2 = len(joint.axes[0]), len(joint.axes[1])
     axes = tuple(
         Alphabet(f"{a.name}^{n}", tuple(itertools.product(a.symbols, repeat=n)))
         for a in joint.axes)
@@ -429,11 +455,15 @@ def conditional_chromatic_entropy(g: CharGraph, joint: JointPMF, n: int = 1) -> 
     _check_vertex_axis(joint, g, "joint")
     if len(joint.axes) != 2:
         raise AxisError("need a two-axis joint")
-    if len(g.vertices) ** n > EXACT_COLORING_CAP:
-        raise SizeCapError(f"OR-product has {len(g.vertices) ** n} vertices,"
+    base = len(g.vertices)
+    if _power_exceeds(base, n, EXACT_COLORING_CAP):
+        # the exact count while it is short to write, else the power
+        count = base ** n if n <= 64 else f"{base}^{n}"
+        raise SizeCapError(f"OR-product has {count} vertices,"
                            f" over the cap of {EXACT_COLORING_CAP}")
-    gn = or_product(g, n)
+    # the joint first: on a one-vertex graph only its cap bounds n
     jn = iid_pair_power(joint, n)
+    gn = or_product(g, n)
     _, value = _min_entropy_partition(gn._adj, jn.mass.astype(float))
     return float(value) / n
 

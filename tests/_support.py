@@ -743,6 +743,19 @@ def loop_monte_carlo_af(block_rng, power, rho, sigma2, samples, seed):
     return mean, 1.96 * math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
 
 
+def loop_gaussian_pairs(block_rng, sigma2, rho, samples, seed) -> np.ndarray:
+    """(n, 2) draws of the correlated Gaussian source pair."""
+    sd = math.sqrt(sigma2)
+    cross = math.sqrt(max(1.0 - rho * rho, 0.0))
+    out = np.empty((samples, 2))
+    for b, m in _keyed_blocks(samples):
+        z = block_rng(seed, b).standard_normal((m, 2))
+        start = b << 16
+        out[start:start + m, 0] = sd * z[:, 0]
+        out[start:start + m, 1] = sd * (rho * z[:, 0] + cross * z[:, 1])
+    return out
+
+
 def loop_offdiagonal_points(block_rng, cells, samples, seed) -> np.ndarray:
     """(n, 2) draws from the blocked-uniform density on [0, 1]^2."""
     pairs = [(i, j) for i in range(cells) for j in range(cells) if i != j]

@@ -13,7 +13,7 @@ import fcmac
 from fcmac import experiments, feasibility, graphs, jsonio, presets, schemes
 from fcmac.channels import adder_mac
 from fcmac.cli import build_parser, main
-from fcmac.probability import marginalize
+from fcmac.probability import Alphabet, JointPMF, marginalize
 
 
 @pytest.fixture()
@@ -403,6 +403,31 @@ class TestGraphCommands:
                      str(spec_files["pmf"]), "--n", "7"]) == 2
         assert "error: OR-product has 2187 vertices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("graph", ["comparison", "one-vertex"])
+    def test_conditional_chromatic_huge_n_exits_2_at_once(self, graph, spec_files, tmp_path):
+        graph_path, joint_path = tmp_path / "graph.json", spec_files["pmf"]
+        if graph == "comparison":
+            main(["graph", "build", "--joint", str(joint_path),
+                  "--function", str(spec_files["function"]), "--out", str(graph_path)])
+            want = "error: OR-product has 3^100000000 vertices, over the cap of 12\n"
+        else:
+            verts = Alphabet("u1", ("a",))
+            jsonio.dump_json(jsonio.graph_to_json(graphs.CharGraph(verts, frozenset())),
+                             str(graph_path))
+            joint_path = tmp_path / "joint.json"
+            jsonio.dump_json(jsonio.pmf_to_json(JointPMF(
+                (verts, Alphabet("u2", ("0", "1"))), np.array([[0.5, 0.5]]))), str(joint_path))
+            want = "error: n must be at most 32 for an iid power, got 100000000\n"
+        src = str(Path(fcmac.__file__).resolve().parent.parent)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # an exact power 3^n, or the n-fold product, would run for minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "fcmac.cli", "graph", "entropy", "--graph", str(graph_path),
+             "--kind", "conditional-chromatic", "--joint", str(joint_path), "--n", "100000000"],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert (proc.returncode, proc.stderr) == (2, want)
+
     def test_build_over_cap_exits_2(self, spec_files, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(graphs, "CHARACTERISTIC_GRAPH_CAP", 26)
         out = tmp_path / "graph.json"
@@ -726,7 +751,7 @@ MALFORMED_INPUT = {
     "channel gmac power nan": lambda f: (
         ["channel", "gmac", "--power", "nan"], "power must be finite"),
     "channel gmac rho 2": lambda f: (
-        ["channel", "gmac", "--power", "5", "--rho", "2"], "rho_x must lie in [-1, 1]"),
+        ["channel", "gmac", "--power", "5", "--rho", "2"], "--rho must lie in [-1, 1]"),
     "channel gmac noise 0": lambda f: (
         ["channel", "gmac", "--power", "5", "--noise-var", "0"], "noise_var must be finite"),
     # experiment

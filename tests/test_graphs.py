@@ -314,6 +314,39 @@ class TestConditionalChromaticEntropy:
         j = squared.axes[1].symbols.index(("2", "1"))
         assert squared.mass[i, j] == pytest.approx(1 / 36, abs=1e-15)
 
+    @staticmethod
+    def one_vertex(peers: int) -> tuple[CharGraph, JointPMF]:
+        verts = Alphabet("u1", ("a",))
+        joint = JointPMF((verts, Alphabet("u2", tuple(str(i) for i in range(peers)))),
+                         np.full((1, peers), 1 / peers))
+        return CharGraph(verts, frozenset()), joint
+
+    def test_one_vertex_graph_capped_by_the_joint_cells(self):
+        g, joint = self.one_vertex(2)
+        assert conditional_chromatic_entropy(g, joint, 16) == 0.0   # 2^16 cells
+        with pytest.raises(SizeCapError, match=r"^2\^17 joint cells exceeds the cap of 65536"):
+            conditional_chromatic_entropy(g, joint, 17)
+        with pytest.raises(SizeCapError, match=r"^2\^17 joint cells"):
+            iid_pair_power(joint, 17)
+
+    def test_block_length_capped_where_the_cells_do_not_grow(self):
+        g, joint = self.one_vertex(1)
+        assert conditional_chromatic_entropy(g, joint, graphs._MAX_IID_BLOCK) == 0.0
+        for n in (graphs._MAX_IID_BLOCK + 1, 10**8):
+            with pytest.raises(SizeCapError, match=f"^n must be at most 32 .*, got {n}$"):
+                conditional_chromatic_entropy(g, joint, n)
+
+    def test_huge_block_length_refused_by_counting_up_to_the_cap(self):
+        # 3 ** 10**7 alone takes seconds as an exact power
+        for n in (7, 10**7):
+            with pytest.raises(SizeCapError, match="^OR-product has .* vertices, over the cap"):
+                conditional_chromatic_entropy(ternary_graph(), presets.ternary_source_joint(), n)
+            with pytest.raises(SizeCapError, match=rf"^3\^{n} vertices exceeds the cap"):
+                or_product(ternary_graph(), n)
+        assert graphs._power_exceeds(3, 10**100, 12)
+        assert not graphs._power_exceeds(1, 10**100, 12)
+        assert [graphs._power_exceeds(2, n, 12) for n in (0, 3, 4)] == [False, False, True]
+
 
 class TestStableSets:
     def test_ternary_counts(self):

@@ -1,4 +1,10 @@
+import concurrent.futures
 import math
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +29,12 @@ from fcmac.schemes import (
     sample_offdiagonal_uniform,
 )
 
-from _support import loop_grid_distortion, loop_monte_carlo_af, loop_offdiagonal_points
+from _support import (
+    loop_gaussian_pairs,
+    loop_grid_distortion,
+    loop_monte_carlo_af,
+    loop_offdiagonal_points,
+)
 
 LOG2_3 = math.log2(3.0)
 
@@ -210,35 +221,159 @@ class TestGridQuantizer:
             quantize_grid(GridQuantizer(0.0, 1.0, 3), np.zeros((4, 3)))
 
 
+MANY_BLOCKS = 20 * (1 << 16) + 1   # twenty full blocks and a one-draw block
+
+
+def on_both_pools(call):
+    """call() on the process-wide pool, then on a one-thread pool, so that a
+    result depending on the worker count would show."""
+    pooled = call()
+    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(1) as one:
+        mp.setattr(schemes, "_pool", one)
+        return pooled, call()
+
+
 class TestMonteCarloMatchesLoops:
-    """The shared block sampler and accumulator reproduce the per-routine
-    loops bit for bit, including a partial last block."""
+    """The block driver and accumulator reproduce the per-routine loops bit
+    for bit, including a partial last block, whatever the worker count."""
 
     @pytest.mark.parametrize("power,rho,sigma2,samples,seed", [
-        (5.0, 0.5, 1.0, 70_000, 3), (0.0, -0.25, 2.5, 10_000, 8), (3.0, 1.0, 0.5, 131_072, 2)])
+        (5.0, 0.5, 1.0, 70_000, 3), (0.0, -0.25, 2.5, 10_000, 8), (3.0, 1.0, 0.5, 131_072, 2),
+        (2.0, 0.3, 1.5, MANY_BLOCKS, 2**40 + 7)])
     def test_af(self, power, rho, sigma2, samples, seed):
-        mc = monte_carlo_af(power, rho, sigma2, samples=samples, seed=seed)
+        mc, single = on_both_pools(
+            lambda: monte_carlo_af(power, rho, sigma2, samples=samples, seed=seed))
         want = loop_monte_carlo_af(schemes._block_rng, power, rho, sigma2, samples, seed)
         assert (mc.value, mc.halfwidth) == want
+        assert single == mc
 
-    @pytest.mark.parametrize("cells,samples,seed", [(3, 70_000, 12), (5, 10_000, 1)])
+    @pytest.mark.parametrize("cells,samples,seed", [
+        (3, 70_000, 12), (5, 10_000, 1), (3, MANY_BLOCKS, -5)])
     def test_offdiagonal_sampler(self, cells, samples, seed):
-        got = sample_offdiagonal_uniform(cells, samples, seed=seed)
+        got, single = on_both_pools(lambda: sample_offdiagonal_uniform(cells, samples, seed=seed))
         want = loop_offdiagonal_points(schemes._block_rng, cells, samples, seed)
         assert np.array_equal(got, want)
+        assert np.array_equal(single, want)
 
-    @pytest.mark.parametrize("cells,samples,seed", [(3, 70_000, 12), (4, 10_000, 5)])
+    @pytest.mark.parametrize("sigma2,rho,samples,seed", [
+        (2.0, 0.6, 70_000, 9), (1.0, -1.0, 10_000, 4), (0.5, 0.25, MANY_BLOCKS, 1234)])
+    def test_gaussian_pair_sampler(self, sigma2, rho, samples, seed):
+        got, single = on_both_pools(
+            lambda: GaussianPairSource(sigma2, rho).sample(samples, seed=seed))
+        want = loop_gaussian_pairs(schemes._block_rng, sigma2, rho, samples, seed)
+        assert np.array_equal(got, want)
+        assert np.array_equal(single, want)
+
+    @pytest.mark.parametrize("cells,samples,seed", [
+        (3, 70_000, 12), (4, 10_000, 5), (5, MANY_BLOCKS, 1)])
     def test_grid_distortion_and_cell_counts(self, cells, samples, seed):
         points = loop_offdiagonal_points(schemes._block_rng, cells, samples, seed)
         value, half, want_counts = loop_grid_distortion(points, cells)
-        counts = np.zeros((cells, cells), dtype=np.int64)
-        mc = monte_carlo_grid_distortion(cells, samples, seed, cell_counts=counts)
-        assert (mc.value, mc.halfwidth) == (value, half)
-        assert np.array_equal(counts, want_counts)
+
+        def counted():
+            counts = np.zeros((cells, cells), dtype=np.int64)
+            mc = monte_carlo_grid_distortion(cells, samples, seed, cell_counts=counts)
+            return mc, counts
+
+        for mc, counts in on_both_pools(counted):
+            assert (mc.value, mc.halfwidth) == (value, half)
+            assert np.array_equal(counts, want_counts)
         plain = monte_carlo_grid_distortion(cells, samples, seed)
         assert (plain.value, plain.halfwidth) == (value, half)
         _, pmf = quantize_grid(GridQuantizer(0.0, 1.0, cells), points)
         assert np.array_equal(pmf.mass, want_counts / samples)
+
+
+class TestBlockPool:
+    def test_made_on_first_use_with_a_worker_per_cpu(self, monkeypatch):
+        monkeypatch.setattr(schemes, "_pool", None)
+        monte_carlo_af(5.0, 0.5, samples=20_000)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        assert schemes._pool._max_workers == cpus
+        pool = schemes._pool
+        sample_offdiagonal_uniform(3, 20_000)
+        assert schemes._pool is pool
+        pool.shutdown()
+
+    def test_concurrent_first_calls_share_one_pool(self, monkeypatch):
+        samples, seed = 5 * (1 << 16) + 1, 7
+        points = loop_offdiagonal_points(schemes._block_rng, 3, samples, seed)
+        value, half, want_counts = loop_grid_distortion(points, 3)
+        made = []
+
+        class SlowToMake(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.05)    # widens the window between check and store
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowToMake)
+        monkeypatch.setattr(schemes, "_pool", None)
+        start = threading.Barrier(8)
+        seen = []
+
+        def call():
+            start.wait(timeout=10)
+            counts = np.zeros((3, 3), dtype=np.int64)
+            mc = monte_carlo_grid_distortion(3, samples, seed, cell_counts=counts)
+            got = sample_offdiagonal_uniform(3, samples, seed)
+            seen.append(((mc.value, mc.halfwidth), counts, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call) for _ in range(8)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in made:
+                pool.shutdown()
+        assert not any(c.is_alive() for c in callers)
+        assert len(seen) == 8
+        assert made == [schemes._pool]
+        for estimate, counts, got in seen:
+            assert estimate == (value, half)
+            assert np.array_equal(counts, want_counts)
+            assert np.array_equal(got, points)
+
+    def test_block_error_reaches_the_caller(self, monkeypatch):
+        def failing(seed, block):
+            if block == 3:
+                raise RuntimeError("block 3 failed")
+            return np.random.default_rng(block)
+
+        monkeypatch.setattr(schemes, "_block_rng", failing)
+        with pytest.raises(RuntimeError, match="block 3 failed"):
+            monte_carlo_af(5.0, 0.5, samples=MANY_BLOCKS)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_runs_monte_carlo(self):
+        want = monte_carlo_af(5.0, 0.5, samples=200_000, seed=3)   # the pool exists now
+        assert schemes._pool is not None
+        pid = os.fork()
+        if pid == 0:    # the child: report through the exit status, never return
+            status = 1
+            try:
+                mc = monte_carlo_af(5.0, 0.5, samples=200_000, seed=3)
+                status = 0 if (mc.value, mc.halfwidth) == (want.value, want.halfwidth) else 3
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's Monte Carlo call did not finish in 30 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestSampleCap:
