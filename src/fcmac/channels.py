@@ -8,18 +8,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import SizeCapError
+from .graphs import _BLOCK_CELLS, SizeCapError
 from .probability import (Alphabet, AxisError, JointPMF, Kernel, _plogp, compose,
                           mutual_information, plogp)
 
 CAPACITY_GRID_POINTS = 51
-# Capacity grid points. With one BLAS thread on a 2-vCPU Xeon VM and random
-# binary-output laws (seeds 1-3), the worst admitted pair, 1x6 inputs
-# (3,478,761 points), takes 1.37-1.46 s and 388 MB peak RSS; 3x3 inputs
-# (1,758,276 points) 0.80-0.89 s and 120 MB; 2x4 0.40-0.46 s and 94 MB.
-# The grid and its sweep take nearly all of it: the refinement after it
-# takes 17-44 ms (32-68 ms while every evaluation recomputed H(Y | x1, x2)).
+# Capacity grid points, and grid points times output symbols. One BLAS
+# thread on a 2-vCPU Xeon VM, random Dirichlet laws, seeds 1-3, time and
+# peak RSS of a whole search:
+#   inputs (points)      |Y| = 2               |Y| = 5
+#   1x6 (3,478,761)      0.32-0.42 s, 90 MB    0.47-0.68 s, 90 MB
+#   6x1                  0.35-0.38 s, 90 MB    0.49-0.71 s, 90 MB
+#   3x3 (1,758,276)      0.14-0.17 s, 44 MB    0.25-0.26 s, 42 MB
+#   2x4 (1,194,726)      0.10-0.11 s, 45 MB    0.22-0.29 s, 43 MB
+# (the three-operand einsum sweep took 0.81-1.19 s and 388-627 MB at 1x6).
+# The sweep's work and the refinement's grow with |Y|: at the cell cap,
+# 1x6 with |Y| = 9 takes 0.87-1.0 s, 3x3 with |Y| = 19 0.86-0.97 s and
+# 2x4 with |Y| = 28 0.73-0.85 s, all at 40-90 MB.
 CAPACITY_GRID_CAP = 4_000_000
+CAPACITY_CELL_CAP = 2**25
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +88,7 @@ def _product_mutual_info(law3: np.ndarray, rows: np.ndarray, p1: np.ndarray,
                          p2: np.ndarray) -> float:
     """I(X1,X2;Y) for independent inputs p1, p2 (law3 shaped inputs x output;
     rows[x1, x2] = -H(Y | x1, x2), the law's row sums of p log2 p)."""
-    py = np.einsum("i,j,ijy->y", p1, p2, law3)
+    py = p2 @ (p1 @ law3.reshape(len(p1), -1)).reshape(len(p2), -1)
     return -_plogp(py) + float(p1 @ rows @ p2)
 
 
@@ -112,18 +119,18 @@ def _block_gap(law3: np.ndarray, rows: np.ndarray, p: np.ndarray,
     return math.inf if top == math.inf else float(top - p @ g)
 
 
-def _simplex_grid(dim: int, points: int) -> np.ndarray:
-    """All pmfs on ``dim`` symbols with entries in multiples of 1/(points-1),
-    in ``itertools.combinations_with_replacement`` order: the first symbol's
+def _simplex_counts(dim: int, steps: int) -> np.ndarray:
+    """All rows of ``dim`` nonnegative integer counts summing to ``steps``,
+    the pmfs of the capacity grid in multiples of 1/steps, in
+    ``itertools.combinations_with_replacement`` order: the first symbol's
     count descending, then, for each, the rest in the same order."""
-    steps = points - 1
     # blocks[t]: the count rows over the last d symbols that sum to t; every
     # (d, t) block recurs under many leading counts, so each is built once
-    blocks = [np.array([[t]], dtype=np.min_scalar_type(steps)) for t in range(steps + 1)]
+    column = np.arange(steps + 1, dtype=np.min_scalar_type(steps))[:, None]
+    blocks = [column[t:t + 1] for t in range(steps + 1)]
     for d in range(2, dim):
         blocks = [_prefix_counts(blocks, t) for t in range(steps + 1)]
-    counts = blocks[steps] if dim == 1 else _prefix_counts(blocks, steps)
-    return np.divide(counts, steps, dtype=float)
+    return blocks[steps] if dim == 1 else _prefix_counts(blocks, steps)
 
 
 def _prefix_counts(blocks: list[np.ndarray], t: int) -> np.ndarray:
@@ -132,9 +139,59 @@ def _prefix_counts(blocks: list[np.ndarray], t: int) -> np.ndarray:
     parts = [blocks[t - k] for k in range(t, -1, -1)]
     sizes = [len(b) for b in parts]
     out = np.empty((sum(sizes), parts[0].shape[1] + 1), dtype=parts[0].dtype)
-    out[:, 0] = np.repeat(np.arange(t, -1, -1), sizes)
+    out[:, 0] = np.repeat(np.arange(t, -1, -1, dtype=out.dtype), sizes)
     out[:, 1:] = np.concatenate(parts)
     return out
+
+
+def _grid_argmax(law3: np.ndarray, rows: np.ndarray, counts1: np.ndarray,
+                 counts2: np.ndarray, steps: int) -> tuple[int, int]:
+    """(a, b) maximizing I(X1,X2;Y) at the inputs counts1[a] / steps and
+    counts2[b] / steps, the first in the order a * len(counts2) + b on ties
+    (``rows`` as in ``_product_mutual_info``).
+
+    The larger grid is swept in row blocks of at most ``_BLOCK_CELLS`` terms
+    (p1(i) p2(j)) V(y | i, j), one row when a row has more, so no array
+    grows with the product of the grids. Each output law sums its terms over
+    i, then j: the products and the order of ``np.einsum("ai,bj,ijy->aby",
+    ...)``, so every H(Y) is that sweep's to the bit. On a deterministic law,
+    where H(Y | x1, x2) is 0 and many points tie in exact arithmetic, they
+    rank as they did there; a matrix product rounds differently and can
+    rank another of them first."""
+    n1, n2, ny = law3.shape
+    swap = len(counts1) > len(counts2)
+    small = np.divide(counts2 if swap else counts1, steps, dtype=float)
+    big = counts1 if swap else counts2
+    block = min(len(big), max(1, _BLOCK_CELLS // (len(small) * ny * n1 * n2)))
+    size = block * len(small)
+    py_buf, term_buf, pair_buf = np.empty((ny, size)), np.empty((ny, size)), np.empty(size)
+    best, first = -math.inf, (0, 0)
+    for lo in range(0, len(big), block):
+        part = np.divide(big[lo:lo + block], steps, dtype=float, order="F")   # columns contiguous
+        g1, g2 = (part, small) if swap else (small, part)
+        shape = (len(g1), len(g2))
+        cells = len(g1) * len(g2)
+        py = py_buf[:, :cells].reshape(ny, *shape)   # [y, a, b]
+        term = term_buf[:, :cells].reshape(ny, *shape)
+        pair = pair_buf[:cells].reshape(shape)
+        py.fill(0.0)
+        for i, j in itertools.product(range(n1), range(n2)):
+            np.multiply.outer(g1[:, i], g2[:, j], out=pair)
+            py += np.multiply(pair, law3[i, j, :, None, None], out=term)
+        # the einsum sweep summed H(Y) over a last axis, which np.sum adds in
+        # order below 8 terms and pairwise from 8 on
+        terms = plogp(py)
+        hy = -(terms.sum(axis=0) if ny < 8 else terms.transpose(1, 2, 0).copy().sum(axis=2))
+        info = hy - (g1 @ -rows) @ g2.T   # minus E H(Y | x1, x2); [a, b] in the block
+        k = int(np.argmax(info))
+        a, b = divmod(k, info.shape[1])
+        if swap:
+            a += lo
+        else:
+            b += lo
+        if info.flat[k] > best or (info.flat[k] == best and (a, b) < first):
+            best, first = info.flat[k], (a, b)
+    return first
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -186,18 +243,18 @@ def mac_sum_capacity_independent(mac: DiscreteMAC) -> SumCapacityResult:
         raise SizeCapError(
             f"capacity grid of {total} points exceeds the cap; "
             "input alphabets are too large for this search")
-    g1 = _simplex_grid(n1, CAPACITY_GRID_POINTS)
-    g2 = _simplex_grid(n2, CAPACITY_GRID_POINTS)
+    ny = law3.shape[2]
+    if total * ny > CAPACITY_CELL_CAP:
+        raise SizeCapError(
+            f"capacity grid of {total} points times {ny} outputs exceeds the cap of "
+            f"{CAPACITY_CELL_CAP} cells; the output alphabet is too large for this search")
+    counts1 = _simplex_counts(n1, steps)
+    counts2 = _simplex_counts(n2, steps)
     rows = plogp(law3).sum(axis=2)   # -H(Y | x1, x2)
 
-    # vectorized grid sweep
-    py = np.einsum("ai,bj,ijy->aby", g1, g2, law3)
-    hy = -plogp(py).sum(axis=2)
-    eh = g1 @ (-rows) @ g2.T
-    info = hy - eh
-    flat = int(np.argmax(info))
-    p1 = g1[flat // len(g2)].copy()
-    p2 = g2[flat % len(g2)].copy()
+    a, b = _grid_argmax(law3, rows, counts1, counts2, steps)
+    p1 = np.divide(counts1[a], steps, dtype=float)
+    p2 = np.divide(counts2[b], steps, dtype=float)
 
     def value(q1, q2) -> float:
         return _product_mutual_info(law3, rows, q1, q2)

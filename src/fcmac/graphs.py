@@ -37,9 +37,11 @@ EXACT_COLORING_CAP = 12
 # product is built, and its block length: the outer product holds 2n axes
 # and a numpy array at most 64. conditional_chromatic_entropy at the cap: one
 # vertex with a 1x2 joint at n = 16, 0.19 s; three vertices with a 3x85 joint
-# at n = 2, 0.19-1.14 s, most of it colouring 7,225 peer columns.
+# at n = 2, 0.19-1.14 s, most of it colouring 7,225 peer columns. The block
+# length also bounds or_product on a graph of one vertex (or none), whose
+# power never passes OR_PRODUCT_CAP.
 IID_POWER_CELL_CAP = 2**16
-_MAX_IID_BLOCK = 32
+_MAX_BLOCK_LENGTH = 32
 # Multiply-adds |X|^2 |Y| of the zigzag matrix product. At the cap, worst
 # case a 2048x2048 support whose distinct rows are nested: 0.53-0.6 s.
 ZIGZAG_CAP = 2**33
@@ -265,6 +267,8 @@ def or_product(g: CharGraph, n: int) -> CharGraph:
     base = len(g.vertices)
     if _power_exceeds(base, n, OR_PRODUCT_CAP):
         raise SizeCapError(f"{base}^{n} vertices exceeds the cap of {OR_PRODUCT_CAP}")
+    if n > _MAX_BLOCK_LENGTH:
+        raise SizeCapError(f"n must be at most {_MAX_BLOCK_LENGTH} for an OR product, got {n}")
     apart = ~g._adj
     power = apart
     for _ in range(n - 1):
@@ -432,8 +436,8 @@ def iid_pair_power(joint: JointPMF, n: int) -> JointPMF:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return joint
-    if n > _MAX_IID_BLOCK:
-        raise SizeCapError(f"n must be at most {_MAX_IID_BLOCK} for an iid power, got {n}")
+    if n > _MAX_BLOCK_LENGTH:
+        raise SizeCapError(f"n must be at most {_MAX_BLOCK_LENGTH} for an iid power, got {n}")
     s1, s2 = joint.mass.shape
     if _power_exceeds(s1 * s2, n, IID_POWER_CELL_CAP):
         raise SizeCapError(f"{s1 * s2}^{n} joint cells exceeds the cap of {IID_POWER_CELL_CAP}")

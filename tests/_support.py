@@ -548,6 +548,18 @@ def _golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
     return x, f(x)
 
 
+def einsum_grid_argmax(law3: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> tuple[int, int]:
+    """(a, b) maximizing I(X1,X2;Y) at the inputs (g1[a], g2[b]), the first in
+    the order a * len(g2) + b, by the capacity search's grid sweep as it ran
+    before it went in row blocks: one three-operand ``np.einsum`` over the
+    whole product grid."""
+    py = np.einsum("ai,bj,ijy->aby", g1, g2, law3)
+    hy = -_array_plogp(py).sum(axis=2)
+    eh = g1 @ (-_array_plogp(law3).sum(axis=2)) @ g2.T
+    info = hy - eh
+    return divmod(int(np.argmax(info)), len(g2))
+
+
 def golden_capacity_reference(mac: DiscreteMAC) -> tuple[float, np.ndarray, np.ndarray]:
     """(bits, input1, input2) of the independent-input sum capacity search as
     it ran before it stopped on block Frank-Wolfe gaps: the grid sweep, then
@@ -558,13 +570,9 @@ def golden_capacity_reference(mac: DiscreteMAC) -> tuple[float, np.ndarray, np.n
     n1, n2 = law3.shape[0], law3.shape[1]
     g1 = loop_simplex_grid(n1, 51)
     g2 = loop_simplex_grid(n2, 51)
-    py = np.einsum("ai,bj,ijy->aby", g1, g2, law3)
-    hy = -_array_plogp(py).sum(axis=2)
-    eh = g1 @ (-_array_plogp(law3).sum(axis=2)) @ g2.T
-    info = hy - eh
-    flat = int(np.argmax(info))
-    p1 = g1[flat // len(g2)].copy()
-    p2 = g2[flat % len(g2)].copy()
+    a, b = einsum_grid_argmax(law3, g1, g2)
+    p1 = g1[a].copy()
+    p2 = g2[b].copy()
 
     def value(q1, q2) -> float:
         py = np.einsum("i,j,ijy->y", q1, q2, law3)

@@ -1,16 +1,18 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from _support import golden_capacity_reference, loop_simplex_grid
+from _support import einsum_grid_argmax, golden_capacity_reference, loop_simplex_grid
 from fcmac import channels
 from fcmac.channels import (
     DiscreteMAC,
     GaussianMAC,
     _block_gap,
     _block_scores,
-    _simplex_grid,
+    _grid_argmax,
+    _simplex_counts,
     adder_mac,
     gmac_sum_rate,
     mac_mutual_info,
@@ -166,10 +168,30 @@ class TestSumCapacity:
         with pytest.raises(SizeCapError, match="capacity grid of"):
             mac_sum_capacity_independent(DiscreteMAC((x1, x2), y, law))
 
+    def test_cell_cap_refuses_before_any_grid(self, monkeypatch):
+        class GridBuilt(Exception):
+            pass
+
+        def no_grid(*args):
+            raise GridBuilt
+        monkeypatch.setattr(channels, "_prefix_counts", no_grid)
+        x1 = Alphabet("x1", ("0",))
+        x2 = Alphabet("x2", tuple(str(i) for i in range(6)))
+        # 3,478,761 grid points: 9 outputs are under 2**25 cells, 10 over
+        for ny in (10_000, 10, 9):
+            y = Alphabet("y", tuple(str(i) for i in range(ny)))
+            mac = DiscreteMAC((x1, x2), y, Kernel((x1, x2), (y,), np.eye(ny)[:6]))
+            if ny == 9:
+                with pytest.raises(GridBuilt):
+                    mac_sum_capacity_independent(mac)
+            else:
+                with pytest.raises(SizeCapError, match=f"times {ny} outputs exceeds the cap"):
+                    mac_sum_capacity_independent(mac)
+
     @pytest.mark.parametrize("points", [2, 3, 11, 51])
     def test_simplex_grid_against_loop(self, points):
         for dim in range(1, 7):
-            grid = _simplex_grid(dim, points)
+            grid = np.divide(_simplex_counts(dim, points - 1), points - 1, dtype=float)
             if (dim, points) != (6, 51):
                 want = loop_simplex_grid(dim, points)
                 assert grid.dtype == want.dtype and grid.shape == want.shape
@@ -183,6 +205,73 @@ class TestSumCapacity:
             assert len(grid) == math.comb(55, 5)
             assert (counts >= 0).all() and (counts.sum(axis=1) == 50).all()
             assert (np.diff(counts @ 51 ** np.arange(5, -1, -1)) < 0).all()
+
+
+class TestGridSweep:
+    """The row-blocked sweep against the three-operand einsum sweep it
+    replaced: the same argmax, ties included."""
+
+    @staticmethod
+    def argmax(mac):
+        law3 = mac.law_tensor
+        n1, n2 = law3.shape[:2]
+        return _grid_argmax(law3, plogp(law3).sum(axis=2), _simplex_counts(n1, 50),
+                            _simplex_counts(n2, 50), 50)
+
+    @staticmethod
+    @functools.cache
+    def loop_grid(n):
+        return loop_simplex_grid(n, 51)
+
+    def einsum_argmax(self, mac):
+        n1, n2 = mac.law_tensor.shape[:2]
+        return einsum_grid_argmax(mac.law_tensor, self.loop_grid(n1), self.loop_grid(n2))
+
+    def test_argmax_matches_the_einsum_sweep(self):
+        # shapes up to 2x3 either way round, |Y| 2-5; a quarter of the laws
+        # deterministic, the rest Dirichlet with alpha 0.3 or 1
+        rng = np.random.default_rng(1801)
+        shapes = [(n1, n2) for n1 in (1, 2, 3) for n2 in (1, 2, 3) if min(n1, n2) <= 2]
+        for k in range(200):
+            n1, n2 = shapes[rng.integers(len(shapes))]
+            mac = random_mac(rng, n1, n2, int(rng.integers(2, 6)), deterministic=k % 4 == 0)
+            assert self.argmax(mac) == self.einsum_argmax(mac), k
+
+    @pytest.mark.parametrize("table, ny, want", [
+        # log2(3) bits is reached at many grid points; a two-stage
+        # matrix-product sweep rounds them differently and ranks another first
+        ([[1, 2, 1], [0, 0, 2], [0, 1, 0]], 3, (577, 1257)),
+        # summing the 10 outputs in order, not pairwise as np.sum adds a
+        # last axis, ranks (450, 25) first
+        ([[1, 0], [6, 8], [8, 7]], 10, (449, 25)),
+    ], ids=["3x3-to-3", "3x2-to-10"])
+    def test_exact_ties_rank_as_in_the_einsum_sweep(self, table, ny, want):
+        x1 = Alphabet("x1", tuple(str(i) for i in range(len(table))))
+        x2 = Alphabet("x2", tuple(str(i) for i in range(len(table[0]))))
+        y = Alphabet("y", tuple(str(i) for i in range(ny)))
+        law = Kernel.deterministic((x1, x2), (y,), lambda a, b: str(table[int(a)][int(b)]))
+        mac = DiscreteMAC((x1, x2), y, law)
+        assert self.argmax(mac) == self.einsum_argmax(mac) == want
+
+    def test_argmax_across_block_edges(self, monkeypatch):
+        # a few grid rows per block, one when a row alone is over the cells
+        monkeypatch.setattr(channels, "_BLOCK_CELLS", 64)
+        x = Alphabet("x1", ("0", "1"))
+        x2 = Alphabet("x2", ("0", "1"))
+        y = Alphabet("y", ("0", "1"))
+        # y = x1 xor x2 ties at 1 bit wherever either input is uniform, in
+        # blocks that come after the first such point in grid order
+        xor = DiscreteMAC((x, x2), y,
+                          Kernel.deterministic((x, x2), (y,), lambda a, b: str(int(a != b))))
+        macs = [xor, adder_mac()]
+        rng = np.random.default_rng(1802)
+        for n1, n2 in ((1, 3), (3, 1), (1, 4), (4, 1), (2, 3), (3, 2)):
+            for deterministic in (True, False):
+                macs.append(random_mac(rng, n1, n2, int(rng.integers(2, 6)), deterministic))
+        macs += [random_mac(rng, 2, 2, ny, deterministic) for ny in (8, 9, 17)
+                 for deterministic in (True, False)]
+        for k, mac in enumerate(macs):
+            assert self.argmax(mac) == self.einsum_argmax(mac), k
 
 
 class TestBlockGap:

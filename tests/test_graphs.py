@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import signal
 import sys
 import threading
 from fractions import Fraction
@@ -161,6 +162,24 @@ class TestOrProduct:
         g = ternary_graph()
         with pytest.raises(SizeCapError):
             or_product(g, 9)
+
+    def test_one_vertex_block_length_refused_at_once(self):
+        # 1^n vertices never pass the cap; n - 1 Kronecker steps took 2.6 s
+        # at n = 10**5, so the alarm stops a product that runs on
+        g = CharGraph(Alphabet("v", ("a",)), frozenset())
+        assert or_product(g, graphs._MAX_BLOCK_LENGTH).vertices.symbols == (("a",) * 32,)
+
+        def expire(signum, frame):
+            raise TimeoutError("or_product still running after 1 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(SizeCapError,
+                               match="^n must be at most 32 for an OR product, got 100000000$"):
+                or_product(g, 10**8)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_cap_admits_ternary_n6_only(self):
         g = ternary_graph()
@@ -331,8 +350,8 @@ class TestConditionalChromaticEntropy:
 
     def test_block_length_capped_where_the_cells_do_not_grow(self):
         g, joint = self.one_vertex(1)
-        assert conditional_chromatic_entropy(g, joint, graphs._MAX_IID_BLOCK) == 0.0
-        for n in (graphs._MAX_IID_BLOCK + 1, 10**8):
+        assert conditional_chromatic_entropy(g, joint, graphs._MAX_BLOCK_LENGTH) == 0.0
+        for n in (graphs._MAX_BLOCK_LENGTH + 1, 10**8):
             with pytest.raises(SizeCapError, match=f"^n must be at most 32 .*, got {n}$"):
                 conditional_chromatic_entropy(g, joint, n)
 
