@@ -14,17 +14,17 @@ from .probability import (Alphabet, AxisError, JointPMF, Kernel, _plogp, compose
 
 CAPACITY_GRID_POINTS = 51
 # Capacity grid points, and grid points times output symbols. One BLAS
-# thread on a 2-vCPU Xeon VM, random Dirichlet laws, seeds 1-3, time and
-# peak RSS of a whole search:
+# thread on a 2-vCPU Xeon VM, random Dirichlet laws, seeds 1-3, three runs
+# each, time and peak RSS of a whole search:
 #   inputs (points)      |Y| = 2               |Y| = 5
-#   1x6 (3,478,761)      0.32-0.42 s, 90 MB    0.47-0.68 s, 90 MB
-#   6x1                  0.35-0.38 s, 90 MB    0.49-0.71 s, 90 MB
-#   3x3 (1,758,276)      0.14-0.17 s, 44 MB    0.25-0.26 s, 42 MB
-#   2x4 (1,194,726)      0.10-0.11 s, 45 MB    0.22-0.29 s, 43 MB
+#   1x6 (3,478,761)      0.22-0.32 s, 90 MB    0.37-0.56 s, 90 MB
+#   6x1                  0.22-0.30 s, 90 MB    0.34-0.51 s, 90 MB
+#   3x3 (1,758,276)      0.08-0.12 s, 43 MB    0.15-0.23 s, 42 MB
+#   2x4 (1,194,726)      0.06-0.08 s, 45 MB    0.10-0.21 s, 42 MB
 # (the three-operand einsum sweep took 0.81-1.19 s and 388-627 MB at 1x6).
 # The sweep's work and the refinement's grow with |Y|: at the cell cap,
-# 1x6 with |Y| = 9 takes 0.87-1.0 s, 3x3 with |Y| = 19 0.86-0.97 s and
-# 2x4 with |Y| = 28 0.73-0.85 s, all at 40-90 MB.
+# 1x6 with |Y| = 9 takes 0.54-0.74 s, 3x3 with |Y| = 19 0.57-0.83 s and
+# 2x4 with |Y| = 28 0.55-0.79 s, all at 41-90 MB.
 CAPACITY_GRID_CAP = 4_000_000
 CAPACITY_CELL_CAP = 2**25
 
@@ -194,23 +194,34 @@ def _grid_argmax(law3: np.ndarray, rows: np.ndarray, counts1: np.ndarray,
     return first
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(90):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
+def _exchange(law3: np.ndarray, rows: np.ndarray, p: np.ndarray, other: np.ndarray,
+              i: int, j: int) -> float:
+    """Mass to move from symbol i to symbol j of the first input block of
+    ``law3``: the maximizer of I(X1,X2;Y) over t in [0, p[i]] along
+    e_j - e_i, with the second input held at ``other``. I is concave along
+    the line, so its slope g(j) - g(i) (``_block_scores``) falls, and 60
+    bisections on the slope's sign place the step to within 2^-60 of p[i].
+    0 when p[i] is 0 or the slope at 0 is at most 1e-12, so no step chases
+    rounding noise; p[i] when the slope stays positive."""
+    def slope(t: float) -> float:
+        q = p.copy()
+        q[i] -= t
+        q[j] += t
+        g = _block_scores(law3, rows, q, other)
+        return g[j] - g[i]
+
+    if p[i] == 0 or not slope(0.0) > 1e-12:
+        return 0.0
+    if slope(p[i]) > 0:
+        return p[i]
+    lo, hi = 0.0, p[i]
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if slope(mid) > 0:
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -226,14 +237,14 @@ def mac_sum_capacity_independent(mac: DiscreteMAC) -> SumCapacityResult:
     """Maximum of I(X1, X2; Y) over product input distributions.
 
     Coarse grid over the two input simplices (first maximizer in grid order
-    on ties), then coordinate refinement: golden-section line searches along
-    pairwise mass exchanges, which are concave directions of the objective.
-    Each round starts with the Frank-Wolfe gap of each input block (see
-    ``_block_gap``) and the search stops once both are at most 1e-12, or once
-    a round gains less than 1e-12 bits, or after 60 rounds. The result
-    carries both gaps at the returned point; they certify that no change of
-    one input alone gains more, not that the point is the global maximum,
-    since the objective is not jointly concave in the two inputs.
+    on ties), then coordinate refinement: rounds of exact line searches on the
+    slope along each pairwise mass exchange of each input (``_exchange``),
+    skipping an input whose Frank-Wolfe gap (``_block_gap``) is at most
+    1e-12. The search stops once a round moves no mass, or after 60 rounds.
+    The result carries the value and both gaps at the returned inputs; the
+    gaps certify that no change of one input alone gains more, not that the
+    point is the global maximum, since the objective is not jointly concave
+    in the two inputs.
     """
     law3 = mac.law_tensor
     n1, n2 = law3.shape[0], law3.shape[1]
@@ -256,44 +267,25 @@ def mac_sum_capacity_independent(mac: DiscreteMAC) -> SumCapacityResult:
     p1 = np.divide(counts1[a], steps, dtype=float)
     p2 = np.divide(counts2[b], steps, dtype=float)
 
-    def value(q1, q2) -> float:
-        return _product_mutual_info(law3, rows, q1, q2)
-
-    def gaps(q1, q2) -> tuple[float, float]:
-        return (_block_gap(law3, rows, q1, q2),
-                _block_gap(law3.transpose(1, 0, 2), rows.T, q2, q1))
-
-    best = value(p1, p2)
+    blocks = ((law3, rows, p1, p2), (law3.transpose(1, 0, 2), rows.T, p2, p1))
     for _ in range(60):
-        if max(gaps(p1, p2)) <= 1e-12:
-            break
-        improved = best
-        for which in (0, 1):
-            p = p1 if which == 0 else p2
-            dim = len(p)
-            for i, j in itertools.combinations(range(dim), 2):
-                lo, hi = -p[j], p[i]
-                if hi - lo <= 0:
-                    continue
-
-                def along(t, i=i, j=j, which=which):
-                    q = (p1 if which == 0 else p2).copy()
-                    q[i] -= t
-                    q[j] += t
-                    return value(q, p2) if which == 0 else value(p1, q)
-
-                t, ft = _golden_max(along, lo, hi)
-                if ft > best:
-                    best = ft
+        moved = False
+        for block in blocks:
+            if _block_gap(*block) <= 1e-12:
+                continue
+            p = block[2]
+            for i, j in itertools.permutations(range(len(p)), 2):
+                t = _exchange(*block, i, j)
+                if t:
                     p[i] -= t
                     p[j] += t
-        if best - improved < 1e-12:
+                    moved = True
+        if not moved:
             break
-    p1 = np.clip(p1, 0.0, 1.0)
-    p2 = np.clip(p2, 0.0, 1.0)
     p1 /= p1.sum()
     p2 /= p2.sum()
-    return SumCapacityResult(float(best), p1, p2, *gaps(p1, p2))
+    return SumCapacityResult(_product_mutual_info(law3, rows, p1, p2), p1, p2,
+                             _block_gap(*blocks[0]), _block_gap(*blocks[1]))
 
 
 def gmac_sum_rate(mac: GaussianMAC, rho_x: float = 0.0) -> float:

@@ -34,12 +34,13 @@ OR_PRODUCT_CAP = 1024
 # 4.2e-5 bits. The solver's iterations, not the colouring, bound this size.
 EXACT_COLORING_CAP = 12
 # Cells (|X||Z|)^n of the n-fold joint of iid_pair_power, checked before the
-# product is built, and its block length: the outer product holds 2n axes
-# and a numpy array at most 64. conditional_chromatic_entropy at the cap: one
-# vertex with a 1x2 joint at n = 16, 0.19 s; three vertices with a 3x85 joint
-# at n = 2, 0.19-1.14 s, most of it colouring 7,225 peer columns. The block
-# length also bounds or_product on a graph of one vertex (or none), whose
-# power never passes OR_PRODUCT_CAP.
+# product is built, and the block length n of it and of or_product.
+# conditional_chromatic_entropy at the cap: one vertex with a 1x2 joint at
+# n = 16, 0.19 s; three vertices with a 3x85 joint at n = 2, 0.19-1.14 s,
+# most of it colouring 7,225 peer columns. A one-cell base (a 1x1 joint, a
+# graph of one vertex or none) passes the cell and vertex caps at every n,
+# yet still builds n - 1 Kronecker products and n-tuple symbols, so only the
+# block length bounds it.
 IID_POWER_CELL_CAP = 2**16
 _MAX_BLOCK_LENGTH = 32
 # Multiply-adds |X|^2 |Y| of the zigzag matrix product. At the cap, worst
@@ -269,13 +270,22 @@ def or_product(g: CharGraph, n: int) -> CharGraph:
         raise SizeCapError(f"{base}^{n} vertices exceeds the cap of {OR_PRODUCT_CAP}")
     if n > _MAX_BLOCK_LENGTH:
         raise SizeCapError(f"n must be at most {_MAX_BLOCK_LENGTH} for an OR product, got {n}")
-    apart = ~g._adj
-    power = apart
+    return CharGraph._from_adjacency(_tuple_alphabet(g.vertices, n),
+                                     ~_kron_power(~g._adj, n))
+
+
+def _kron_power(base: np.ndarray, n: int) -> np.ndarray:
+    """n-th Kronecker power of a matrix, rows and columns indexed by n-tuples
+    in ``itertools.product`` order; entry products run left to right."""
+    power = base
     for _ in range(n - 1):
-        power = np.kron(power, apart)
-    verts = Alphabet(f"{g.vertices.name}^{n}",
-                     tuple(itertools.product(g.vertices.symbols, repeat=n)))
-    return CharGraph._from_adjacency(verts, ~power)
+        power = np.kron(power, base)
+    return power
+
+
+def _tuple_alphabet(a: Alphabet, n: int) -> Alphabet:
+    """The n-tuples of ``a``'s symbols, in ``itertools.product`` order."""
+    return Alphabet(f"{a.name}^{n}", tuple(itertools.product(a.symbols, repeat=n)))
 
 
 def _power_exceeds(base: int, n: int, cap: int) -> bool:
@@ -441,16 +451,8 @@ def iid_pair_power(joint: JointPMF, n: int) -> JointPMF:
     s1, s2 = joint.mass.shape
     if _power_exceeds(s1 * s2, n, IID_POWER_CELL_CAP):
         raise SizeCapError(f"{s1 * s2}^{n} joint cells exceeds the cap of {IID_POWER_CELL_CAP}")
-    full = joint.mass
-    for _ in range(n - 1):
-        full = np.multiply.outer(full, joint.mass)
-    # outer() orders axes (i1,j1,i2,j2,...); group the i's then the j's
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    full = np.transpose(full, perm)
-    axes = tuple(
-        Alphabet(f"{a.name}^{n}", tuple(itertools.product(a.symbols, repeat=n)))
-        for a in joint.axes)
-    return JointPMF(axes, full.reshape(s1 ** n, s2 ** n))
+    return JointPMF(tuple(_tuple_alphabet(a, n) for a in joint.axes),
+                    _kron_power(joint.mass, n))
 
 
 def conditional_chromatic_entropy(g: CharGraph, joint: JointPMF, n: int = 1) -> float:

@@ -322,7 +322,7 @@ def mutual_information(pmf: JointPMF, a, b, given=()) -> float:
         if set(x) & set(y):
             raise AxisError(f"axis sets must be pairwise disjoint: {a}, {b}, {g}")
     if not a:
-        raise AxisError("conditional_entropy needs a non-empty target")
+        raise AxisError("mutual_information needs a non-empty first axis set")
     abg = marginalize(pmf, a + b + g)
     ag = marginalize(abg, a + g)
     bg = marginalize(abg, b + g)

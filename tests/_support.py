@@ -363,6 +363,18 @@ def loop_or_product_edges(graph: CharGraph, n: int) -> set:
             if any((idx[a], idx[b]) in base for a, b in zip(u, v))}
 
 
+def outer_iid_pair_power_mass(mass: np.ndarray, n: int) -> np.ndarray:
+    """Mass of the n-fold iid product of a two-axis joint as ``iid_pair_power``
+    built it before it took Kronecker powers: n - 1 outer products, whose axes
+    (i1, j1, i2, j2, ...) are then grouped as the i's, then the j's."""
+    full = mass
+    for _ in range(n - 1):
+        full = np.multiply.outer(full, mass)
+    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    s1, s2 = mass.shape
+    return np.transpose(full, perm).reshape(s1 ** n, s2 ** n)
+
+
 def loop_zigzag(joint: JointPMF) -> tuple[bool, tuple | None]:
     """Zigzag condition and its first witness by scanning all support pairs
     in row-major order."""

@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -117,9 +118,9 @@ class TestSumCapacity:
 
     def test_adder_stops_on_the_grid_certificate(self, monkeypatch):
         calls = []
-        golden = channels._golden_max
-        monkeypatch.setattr(channels, "_golden_max",
-                            lambda *a: calls.append(a) or golden(*a))
+        exchange = channels._exchange
+        monkeypatch.setattr(channels, "_exchange",
+                            lambda *a: calls.append(a) or exchange(*a))
         res = mac_sum_capacity_independent(adder_mac())
         assert calls == []
         assert res.bits == 1.5
@@ -139,6 +140,53 @@ class TestSumCapacity:
                     bits, in1.tobytes(), in2.tobytes()):
                 changed.append((k, (n1, n2, len(mac.output_alphabet)), res.bits - bits))
         assert all(d >= -1e-12 and abs(d) <= 1e-12 for _, _, d in changed), changed
+
+    def test_returned_points_are_block_stationary(self):
+        # shapes up to 3x3, |Y| 2-5, a quarter of the laws deterministic
+        rng = np.random.default_rng(1901)
+        for k in range(120):
+            n1, n2 = (int(n) for n in rng.integers(1, 4, size=2))
+            mac = random_mac(rng, n1, n2, int(rng.integers(2, 6)), deterministic=k % 4 == 0)
+            res = mac_sum_capacity_independent(mac)
+            law3 = mac.law_tensor
+            rows = plogp(law3).sum(axis=2)
+            assert res.gap1 <= 1e-9 and res.gap2 <= 1e-9, (k, res)
+            assert res.bits == channels._product_mutual_info(law3, rows, res.input1,
+                                                             res.input2), k
+
+    def test_flat_optimum_is_certified(self):
+        # log2(3) bits on a flat set of optima, where a search that accepts
+        # any greater value moves on rounding noise
+        table = [[2, 0, 1], [1, 2, 0], [1, 2, 0]]
+        x1 = Alphabet("x1", ("0", "1", "2"))
+        x2 = Alphabet("x2", ("0", "1", "2"))
+        y = Alphabet("y", ("0", "1", "2"))
+        law = Kernel.deterministic((x1, x2), (y,), lambda a, b: str(table[int(a)][int(b)]))
+        res = mac_sum_capacity_independent(DiscreteMAC((x1, x2), y, law))
+        assert res.bits == pytest.approx(LOG2_3, abs=1e-15)
+        assert res.gap1 <= 1e-12 and res.gap2 <= 1e-12
+
+    def test_infinite_gap_does_not_spin(self):
+        # the 888th sparse 3x2 -> 5 law of seed 13, each entry kept with
+        # probability 0.4: a zero-mass symbol of input 1 reaches an output of
+        # zero mass, so gap1 is +inf, while the gain of reviving that symbol
+        # lies below double precision
+        rng = np.random.default_rng(13)
+        for _ in range(888):
+            rows = rng.random((6, 5)) * (rng.random((6, 5)) < 0.4)
+            empty = rows.sum(axis=1) == 0
+            rows[empty, rng.integers(0, 5, size=empty.sum())] = 1.0
+        x1 = Alphabet("x1", ("0", "1", "2"))
+        x2 = Alphabet("x2", ("0", "1"))
+        y = Alphabet("y", tuple(str(i) for i in range(5)))
+        mac = DiscreteMAC((x1, x2), y,
+                          Kernel((x1, x2), (y,), rows / rows.sum(axis=1, keepdims=True)))
+        start = time.perf_counter()
+        res = mac_sum_capacity_independent(mac)
+        assert time.perf_counter() - start < 0.5
+        # the value of the golden-section search, which stopped at gap2 = 1.2e-8
+        assert res.bits >= 1.046501419949055
+        assert res.gap2 <= 1e-12
 
     def test_gaps_are_reported_at_the_result(self):
         rng = np.random.default_rng(1302)

@@ -26,6 +26,7 @@ from _support import (
     loop_or_product_edges,
     loop_sorted_edges,
     loop_zigzag,
+    outer_iid_pair_power_mass,
     pmf_as_dict,
     random_graph,
     random_pmf,
@@ -332,6 +333,22 @@ class TestConditionalChromaticEntropy:
         i = squared.axes[0].symbols.index(("1", "2"))
         j = squared.axes[1].symbols.index(("2", "1"))
         assert squared.mass[i, j] == pytest.approx(1 / 36, abs=1e-15)
+
+    def test_iid_pair_power_against_the_outer_product(self):
+        # a third of the joints sparse; every n up to the cell cap
+        rng = np.random.default_rng(1902)
+        for k in range(60):
+            s1, s2 = (int(s) for s in rng.integers(1, 5, size=2))
+            mass = rng.random((s1, s2)) * (rng.random((s1, s2)) < (0.5 if k % 3 == 0 else 1.0))
+            mass.flat[rng.integers(mass.size)] += 1.0
+            joint = JointPMF((alph("x", s1), alph("z", s2)), mass / mass.sum())
+            want = outer_iid_pair_power_mass(joint.mass, 2)
+            assert iid_pair_power(joint, 2).mass.tobytes() == want.tobytes()
+            n = 3
+            while (s1 * s2) ** n <= graphs.IID_POWER_CELL_CAP and n <= graphs._MAX_BLOCK_LENGTH:
+                want = outer_iid_pair_power_mass(joint.mass, n)
+                assert graphs._kron_power(joint.mass, n).tobytes() == want.tobytes()
+                n += 1
 
     @staticmethod
     def one_vertex(peers: int) -> tuple[CharGraph, JointPMF]:

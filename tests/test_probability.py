@@ -277,6 +277,11 @@ class TestMutualInformation:
         with pytest.raises(AxisError):
             mutual_information(uniform2x2(), "a", "a")
 
+    def test_empty_first_axis_set_names_this_function(self):
+        with pytest.raises(AxisError,
+                           match="^mutual_information needs a non-empty first axis set$"):
+            mutual_information(uniform2x2(), (), "b")
+
 
 class TestSlepianWolf:
     def test_ternary_colors_sum_bound(self):
