@@ -1,5 +1,6 @@
 """Joint-transmission feasibility: evaluate the three rate inequalities and
-the distortion constraint on the two cliques of the chain (U, Z) -> W -> X -> Y."""
+the distortion constraint of the chain (U, Z) -> W -> X -> Y, the source side
+from two encoder joints and the channel side on its clique."""
 
 from __future__ import annotations
 
@@ -16,19 +17,24 @@ from .probability import (
     JointPMF,
     Kernel,
     binary_entropy,
+    clamp_round_off,
     compose,
+    conditional_entropy,
     marginalize,
     mutual_information,
     reorder,
 )
 
 BOUNDARY_TOL = 1e-9
-# Largest clique the check builds, in cells. At the cap (source clique
-# (u1, u2, z1, z2, z, w1, w2) with |U| = 64, two-symbol side information and
-# |W| = 16) one check takes 0.21-0.23 s with a 135 MB tracemalloc peak on a
-# 2-vCPU Intel Xeon VM with one BLAS thread; |U| = 16, |W| = 8 (131,072
-# cells) takes 3.3-3.6 ms and 2.2 MB. Time and memory grow linearly with the
-# cell count.
+# Largest axis product the check may span, in cells: the channel clique
+# (w1, w2, z, x1, x2, y), or the seven-axis source product
+# (u1, u2, z1, z2, z, w1, w2). The check never builds the latter, but its cell
+# count bounds the check's work and memory. At the cap (|U| = 64, two-symbol
+# side information, |W| = 16) one check takes 10-18 ms (best of five per
+# seed, seeds 1-3) with a 33 MB tracemalloc peak on a 2-vCPU Intel Xeon VM
+# with one BLAS thread; |U| = 16, |W| = 8 (131,072 cells) takes 0.61 ms and
+# 0.62 MB. The check that built the source clique took 0.11-0.13 s and
+# 128 MB, and 1.6 ms and 2.1 MB.
 FEASIBILITY_CELL_CAP = 2**23
 
 
@@ -115,6 +121,11 @@ class SystemSpec:
                  "channel-input kernels must emit a single axis")
         x1, = self.x1_kernel.to_axes
         x2, = self.x2_kernel.to_axes
+        names = [a.name for a in (u1, u2, z1, z2, z, w1, w2, x1, x2,
+                                  self.channel.output_alphabet)]
+        for i, name in enumerate(names):
+            _require(name not in names[:i],
+                     f"axis name {name!r} is used twice among the ten system axes")
         c1, c2 = self.channel.input_alphabets
         _require(_same_axis(x1, c1) and _same_axis(x2, c2),
                  "channel input alphabets must match the x kernels")
@@ -190,18 +201,22 @@ class FeasibilityReport:
 
 
 def expected_distortion(spec: SystemSpec, joint: JointPMF | None = None) -> float:
-    """E[d(function(U1, U2), decoder(W1, W2, Z))] under ``joint``, by default
-    the source clique; any joint holding (u1, u2, w1, w2, z) gives the same."""
+    """E[d(function(U1, U2), decoder(W1, W2, Z))] under ``joint``; any joint
+    holding (u1, u2, z, w1, w2) gives the same. By default the pmf on those
+    five axes is contracted from the source joint and the two encoders."""
     if joint is None:
-        joint = _source_clique(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
-    names = spec.axis_names
-    keep = (names["u1"], names["u2"], names["w1"], names["w2"], names["z"])
-    marg = reorder(marginalize(joint, keep), keep)
+        mass = _pair_marginal(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
+    else:
+        names = spec.axis_names
+        keep = (names["u1"], names["u2"], names["z"], names["w1"], names["w2"])
+        mass = reorder(marginalize(joint, keep), keep).mass
     f_codes = _label_codes(spec.function, spec.distortion.output_labels)
     d_codes = _label_codes(spec.decoder, spec.distortion.estimate_labels)
-    cost = spec.distortion.values[f_codes[:, :, None, None, None],
-                                  d_codes[None, None, :, :, :]]
-    return float(np.sum(marg.mass * cost))
+    # d(f(u1, u2), g(w1, w2, z)) on (u1, u2, z, w1, w2): the cost row on
+    # (z, w1, w2) of each function label, gathered once per source pair
+    weighted = spec.distortion.values[:, np.moveaxis(d_codes, 2, 0)][f_codes]
+    weighted *= mass
+    return float(np.sum(weighted))
 
 
 def _label_codes(table: FunctionTable, labels: Alphabet) -> np.ndarray:
@@ -219,19 +234,54 @@ def _require_cells(axes: tuple[Alphabet, ...]) -> None:
             f" over the feasibility cap of {FEASIBILITY_CELL_CAP}")
 
 
-def _source_clique(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
-                   ) -> JointPMF:
-    """Clique (u1, u2, z1, z2, z, w1, w2): the source joint times both encoders."""
+# The source side (u1, u2, z1, z2, z, w1, w2) is never formed. W1 depends on
+# (U1, Z1) alone and W2 on (U2, Z2) alone, so every left-hand side comes from
+# the two encoder joints p(ui, zi, z, w1, w2), and the distortion from the pmf
+# of the source pair with both codewords. Each is contracted one encoder at a
+# time. The cap still counts the cells of the seven-axis product.
+
+def _encoder_joints(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
+                    ) -> tuple[JointPMF, JointPMF]:
+    """p(u1, z1, z, w1, w2) and p(u2, z2, z, w1, w2)."""
+    u1, u2, z1, z2, z = source_joint.axes
+    w1, w2 = w1_kernel.to_axes + w2_kernel.to_axes
+    _require_cells((u1, u2, z1, z2, z, w1, w2))
+    p, k1, k2 = source_joint.mass, w1_kernel.tensor, w2_kernel.tensor
+    n1, n2 = len(u1) * len(z1), len(u2) * len(z2)
+    # p(u1, z1, z, w2) and p(u2, z2, z, w1): each encoder's inputs summed out
+    # against its kernel, rows in C order over the other encoder's inputs and z
+    s2 = p.transpose(0, 2, 4, 1, 3).reshape(-1, n2) @ w2_kernel.rows
+    s1 = p.transpose(1, 3, 4, 0, 2).reshape(-1, n1) @ w1_kernel.rows
+    t1 = k1[:, :, None, :, None] * s2.reshape(len(u1), len(z1), len(z), 1, len(w2))
+    t2 = k2[:, :, None, None, :] * s1.reshape(len(u2), len(z2), len(z), len(w1), 1)
+    return (JointPMF._adopt((u1, z1, z, w1, w2), t1),
+            JointPMF._adopt((u2, z2, z, w1, w2), t2))
+
+
+def _pair_marginal(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
+                   ) -> np.ndarray:
+    """Mass of p(u1, u2, z, w1, w2), the axes the distortion is read on. For
+    each (u1, u2, z) it is the matrix product K1^T P K2 over (z1, z2), with
+    P = p(u1, u2, ., ., z), K1 = p(w1 | u1, .) and K2 = p(w2 | u2, .)."""
     _require_cells(source_joint.axes + w1_kernel.to_axes + w2_kernel.to_axes)
-    return compose(source_joint, [w1_kernel, w2_kernel])
+    p, k1, k2 = source_joint.mass, w1_kernel.tensor, w2_kernel.tensor
+    by_pair = p.transpose(0, 1, 4, 2, 3)                        # (u1, u2, z, z1, z2)
+    return (k1.transpose(0, 2, 1)[:, None, None] @ by_pair) @ k2[None, :, None]
 
 
-def _source_side_bounds(clique: JointPMF) -> tuple[float, float, float]:
-    """I(U1,Z1; W1 | W2,Z), I(U2,Z2; W2 | W1,Z) and I(U1,U2,Z1,Z2; W1,W2 | Z)."""
-    u1, u2, z1, z2, z, w1, w2 = clique.axis_names
-    return (mutual_information(clique, (u1, z1), w1, (w2, z)),
-            mutual_information(clique, (u2, z2), w2, (w1, z)),
-            mutual_information(clique, (u1, u2, z1, z2), (w1, w2), z))
+def _source_side_bounds(t1: JointPMF, t2: JointPMF) -> tuple[float, float, float]:
+    """I(U1,Z1; W1 | W2,Z), I(U2,Z2; W2 | W1,Z) and I(U1,U2,Z1,Z2; W1,W2 | Z)
+    from the two encoder joints. The third is H(W1,W2 | Z) - H(W1 | U1,Z1)
+    - H(W2 | U2,Z2): given the sources and all side information the two
+    codewords are independent, each depending on its own encoder's inputs."""
+    u1, z1, z, w1, w2 = t1.axis_names
+    u2, z2 = t2.axis_names[:2]
+    joint_rate = (conditional_entropy(t1, (w1, w2), z)
+                  - conditional_entropy(t1, w1, (u1, z1))
+                  - conditional_entropy(t2, w2, (u2, z2)))
+    return (mutual_information(t1, (u1, z1), w1, (w2, z)),
+            mutual_information(t2, (u2, z2), w2, (w1, z)),
+            clamp_round_off(joint_rate))
 
 
 def check_feasibility(spec: SystemSpec) -> FeasibilityReport:
@@ -241,25 +291,28 @@ def check_feasibility(spec: SystemSpec) -> FeasibilityReport:
     equality cases surface instead of silently passing or failing.
 
     The chain (U, Z) -> W -> X -> Y puts every left-hand side and the
-    distortion on the source clique and every right-hand side on the
-    channel clique (w1, w2, z, x1, x2, y), which extends the source
-    clique's (w1, w2, z) marginal; the ten-axis joint is never built.
+    distortion on the source side and every right-hand side on the channel
+    clique (w1, w2, z, x1, x2, y). The left-hand sides are read from the two
+    5-axis encoder joints p(u1, z1, z, w1, w2) and p(u2, z2, z, w1, w2), the
+    distortion from p(u1, u2, z, w1, w2), and the channel clique extends the
+    first encoder joint's (z, w1, w2) marginal. Neither the 7-axis source
+    clique nor the 10-axis joint is built.
     """
     n = spec.axis_names
     z = spec.source_joint.axes[4]
     _require_cells(spec.w1_kernel.to_axes + spec.w2_kernel.to_axes + (z,)
                    + spec.x1_kernel.to_axes + spec.x2_kernel.to_axes
                    + spec.channel.law.to_axes)
-    source = _source_clique(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
-    channel = compose(marginalize(source, (n["w1"], n["w2"], n["z"])),
+    t1, t2 = _encoder_joints(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
+    channel = compose(marginalize(t1, (n["w1"], n["w2"], n["z"])),
                       [spec.x1_kernel, spec.x2_kernel, spec.channel.law])
-    lhs = _source_side_bounds(source)
+    lhs = _source_side_bounds(t1, t2)
     rhs = (mutual_information(channel, n["x1"], n["y"], (n["x2"], n["w2"], n["z"])),
            mutual_information(channel, n["x2"], n["y"], (n["x1"], n["w1"], n["z"])),
            mutual_information(channel, (n["x1"], n["x2"]), n["y"], n["z"]))
     recs = tuple(InequalityRecord(name, left, right)
                  for name, left, right in zip(("encoder1", "encoder2", "sum"), lhs, rhs))
-    return FeasibilityReport(recs, expected_distortion(spec, source), spec.target_d)
+    return FeasibilityReport(recs, expected_distortion(spec), spec.target_d)
 
 
 @dataclass(frozen=True)
@@ -284,7 +337,7 @@ def source_coding_region(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: K
     _require(w1_kernel.from_axes == (u1, z1), "w1 kernel must condition on (source1, z1)")
     _require(w2_kernel.from_axes == (u2, z2), "w2 kernel must condition on (source2, z2)")
     return SourceCodingBounds(*_source_side_bounds(
-        _source_clique(source_joint, w1_kernel, w2_kernel)))
+        *_encoder_joints(source_joint, w1_kernel, w2_kernel)))
 
 
 def induce_remote_distortion(posterior: Kernel, f: FunctionTable, g: FunctionTable,

@@ -328,10 +328,14 @@ def mutual_information(pmf: JointPMF, a, b, given=()) -> float:
     bg = marginalize(abg, b + g)
     smaller = ag if ag.mass.size <= bg.mass.size else bg
     h_g = _joint_entropy(marginalize(smaller, g)) if g else 0.0
-    value = (_joint_entropy(ag) - h_g) - (_joint_entropy(abg) - _joint_entropy(bg))
-    if value < 0 and abs(value) < INFO_TOL:
-        return 0.0
-    return value
+    return clamp_round_off(
+        (_joint_entropy(ag) - h_g) - (_joint_entropy(abg) - _joint_entropy(bg)))
+
+
+def clamp_round_off(value: float) -> float:
+    """An information quantity that cannot be negative, with a value in
+    (-``INFO_TOL``, 0) taken as round-off and returned as 0.0."""
+    return 0.0 if -INFO_TOL < value < 0 else value
 
 
 @dataclass(frozen=True)

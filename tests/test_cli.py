@@ -630,6 +630,13 @@ def _recast(*keys_and_cast):
     return edit
 
 
+def _rename_x1(name):
+    def edit(obj):
+        obj["x1_kernel"]["to_axes"][0]["name"] = name
+        obj["channel"]["from_axes"][0]["name"] = name
+    return edit
+
+
 def _check(spec: str) -> list[str]:
     return ["check", "theorem1", "--spec", spec]
 
@@ -682,6 +689,9 @@ MALFORMED_INPUT = {
     "check integer target past the float range": lambda f: (
         _check(f.edited("joint_spec", _set("target_d", 10 ** 400))),
         "$.target_d: target distortion must be finite and nonnegative"),
+    "check x1 axis named u1": lambda f: (
+        _check(f.edited("joint_spec", _rename_x1("u1"))),
+        "$: axis name 'u1' is used twice among the ten system axes"),
     "check unwritable out": lambda f: _unwritable(f, _check(f["joint_spec"])),
     # graph build
     "graph build truncated joint": lambda f: (

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -373,6 +374,14 @@ class TestSpecValidation:
                        spec.x1_kernel, spec.x2_kernel, spec.channel, spec.function,
                        spec.decoder, spec.distortion, bad)
 
+    @pytest.mark.parametrize("role, name", [("x1", "u1"), ("w2", "w1"), ("w1", "u1"),
+                                            ("y", "z"), ("x2", "w2")])
+    def test_repeated_axis_name_refused(self, role, name):
+        spec = random_system_spec(np.random.default_rng(52))
+        with pytest.raises(AxisError,
+                           match=f"axis name '{name}' is used twice among the ten system axes"):
+            _with_axis_renamed(spec, spec.axis_names[role], name)
+
     def test_expected_distortion_matches_manual_sum(self):
         rng = np.random.default_rng(47)
         spec = random_system_spec(rng)
@@ -390,6 +399,23 @@ class TestSpecValidation:
             total += p * spec.distortion.cost(spec.function.value_at(u1s, u2s),
                                               spec.decoder.value_at(w1s, w2s, zs))
         assert expected_distortion(spec) == pytest.approx(total, abs=1e-12)
+
+
+def _with_axis_renamed(spec, old, new):
+    """``spec`` rebuilt with the axis named ``old`` renamed ``new`` wherever
+    it appears; the function and decoder domains are matched by symbols."""
+    def ren(axes):
+        return tuple(Alphabet(new, a.symbols) if a.name == old else a for a in axes)
+
+    def kernel(k):
+        return Kernel(ren(k.from_axes), ren(k.to_axes), k.rows)
+
+    law = kernel(spec.channel.law)
+    return dataclasses.replace(
+        spec, source_joint=JointPMF(ren(spec.source_joint.axes), spec.source_joint.mass),
+        w1_kernel=kernel(spec.w1_kernel), w2_kernel=kernel(spec.w2_kernel),
+        x1_kernel=kernel(spec.x1_kernel), x2_kernel=kernel(spec.x2_kernel),
+        channel=DiscreteMAC(law.from_axes, law.to_axes[0], law))
 
 
 def _dense_values(spec):
@@ -413,8 +439,49 @@ def _report_values(report):
             + [report.achieved_distortion])
 
 
+def _one_hot_kernel(rng, kernel):
+    """A kernel on ``kernel``'s axes whose every row is a point mass."""
+    n_from, n_to = kernel.rows.shape
+    return Kernel(kernel.from_axes, kernel.to_axes,
+                  np.eye(n_to)[rng.integers(0, n_to, size=n_from)])
+
+
+def _constant_kernel(rng, kernel, support=None):
+    """A kernel on ``kernel``'s axes whose rows are one pmf, drawn on
+    ``support`` random symbols (on all of them by default)."""
+    n_to = kernel.rows.shape[1]
+    row = np.zeros(n_to)
+    on = rng.permutation(n_to)[:support or n_to]
+    row[on] = rng.dirichlet(np.ones(len(on)))
+    return Kernel.constant(kernel.from_axes, kernel.to_axes, row)
+
+
+def _with_zero_mass_cells(rng, spec):
+    """``spec`` with about half of its source cells set to zero mass."""
+    mass = spec.source_joint.mass.copy()
+    mass[rng.random(mass.shape) < 0.5] = 0.0
+    mass.flat[rng.integers(mass.size)] += 0.25      # never all zero
+    return dataclasses.replace(spec, source_joint=JointPMF(spec.source_joint.axes,
+                                                           mass / mass.sum()))
+
+
+def _degenerate_spec(rng, kind):
+    if kind == "singleton side information":
+        sizes = {n: int(rng.integers(2, 4)) for n in ("u1", "u2", "w1", "w2", "y")}
+        return random_system_spec(rng, dict(sizes, z1=1, z2=1, z=1, x1=2, x2=2))
+    spec = random_system_spec(rng)
+    if kind == "zero-mass source cells":
+        return _with_zero_mass_cells(rng, spec)
+    if kind == "deterministic encoders":
+        return dataclasses.replace(spec, w1_kernel=_one_hot_kernel(rng, spec.w1_kernel),
+                                   w2_kernel=_one_hot_kernel(rng, spec.w2_kernel))
+    spec = _with_zero_mass_cells(rng, _degenerate_spec(rng, "singleton side information"))
+    return dataclasses.replace(spec, w1_kernel=_one_hot_kernel(rng, spec.w1_kernel))
+
+
 class TestCliqueCheck:
-    """The clique-wise check against the dense ten-axis reference."""
+    """The check, evaluated from the two encoder joints and the channel
+    clique, against the dense ten-axis reference."""
 
     @pytest.mark.parametrize("spec", [presets.section5_system("joint"),
                                       presets.section5_system("independent"),
@@ -433,32 +500,80 @@ class TestCliqueCheck:
             worst = max(worst, float(np.max(np.abs(np.subtract(got, _dense_values(spec))))))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["zero-mass source cells", "deterministic encoders",
+                                      "singleton side information", "all three"])
+    def test_matches_dense_joint_on_degenerate_systems(self, kind):
+        rng = np.random.default_rng(53)
+        worst = 0.0
+        for _ in range(40):
+            spec = _degenerate_spec(rng, kind)
+            report = check_feasibility(spec)
+            got = _report_values(report)
+            worst = max(worst, float(np.max(np.abs(np.subtract(got, _dense_values(spec))))))
+            bounds = source_coding_region(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
+            assert bounds.as_tuple() == tuple(r.lhs_bits for r in report.inequalities)
+        assert worst <= 1e-12
+
     def test_source_coding_region_is_the_left_hand_sides(self):
         spec = random_system_spec(np.random.default_rng(48))
         lhs = tuple(r.lhs_bits for r in check_feasibility(spec).inequalities)
         bounds = source_coding_region(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
         assert bounds.as_tuple() == lhs
 
+    def test_constant_encoders_give_zero_left_hand_sides(self):
+        # W independent of (U, Z), so every left-hand side is 0. A constant
+        # point mass gives exactly 0.0; any other constant row leaves round-off,
+        # which may sit just above zero but is clamped where it falls below
+        rng = np.random.default_rng(54)
+        for _ in range(100):
+            spec = random_system_spec(rng)
+            point = dataclasses.replace(spec, w1_kernel=_constant_kernel(rng, spec.w1_kernel, 1),
+                                        w2_kernel=_constant_kernel(rng, spec.w2_kernel, 1))
+            spread = dataclasses.replace(spec, w1_kernel=_constant_kernel(rng, spec.w1_kernel),
+                                         w2_kernel=_constant_kernel(rng, spec.w2_kernel))
+            for system, most in ((point, 0.0), (spread, 1e-14)):
+                lhs = [r.lhs_bits for r in check_feasibility(system).inequalities]
+                bounds = source_coding_region(system.source_joint, system.w1_kernel,
+                                              system.w2_kernel)
+                assert bounds.as_tuple() == tuple(lhs)
+                assert all(0.0 <= v <= most for v in lhs), lhs
+
     def test_never_builds_the_dense_joint(self, monkeypatch):
         spec = presets.section5_system("joint")
         built = []
 
-        def at_most_seven_axes(base, kernels):
+        def recording(base, kernels):
             joint = compose(base, kernels)
             built.append(len(joint.axes))
-            # the source clique has 7 axes, the channel clique 6, the dense joint 10
-            assert len(joint.axes) <= 7, f"a {len(joint.axes)}-axis joint was built"
             return joint
 
-        monkeypatch.setattr(feasibility, "compose", at_most_seven_axes)
+        monkeypatch.setattr(feasibility, "compose", recording)
         report = check_feasibility(spec)
         assert report.record("sum").verdict == "boundary"
         assert expected_distortion(spec) == report.achieved_distortion
         source_coding_region(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
-        assert built == [7, 6, 7, 7]
+        assert built == [6]     # the channel clique; the dense joint has 10 axes
+
+    def test_never_forms_a_seven_axis_tensor(self):
+        # one array on (u1, u2, z1, z2, z, w1, w2) takes 2 MB here; the encoder
+        # joints take 64 KB each and p(u1, u2, z, w1, w2) 128 KB
+        sizes = dict(u1=8, u2=8, z1=4, z2=4, z=4, w1=8, w2=8, x1=2, x2=2, y=2)
+        spec = random_system_spec(np.random.default_rng(55), sizes)
+        seven_axis_bytes = 8 * math.prod(sizes[n] for n in ("u1", "u2", "z1", "z2", "z",
+                                                           "w1", "w2"))
+        for call in (lambda: check_feasibility(spec), lambda: expected_distortion(spec),
+                     lambda: source_coding_region(spec.source_joint, spec.w1_kernel,
+                                                  spec.w2_kernel)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < seven_axis_bytes / 2
 
     def test_peak_memory_of_a_large_check(self):
-        # 131,072 source-clique cells; the dense joint would have 5.9 M
+        # 131,072 cells in the seven-axis source product; the dense joint would have 5.9 M
         sizes = dict(u1=16, u2=16, z1=2, z2=2, z=2, w1=8, w2=8, x1=3, x2=3, y=5)
         spec = random_system_spec(np.random.default_rng(49), sizes)
         tracemalloc.start()
@@ -467,7 +582,7 @@ class TestCliqueCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 4 * 2**20
 
     def test_source_clique_over_the_cap_refused_before_composing(self, monkeypatch):
         sizes = dict(u1=3, u2=3, z1=2, z2=2, z=2, w1=3, w2=3, x1=2, x2=2, y=2)
