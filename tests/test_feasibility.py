@@ -554,9 +554,9 @@ class TestCliqueCheck:
         source_coding_region(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
         assert built == [6]     # the channel clique; the dense joint has 10 axes
 
-    def test_never_forms_a_seven_axis_tensor(self):
-        # one array on (u1, u2, z1, z2, z, w1, w2) takes 2 MB here; the encoder
-        # joints take 64 KB each and p(u1, u2, z, w1, w2) 128 KB
+        # No 7-axis tensor either: one array on (u1, u2, z1, z2, z, w1, w2)
+        # takes 2 MB here, the encoder joints 64 KB each and
+        # p(u1, u2, z, w1, w2) 128 KB.
         sizes = dict(u1=8, u2=8, z1=4, z2=4, z=4, w1=8, w2=8, x1=2, x2=2, y=2)
         spec = random_system_spec(np.random.default_rng(55), sizes)
         seven_axis_bytes = 8 * math.prod(sizes[n] for n in ("u1", "u2", "z1", "z2", "z",
