@@ -17,7 +17,6 @@ from .probability import (
     entropy,
     marginalize,
     mutual_information,
-    reorder,
     slepian_wolf_bounds,
     validate,
 )

@@ -22,7 +22,6 @@ from .probability import (
     conditional_entropy,
     marginalize,
     mutual_information,
-    reorder,
 )
 
 BOUNDARY_TOL = 1e-9
@@ -30,11 +29,10 @@ BOUNDARY_TOL = 1e-9
 # (w1, w2, z, x1, x2, y), or the seven-axis source product
 # (u1, u2, z1, z2, z, w1, w2). The check never builds the latter, but its cell
 # count bounds the check's work and memory. At the cap (|U| = 64, two-symbol
-# side information, |W| = 16) one check takes 10-18 ms (best of five per
-# seed, seeds 1-3) with a 33 MB tracemalloc peak on a 2-vCPU Intel Xeon VM
-# with one BLAS thread; |U| = 16, |W| = 8 (131,072 cells) takes 0.61 ms and
-# 0.62 MB. The check that built the source clique took 0.11-0.13 s and
-# 128 MB, and 1.6 ms and 2.1 MB.
+# side information, |W| = 16, ternary X, |Y| = 5) one check takes 5.4-11 ms
+# (best of five per seed, seeds 1-3) with a 19 MB tracemalloc peak on a
+# 2-vCPU Intel Xeon VM with one BLAS thread; |U| = 16, |W| = 8 (131,072 cells)
+# takes 0.61-0.66 ms and 0.42 MB.
 FEASIBILITY_CELL_CAP = 2**23
 
 
@@ -200,23 +198,21 @@ class FeasibilityReport:
         raise KeyError(name)
 
 
-def expected_distortion(spec: SystemSpec, joint: JointPMF | None = None) -> float:
-    """E[d(function(U1, U2), decoder(W1, W2, Z))] under ``joint``; any joint
-    holding (u1, u2, z, w1, w2) gives the same. By default the pmf on those
-    five axes is contracted from the source joint and the two encoders."""
-    if joint is None:
-        mass = _pair_marginal(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
-    else:
-        names = spec.axis_names
-        keep = (names["u1"], names["u2"], names["z"], names["w1"], names["w2"])
-        mass = reorder(marginalize(joint, keep), keep).mass
+def expected_distortion(spec: SystemSpec) -> float:
+    """E[d(function(U1, U2), decoder(W1, W2, Z))], read from the pmf of
+    (u1, u2, z, w1, w2) contracted from the source joint and the two
+    encoders."""
+    mass = _pair_marginal(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
     f_codes = _label_codes(spec.function, spec.distortion.output_labels)
     d_codes = _label_codes(spec.decoder, spec.distortion.estimate_labels)
-    # d(f(u1, u2), g(w1, w2, z)) on (u1, u2, z, w1, w2): the cost row on
-    # (z, w1, w2) of each function label, gathered once per source pair
-    weighted = spec.distortion.values[:, np.moveaxis(d_codes, 2, 0)][f_codes]
-    weighted *= mass
-    return float(np.sum(weighted))
+    # the pmf of (function label, z, w1, w2), summed over the source pairs of
+    # each label by one one-hot product, then weighed by that label's cost
+    # row on (z, w1, w2)
+    labels = len(spec.distortion.output_labels)
+    one_hot = (np.arange(labels)[:, None] == f_codes.ravel()).astype(float)
+    by_label = one_hot @ mass.reshape(f_codes.size, -1)
+    cost = spec.distortion.values[:, np.moveaxis(d_codes, 2, 0)]
+    return float(np.vdot(by_label, cost))
 
 
 def _label_codes(table: FunctionTable, labels: Alphabet) -> np.ndarray:
@@ -226,11 +222,11 @@ def _label_codes(table: FunctionTable, labels: Alphabet) -> np.ndarray:
     return lut[table._codes]
 
 
-def _require_cells(axes: tuple[Alphabet, ...]) -> None:
+def _require_cells(what: str, axes: tuple[Alphabet, ...]) -> None:
     cells = math.prod(len(a) for a in axes)
     if cells > FEASIBILITY_CELL_CAP:
         raise SizeCapError(
-            f"clique ({', '.join(a.name for a in axes)}) has {cells} cells,"
+            f"{what} ({', '.join(a.name for a in axes)}) has {cells} cells,"
             f" over the feasibility cap of {FEASIBILITY_CELL_CAP}")
 
 
@@ -245,7 +241,7 @@ def _encoder_joints(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel
     """p(u1, z1, z, w1, w2) and p(u2, z2, z, w1, w2)."""
     u1, u2, z1, z2, z = source_joint.axes
     w1, w2 = w1_kernel.to_axes + w2_kernel.to_axes
-    _require_cells((u1, u2, z1, z2, z, w1, w2))
+    _require_cells("source product", (u1, u2, z1, z2, z, w1, w2))
     p, k1, k2 = source_joint.mass, w1_kernel.tensor, w2_kernel.tensor
     n1, n2 = len(u1) * len(z1), len(u2) * len(z2)
     # p(u1, z1, z, w2) and p(u2, z2, z, w1): each encoder's inputs summed out
@@ -263,7 +259,8 @@ def _pair_marginal(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
     """Mass of p(u1, u2, z, w1, w2), the axes the distortion is read on. For
     each (u1, u2, z) it is the matrix product K1^T P K2 over (z1, z2), with
     P = p(u1, u2, ., ., z), K1 = p(w1 | u1, .) and K2 = p(w2 | u2, .)."""
-    _require_cells(source_joint.axes + w1_kernel.to_axes + w2_kernel.to_axes)
+    _require_cells("source product",
+                   source_joint.axes + w1_kernel.to_axes + w2_kernel.to_axes)
     p, k1, k2 = source_joint.mass, w1_kernel.tensor, w2_kernel.tensor
     by_pair = p.transpose(0, 1, 4, 2, 3)                        # (u1, u2, z, z1, z2)
     return (k1.transpose(0, 2, 1)[:, None, None] @ by_pair) @ k2[None, :, None]
@@ -300,7 +297,7 @@ def check_feasibility(spec: SystemSpec) -> FeasibilityReport:
     """
     n = spec.axis_names
     z = spec.source_joint.axes[4]
-    _require_cells(spec.w1_kernel.to_axes + spec.w2_kernel.to_axes + (z,)
+    _require_cells("channel clique", spec.w1_kernel.to_axes + spec.w2_kernel.to_axes + (z,)
                    + spec.x1_kernel.to_axes + spec.x2_kernel.to_axes
                    + spec.channel.law.to_axes)
     t1, t2 = _encoder_joints(spec.source_joint, spec.w1_kernel, spec.w2_kernel)

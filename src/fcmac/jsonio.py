@@ -6,6 +6,8 @@ name it exactly.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -50,12 +52,19 @@ def _expect_list(value, path: str) -> list:
     return value
 
 
-def _check_labels(values, path_of) -> None:
+def _check_labels(values: list, path_of) -> None:
     """Refuse the first entry of ``values`` that is not a label.
 
+    One pass over the entries' types, and one over the floats' finiteness,
+    accept plain JSON labels; any other input is read entry by entry.
     ``path_of(position)`` names the offending entry; it is called only on
     failure, so valid input builds no path strings.
     """
+    kinds = set(map(type, values))
+    if kinds <= {str, int, float} and (
+            float not in kinds
+            or all(math.isfinite(v) for v in values if type(v) is float)):
+        return
     for pos, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise SpecFormatError(path_of(pos), "labels must be strings or numbers")
@@ -94,9 +103,36 @@ def alphabet_to_json(a: Alphabet) -> dict:
     return {"name": a.name, "symbols": [_emit_label(s) for s in a.symbols]}
 
 
+def _flatten(data, shape: tuple[int, ...]) -> list | None:
+    """The entries of ``data`` in C order, or None unless it nests as lists
+    at least as deep as ``shape`` with each level's lengths as ``shape`` gives.
+
+    Each level is checked whole and stepped down in one pass; entries that
+    are themselves lists (deeper nesting) are left to the caller's type check.
+    """
+    level = [data]
+    for n in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    return level
+
+
 def _nested_floats(data, shape: tuple[int, ...], path: str) -> np.ndarray:
     # float() reads true as 1.0 and "0.5" as 0.5, so the entries' types are checked
-    # first; an object array of JSON values is built without error, ragged or not
+    # first. A table that fails this one pass is read again entry by entry, which
+    # names its fault (or accepts it, if it nests as tuples rather than lists).
+    flat = _flatten(data, shape)
+    if flat is not None and set(map(type, flat)) <= {float, int}:
+        with contextlib.suppress(OverflowError):        # an integer past the float range
+            arr = np.array(flat, dtype=float).reshape(shape)
+            if np.isfinite(arr).all():
+                return arr
+    return _entrywise_floats(data, shape, path)
+
+
+def _entrywise_floats(data, shape: tuple[int, ...], path: str) -> np.ndarray:
+    # an object array of JSON values is built without error, ragged or not
     cells = np.array(data, dtype=object)
     flat = cells.ravel().tolist()
     if not set(map(type, flat)) <= {float, int}:
@@ -222,13 +258,13 @@ def function_table_from_json(obj, path: str = "$") -> FunctionTable:
     axes = tuple(alphabet_from_json(a, f"{path}.domain_axes[{i}]")
                  for i, a in enumerate(axes_json))
     shape = tuple(len(a) for a in axes)
-    data = _get(obj, "values", path)
-    try:
-        values = np.asarray(data, dtype=object).reshape(shape)
-    except ValueError:
+    values = _flatten(_get(obj, "values", path), shape)
+    # a table nested one level too deep holds nothing but lists; a stray
+    # list among labels is named as a bad label below
+    if values is None or set(map(type, values)) == {list}:
         raise SpecFormatError(f"{path}.values",
-                              f"values must form a dense table of shape {shape}") from None
-    _check_labels(values.flat, lambda pos: f"{path}.values"
+                              f"values must form a dense table of shape {shape}")
+    _check_labels(values, lambda pos: f"{path}.values"
                   + _index_path(np.unravel_index(pos, shape)))
     return FunctionTable(axes, values)
 

@@ -160,15 +160,6 @@ def marginalize(pmf: JointPMF, keep) -> JointPMF:
     return JointPMF._adopt(kept, mass)
 
 
-def reorder(pmf: JointPMF, names: Sequence[str]) -> JointPMF:
-    """Permute axes into the given order (must list every axis exactly once)."""
-    names = _as_name_tuple(names)
-    if sorted(names) != sorted(pmf.axis_names):
-        raise AxisError(f"reorder needs a permutation of {pmf.axis_names}, got {names}")
-    perm = [pmf.axis_position(n) for n in names]
-    return JointPMF(tuple(pmf.axes[i] for i in perm), np.transpose(pmf.mass, perm))
-
-
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Conditional distribution between alphabet tuples.

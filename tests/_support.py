@@ -13,10 +13,12 @@ import math
 import numpy as np
 
 from fcmac.channels import DiscreteMAC
-from fcmac.feasibility import DistortionTable, SystemSpec
+from fcmac.feasibility import DistortionTable, SystemSpec, _label_codes
 from fcmac.graphs import (CharGraph, ConditionalGraphEntropyResult, FunctionTable,
                           _row_sets, _stable_rows, conditional_chromatic_entropy, stable_sets)
-from fcmac.probability import Alphabet, JointPMF, Kernel, compose, plogp
+from fcmac.jsonio import SpecFormatError, _index_path
+from fcmac.probability import (Alphabet, AxisError, JointPMF, Kernel, compose, marginalize,
+                               plogp)
 
 
 # --- random instances -------------------------------------------------------
@@ -96,6 +98,64 @@ def assemble_joint(spec: SystemSpec) -> JointPMF:
     return compose(spec.source_joint,
                    [spec.w1_kernel, spec.w2_kernel,
                     spec.x1_kernel, spec.x2_kernel, spec.channel.law])
+
+
+def reorder(pmf: JointPMF, names) -> JointPMF:
+    """Permute axes into the given order (must list every axis exactly once)."""
+    names = (names,) if isinstance(names, str) else tuple(names)
+    if sorted(names) != sorted(pmf.axis_names):
+        raise AxisError(f"reorder needs a permutation of {pmf.axis_names}, got {names}")
+    perm = [pmf.axis_position(n) for n in names]
+    return JointPMF(tuple(pmf.axes[i] for i in perm), np.transpose(pmf.mass, perm))
+
+
+def joint_expected_distortion(spec: SystemSpec, joint: JointPMF) -> float:
+    """E[d(function(U1, U2), decoder(W1, W2, Z))] under any ``joint`` holding
+    (u1, u2, z, w1, w2): the dense reference for ``expected_distortion``,
+    with each cell's cost gathered on the five axes and weighed by its mass."""
+    names = spec.axis_names
+    keep = (names["u1"], names["u2"], names["z"], names["w1"], names["w2"])
+    mass = reorder(marginalize(joint, keep), keep).mass
+    f_codes = _label_codes(spec.function, spec.distortion.output_labels)
+    d_codes = _label_codes(spec.decoder, spec.distortion.estimate_labels)
+    weighted = spec.distortion.values[:, np.moveaxis(d_codes, 2, 0)][f_codes]
+    weighted *= mass
+    return float(np.sum(weighted))
+
+
+# --- the entry-by-entry JSON readers -----------------------------------------
+# The readers of numeric arrays and label lists before they checked each
+# nesting level and each array's types in one pass.
+
+def entrywise_nested_floats(data, shape: tuple, path: str) -> np.ndarray:
+    cells = np.array(data, dtype=object)
+    flat = cells.ravel().tolist()
+    if not set(map(type, flat)) <= {float, int}:
+        pos, value = next((i, v) for i, v in enumerate(flat) if type(v) not in (float, int))
+        if isinstance(value, list) or cells.ndim == 0:      # ragged, or not an array
+            raise SpecFormatError(path, "expected nested numeric arrays")
+        raise SpecFormatError(path + _index_path(np.unravel_index(pos, cells.shape)),
+                              f"expected a number, got {type(value).__name__}")
+    try:
+        arr = cells.astype(float)
+    except OverflowError:
+        raise SpecFormatError(path, "an integer is too large for a float") from None
+    if arr.shape != shape:
+        raise SpecFormatError(path, f"shape {arr.shape} does not match axes {shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise SpecFormatError(path + _index_path(idx),
+                              f"value {arr[idx]} is not finite")
+    return arr
+
+
+def entrywise_check_labels(values, path_of) -> None:
+    for pos, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise SpecFormatError(path_of(pos), "labels must be strings or numbers")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SpecFormatError(path_of(pos), f"label {value} is not finite")
 
 
 # --- dict-based information oracles -----------------------------------------

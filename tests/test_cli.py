@@ -630,6 +630,26 @@ def _recast(*keys_and_cast):
     return edit
 
 
+def _apply(*keys_and_fn):
+    *keys, fn = keys_and_fn
+
+    def edit(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = fn(obj[keys[-1]])
+    return edit
+
+
+def _flattened(value):
+    """A nested table as one array in C order."""
+    return [x for v in value for x in _flattened(v)] if isinstance(value, list) else [value]
+
+
+def _wrapped(value):
+    """A nested table one level deeper: every entry in an array of its own."""
+    return [_wrapped(v) for v in value] if isinstance(value, list) else [value]
+
+
 def _rename_x1(name):
     def edit(obj):
         obj["x1_kernel"]["to_axes"][0]["name"] = name
@@ -692,6 +712,12 @@ MALFORMED_INPUT = {
     "check x1 axis named u1": lambda f: (
         _check(f.edited("joint_spec", _rename_x1("u1"))),
         "$: axis name 'u1' is used twice among the ten system axes"),
+    "check flat decoder": lambda f: (
+        _check(f.edited("joint_spec", _apply("decoder", "values", _flattened))),
+        "$.decoder.values: values must form a dense table of shape (2, 2, 1)"),
+    "check over-nested decoder": lambda f: (
+        _check(f.edited("joint_spec", _apply("decoder", "values", _wrapped))),
+        "$.decoder.values: values must form a dense table of shape (2, 2, 1)"),
     "check unwritable out": lambda f: _unwritable(f, _check(f["joint_spec"])),
     # graph build
     "graph build truncated joint": lambda f: (
@@ -709,6 +735,14 @@ MALFORMED_INPUT = {
     "graph build mismatched function": lambda f: (
         ["graph", "build", "--joint", f["pmf"],
          "--function", f.edited("function", lambda o: o["values"].pop())],
+        "$.values: values must form a dense table of shape (3, 3)"),
+    "graph build flat function": lambda f: (
+        ["graph", "build", "--joint", f["pmf"],
+         "--function", f.edited("function", _apply("values", _flattened))],
+        "$.values: values must form a dense table of shape (3, 3)"),
+    "graph build over-nested function": lambda f: (
+        ["graph", "build", "--joint", f["pmf"],
+         "--function", f.edited("function", _apply("values", _wrapped))],
         "$.values: values must form a dense table of shape (3, 3)"),
     "graph build unwritable out": lambda f: _unwritable(
         f, ["graph", "build", "--joint", f["pmf"], "--function", f["function"]]),

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _support import alph, assemble_joint, random_system_spec
+from _support import (alph, assemble_joint, joint_expected_distortion, random_system_spec,
+                      reorder)
 from fcmac import feasibility, presets
 from fcmac.channels import DiscreteMAC, adder_mac
 from fcmac.feasibility import (
@@ -26,6 +27,7 @@ from fcmac.probability import (
     compose,
     conditional_entropy,
     entropy,
+    marginalize,
     mutual_information,
     validate,
 )
@@ -388,7 +390,6 @@ class TestSpecValidation:
         joint = assemble_joint(spec)
         n = spec.axis_names
         total = 0.0
-        from fcmac.probability import marginalize, reorder
         marg = reorder(marginalize(joint, (n["u1"], n["u2"], n["w1"], n["w2"], n["z"])),
                        (n["u1"], n["u2"], n["w1"], n["w2"], n["z"]))
         for idx in np.ndindex(marg.mass.shape):
@@ -430,7 +431,7 @@ def _dense_values(spec):
         mutual_information(joint, (n["u1"], n["u2"], n["z1"], n["z2"]),
                            (n["w1"], n["w2"]), n["z"]),
         mutual_information(joint, (n["x1"], n["x2"]), n["y"], n["z"]),
-        expected_distortion(spec, joint),
+        joint_expected_distortion(spec, joint),
     ]
 
 
@@ -592,8 +593,8 @@ class TestCliqueCheck:
         for call in (lambda: check_feasibility(spec), lambda: expected_distortion(spec),
                      lambda: source_coding_region(spec.source_joint, spec.w1_kernel,
                                                   spec.w2_kernel)):
-            with pytest.raises(SizeCapError,
-                               match=r"\(u1, u2, z1, z2, z, w1, w2\) has 648 cells"):
+            with pytest.raises(SizeCapError, match=r"source product \(u1, u2, z1, z2, z,"
+                                                   r" w1, w2\) has 648 cells"):
                 call()
 
     def test_channel_clique_over_the_cap_refused(self, monkeypatch):
@@ -601,5 +602,6 @@ class TestCliqueCheck:
         spec = random_system_spec(np.random.default_rng(51), sizes)
         monkeypatch.setattr(feasibility, "FEASIBILITY_CELL_CAP", 100)   # source clique: 16
         monkeypatch.setattr(feasibility, "compose", None)
-        with pytest.raises(SizeCapError, match=r"\(w1, w2, z, x1, x2, y\) has 512 cells"):
+        with pytest.raises(SizeCapError,
+                           match=r"channel clique \(w1, w2, z, x1, x2, y\) has 512 cells"):
             check_feasibility(spec)

@@ -30,6 +30,7 @@ from _support import (
     pmf_as_dict,
     random_graph,
     random_pmf,
+    reorder,
 )
 from fcmac import graphs, presets
 from fcmac.graphs import (
@@ -129,7 +130,6 @@ class TestCharacteristicGraph:
 
     def test_second_encoder_graph_via_reorder(self):
         # the symmetric construction: swap the joint and the function domain
-        from fcmac.probability import reorder
         base = presets.ternary_source_joint()
         f = presets.comparison_function()
         g2 = characteristic_graph(reorder(base, ("u2", "u1")),

@@ -1,10 +1,13 @@
+import copy
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from _support import alph, loop_graph_to_json, random_kernel, random_pmf, random_system_spec
+from _support import (alph, entrywise_check_labels, entrywise_nested_floats,
+                      loop_graph_to_json, random_kernel, random_pmf, random_system_spec)
 from fcmac import jsonio, presets
 from fcmac.channels import adder_mac
 from fcmac.cli import main
@@ -475,6 +478,85 @@ class TestNonNumbersInNumericArrays:
         with pytest.raises(jsonio.SpecFormatError) as err:
             jsonio.kernel_from_json(obj)
         assert str(err.value) == "$.rows: an integer is too large for a float"
+
+
+# JSON values that are not finite numbers, or numbers at the edges of the
+# float conversion
+_ODD_ENTRIES = (True, False, "0.5", None, {}, [], math.nan, math.inf, -math.inf,
+                10 ** 400, -(10 ** 400), 2 ** 70, 2 ** 53 + 1, 0, -0.0, 1e-320)
+
+
+def _mutated(rng, table):
+    """``table`` (nested lists) after one or two random edits: an odd entry, a
+    ragged row, a missing or extra level of nesting, or an empty list."""
+    table = copy.deepcopy(table)
+    for _ in range(int(rng.integers(1, 3))):
+        # the path to a random entry, stopped at a random depth
+        parent, key, node = None, None, table
+        while isinstance(node, list) and node and rng.random() < 0.8:
+            parent, key = node, int(rng.integers(len(node)))
+            node = node[key]
+        kind = int(rng.integers(6))
+        if kind == 0:
+            new = _ODD_ENTRIES[int(rng.integers(len(_ODD_ENTRIES)))]
+        elif kind == 1 and isinstance(node, list) and node:      # ragged
+            new = node[:-1] if rng.random() < 0.5 else node + node[:1]
+        elif kind == 2 and isinstance(node, list) and node:      # a level missing
+            new = node[0]
+        elif kind == 3:                                          # a level too many
+            new = [node]
+        elif kind == 4:
+            new = []
+        else:
+            continue
+        if parent is None:
+            table = new
+        else:
+            parent[key] = new
+    return table
+
+
+def _outcome(read, *args):
+    """What one reader makes of its input: the array's bytes and shape, or the
+    refusal's path and message."""
+    try:
+        arr = read(*args)
+    except jsonio.SpecFormatError as exc:
+        return ("refused", exc.path, str(exc))
+    return None if arr is None else ("read", arr.dtype.str, arr.shape, arr.tobytes())
+
+
+class TestOnePassReaders:
+    """The one-pass readers against the entry-by-entry readers they replace."""
+
+    def test_nested_floats_agree_on_mutated_tables(self):
+        rng = np.random.default_rng(2101)
+        accepted = 0
+        for _ in range(3000):
+            shape = tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(0, 5)))
+            table = rng.random(shape).tolist()
+            if rng.random() < 0.3 and shape:
+                table = rng.integers(-5, 5, size=shape).tolist()
+            if rng.random() < 0.8:
+                table = _mutated(rng, table)
+            fast = _outcome(jsonio._nested_floats, copy.deepcopy(table), shape, "$.t")
+            assert fast == _outcome(entrywise_nested_floats, table, shape, "$.t"), table
+            accepted += fast[0] == "read"
+        assert 600 < accepted < 2400        # both outcomes are well covered
+
+    def test_labels_agree_on_mutated_lists(self):
+        rng = np.random.default_rng(2102)
+        plain = ("a", "b", "", 0, 7, -3, 0.5, -2.25, 1e300, 10 ** 400)
+        accepted = 0
+        for _ in range(3000):
+            values = [plain[i] for i in rng.integers(len(plain), size=rng.integers(1, 9))]
+            for _ in range(int(rng.integers(0, 3))):
+                values[int(rng.integers(len(values)))] = \
+                    _ODD_ENTRIES[int(rng.integers(len(_ODD_ENTRIES)))]
+            fast = _outcome(jsonio._check_labels, values, lambda i: f"$.v[{i}]")
+            assert fast == _outcome(entrywise_check_labels, values, lambda i: f"$.v[{i}]")
+            accepted += fast is None
+        assert 600 < accepted < 2400
 
 
 class TestTargetDistortion:

@@ -12,6 +12,7 @@ from _support import (
     loop_mutual_information,
     pmf_as_dict,
     random_pmf,
+    reorder,
 )
 from fcmac import presets, probability
 from fcmac.probability import (
@@ -25,7 +26,6 @@ from fcmac.probability import (
     entropy,
     marginalize,
     mutual_information,
-    reorder,
     slepian_wolf_bounds,
     validate,
 )

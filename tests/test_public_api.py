@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "grid_distortion_closed_form", "induce_remote_distortion", "korner_marton_bounds",
     "lipschitz_budget", "mac_mutual_info", "mac_sum_capacity_independent", "marginalize",
     "min_entropy_coloring", "monte_carlo_af", "monte_carlo_grid_distortion",
-    "mutual_information", "offdiagonal_cell_pmf", "or_product", "quantize_grid", "reorder",
+    "mutual_information", "offdiagonal_cell_pmf", "or_product", "quantize_grid",
     "run_experiment", "sample_offdiagonal_uniform", "slepian_wolf_bounds",
     "source_coding_region", "stable_sets", "validate", "zigzag_check",
 ]
