@@ -29,10 +29,10 @@ BOUNDARY_TOL = 1e-9
 # (w1, w2, z, x1, x2, y), or the seven-axis source product
 # (u1, u2, z1, z2, z, w1, w2). The check never builds the latter, but its cell
 # count bounds the check's work and memory. At the cap (|U| = 64, two-symbol
-# side information, |W| = 16, ternary X, |Y| = 5) one check takes 5.4-11 ms
-# (best of five per seed, seeds 1-3) with a 19 MB tracemalloc peak on a
+# side information, |W| = 16, ternary X, |Y| = 5) one check takes 2.5-2.7 ms
+# (best of five per seed, seeds 1-3) with a 3.5 MB tracemalloc peak on a
 # 2-vCPU Intel Xeon VM with one BLAS thread; |U| = 16, |W| = 8 (131,072 cells)
-# takes 0.61-0.66 ms and 0.42 MB.
+# takes 0.58-0.59 ms and 0.21 MB.
 FEASIBILITY_CELL_CAP = 2**23
 
 
@@ -199,18 +199,13 @@ class FeasibilityReport:
 
 
 def expected_distortion(spec: SystemSpec) -> float:
-    """E[d(function(U1, U2), decoder(W1, W2, Z))], read from the pmf of
-    (u1, u2, z, w1, w2) contracted from the source joint and the two
-    encoders."""
-    mass = _pair_marginal(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
+    """E[d(function(U1, U2), decoder(W1, W2, Z))]: the pmf of (function
+    label, z, w1, w2), contracted from the source joint and the two encoders,
+    weighed by each label's cost row on (z, w1, w2)."""
     f_codes = _label_codes(spec.function, spec.distortion.output_labels)
     d_codes = _label_codes(spec.decoder, spec.distortion.estimate_labels)
-    # the pmf of (function label, z, w1, w2), summed over the source pairs of
-    # each label by one one-hot product, then weighed by that label's cost
-    # row on (z, w1, w2)
-    labels = len(spec.distortion.output_labels)
-    one_hot = (np.arange(labels)[:, None] == f_codes.ravel()).astype(float)
-    by_label = one_hot @ mass.reshape(f_codes.size, -1)
+    by_label = _label_marginal(spec.source_joint, spec.w1_kernel, spec.w2_kernel,
+                               f_codes, len(spec.distortion.output_labels))
     cost = spec.distortion.values[:, np.moveaxis(d_codes, 2, 0)]
     return float(np.vdot(by_label, cost))
 
@@ -233,8 +228,8 @@ def _require_cells(what: str, axes: tuple[Alphabet, ...]) -> None:
 # The source side (u1, u2, z1, z2, z, w1, w2) is never formed. W1 depends on
 # (U1, Z1) alone and W2 on (U2, Z2) alone, so every left-hand side comes from
 # the two encoder joints p(ui, zi, z, w1, w2), and the distortion from the pmf
-# of the source pair with both codewords. Each is contracted one encoder at a
-# time. The cap still counts the cells of the seven-axis product.
+# of the function label with both codewords. Each is contracted one encoder at
+# a time. The cap still counts the cells of the seven-axis product.
 
 def _encoder_joints(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
                     ) -> tuple[JointPMF, JointPMF]:
@@ -254,16 +249,23 @@ def _encoder_joints(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel
             JointPMF._adopt((u2, z2, z, w1, w2), t2))
 
 
-def _pair_marginal(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
-                   ) -> np.ndarray:
-    """Mass of p(u1, u2, z, w1, w2), the axes the distortion is read on. For
-    each (u1, u2, z) it is the matrix product K1^T P K2 over (z1, z2), with
-    P = p(u1, u2, ., ., z), K1 = p(w1 | u1, .) and K2 = p(w2 | u2, .)."""
+def _label_marginal(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
+                    f_codes: np.ndarray, labels: int) -> np.ndarray:
+    """Mass of p(f(u1, u2), z, w1, w2), rows in C order over (label, z, w1),
+    with ``f_codes[u1, u2]`` the label of each source pair. For each
+    (u2, u1, z), K1^T P over z1, with P = p(u1, u2, ., ., z) and
+    K1 = p(w1 | u1, .), gives p(u2, u1, z, w1, z2). For each u2 a one-hot
+    product sums its u1 by label, and one product with p(w2 | u2, z2) then
+    sums out (u2, z2)."""
     _require_cells("source product",
                    source_joint.axes + w1_kernel.to_axes + w2_kernel.to_axes)
-    p, k1, k2 = source_joint.mass, w1_kernel.tensor, w2_kernel.tensor
-    by_pair = p.transpose(0, 1, 4, 2, 3)                        # (u1, u2, z, z1, z2)
-    return (k1.transpose(0, 2, 1)[:, None, None] @ by_pair) @ k2[None, :, None]
+    p, k1 = source_joint.mass, w1_kernel.tensor
+    n_u1, n_u2, n_z2 = p.shape[0], p.shape[1], p.shape[3]
+    by_u2 = k1.transpose(0, 2, 1)[None, :, None] @ p.transpose(1, 0, 4, 2, 3)
+    one_hot = (f_codes.T[:, None, :] == np.arange(labels)[:, None]).astype(float)
+    summed = one_hot @ by_u2.reshape(n_u2, n_u1, -1)          # (u2, label, z w1 z2)
+    by_label = summed.reshape(n_u2, -1, n_z2).transpose(1, 0, 2)   # (label z w1, u2, z2)
+    return by_label.reshape(-1, n_u2 * n_z2) @ w2_kernel.rows
 
 
 def _source_side_bounds(t1: JointPMF, t2: JointPMF) -> tuple[float, float, float]:
@@ -291,7 +293,7 @@ def check_feasibility(spec: SystemSpec) -> FeasibilityReport:
     distortion on the source side and every right-hand side on the channel
     clique (w1, w2, z, x1, x2, y). The left-hand sides are read from the two
     5-axis encoder joints p(u1, z1, z, w1, w2) and p(u2, z2, z, w1, w2), the
-    distortion from p(u1, u2, z, w1, w2), and the channel clique extends the
+    distortion from p(f(u1, u2), z, w1, w2), and the channel clique extends the
     first encoder joint's (z, w1, w2) marginal. Neither the 7-axis source
     clique nor the 10-axis joint is built.
     """

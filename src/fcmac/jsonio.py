@@ -7,7 +7,6 @@ name it exactly.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -114,7 +113,10 @@ def _flatten(data, shape: tuple[int, ...]) -> list | None:
     for n in shape:
         if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
             return None
-        level = list(itertools.chain.from_iterable(level))
+        entries = []
+        for row in level:
+            entries += row
+        level = entries
     return level
 
 
@@ -184,8 +186,8 @@ def kernel_from_json(obj, path: str = "$") -> Kernel:
                       for i, a in enumerate(from_json))
     to_axes = tuple(alphabet_from_json(a, f"{path}.to_axes[{i}]")
                     for i, a in enumerate(to_json))
-    n_from = int(np.prod([len(a) for a in from_axes]))
-    n_to = int(np.prod([len(a) for a in to_axes]))
+    n_from = math.prod(len(a) for a in from_axes)
+    n_to = math.prod(len(a) for a in to_axes)
     rows = _nested_floats(_get(obj, "rows", path), (n_from, n_to), f"{path}.rows")
     try:
         return Kernel(from_axes, to_axes, rows)
