@@ -28,11 +28,14 @@ BOUNDARY_TOL = 1e-9
 # Largest axis product the check may span, in cells: the channel clique
 # (w1, w2, z, x1, x2, y), or the seven-axis source product
 # (u1, u2, z1, z2, z, w1, w2). The check never builds the latter, but its cell
-# count bounds the check's work and memory. At the cap (|U| = 64, two-symbol
-# side information, |W| = 16, ternary X, |Y| = 5) one check takes 2.5-2.7 ms
-# (best of five per seed, seeds 1-3) with a 3.5 MB tracemalloc peak on a
-# 2-vCPU Intel Xeon VM with one BLAS thread; |U| = 16, |W| = 8 (131,072 cells)
-# takes 0.58-0.59 ms and 0.21 MB.
+# count bounds the check's work and memory, whatever the number of function
+# labels. At the cap (|U| = 64, two-symbol side information, |W| = 16, ternary
+# X, |Y| = 5) one check takes 2.6-2.7 ms with a 3.5 MB tracemalloc peak for a
+# 3-label function, and 20-21 ms with 33 MB for an injective one (4,096
+# labels, so the distortion is gathered per source pair); at |U| = 16,
+# |W| = 8 (131,072 cells), 0.61-0.62 ms and 0.21 MB, and 0.79-0.83 ms and
+# 0.74 MB. Best of five per seed, seeds 1-3, on a 2-vCPU Intel Xeon VM with
+# one BLAS thread.
 FEASIBILITY_CELL_CAP = 2**23
 
 
@@ -199,15 +202,23 @@ class FeasibilityReport:
 
 
 def expected_distortion(spec: SystemSpec) -> float:
-    """E[d(function(U1, U2), decoder(W1, W2, Z))]: the pmf of (function
-    label, z, w1, w2), contracted from the source joint and the two encoders,
-    weighed by each label's cost row on (z, w1, w2)."""
+    """E[d(function(U1, U2), decoder(W1, W2, Z))], contracted from the source
+    joint and the two encoders. With at most min(|U1|, |W2|) function labels
+    it is the pmf of (function label, z, w1, w2) weighed by each label's cost
+    row on (z, w1, w2); with more, the cost of each source pair is gathered on
+    p(u1, u2, z, w1, w2). Either way no array is larger than those that form
+    that pmf, whatever the number of labels."""
     f_codes = _label_codes(spec.function, spec.distortion.output_labels)
-    d_codes = _label_codes(spec.decoder, spec.distortion.estimate_labels)
-    by_label = _label_marginal(spec.source_joint, spec.w1_kernel, spec.w2_kernel,
-                               f_codes, len(spec.distortion.output_labels))
-    cost = spec.distortion.values[:, np.moveaxis(d_codes, 2, 0)]
-    return float(np.vdot(by_label, cost))
+    d_codes = np.moveaxis(_label_codes(spec.decoder, spec.distortion.estimate_labels), 2, 0)
+    labels = len(spec.distortion.output_labels)
+    if labels <= min(f_codes.shape[0], len(spec.w2_kernel.to_axes[0])):
+        by_label = _label_marginal(spec.source_joint, spec.w1_kernel, spec.w2_kernel,
+                                   f_codes, labels)
+        return float(np.vdot(by_label, spec.distortion.values[:, d_codes]))
+    mass = _pair_marginal(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
+    weighted = spec.distortion.values[f_codes[:, :, None, None, None], d_codes]
+    weighted *= mass
+    return float(np.sum(weighted))
 
 
 def _label_codes(table: FunctionTable, labels: Alphabet) -> np.ndarray:
@@ -228,8 +239,9 @@ def _require_cells(what: str, axes: tuple[Alphabet, ...]) -> None:
 # The source side (u1, u2, z1, z2, z, w1, w2) is never formed. W1 depends on
 # (U1, Z1) alone and W2 on (U2, Z2) alone, so every left-hand side comes from
 # the two encoder joints p(ui, zi, z, w1, w2), and the distortion from the pmf
-# of the function label with both codewords. Each is contracted one encoder at
-# a time. The cap still counts the cells of the seven-axis product.
+# of the function label, or of the source pair, with both codewords. Each is
+# contracted one encoder at a time. The cap still counts the cells of the
+# seven-axis product.
 
 def _encoder_joints(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
                     ) -> tuple[JointPMF, JointPMF]:
@@ -249,6 +261,18 @@ def _encoder_joints(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel
             JointPMF._adopt((u2, z2, z, w1, w2), t2))
 
 
+def _pair_marginal(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
+                   ) -> np.ndarray:
+    """Mass of p(u1, u2, z, w1, w2). For each (u1, u2, z) it is the matrix
+    product K1^T P K2 over (z1, z2), with P = p(u1, u2, ., ., z),
+    K1 = p(w1 | u1, .) and K2 = p(w2 | u2, .)."""
+    _require_cells("source product",
+                   source_joint.axes + w1_kernel.to_axes + w2_kernel.to_axes)
+    p, k1, k2 = source_joint.mass, w1_kernel.tensor, w2_kernel.tensor
+    by_pair = p.transpose(0, 1, 4, 2, 3)                        # (u1, u2, z, z1, z2)
+    return (k1.transpose(0, 2, 1)[:, None, None] @ by_pair) @ k2[None, :, None]
+
+
 def _label_marginal(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
                     f_codes: np.ndarray, labels: int) -> np.ndarray:
     """Mass of p(f(u1, u2), z, w1, w2), rows in C order over (label, z, w1),
@@ -256,7 +280,8 @@ def _label_marginal(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel
     (u2, u1, z), K1^T P over z1, with P = p(u1, u2, ., ., z) and
     K1 = p(w1 | u1, .), gives p(u2, u1, z, w1, z2). For each u2 a one-hot
     product sums its u1 by label, and one product with p(w2 | u2, z2) then
-    sums out (u2, z2)."""
+    sums out (u2, z2). With no more labels than |U1| and |W2|, no array is
+    larger, and no product longer, than those of ``_pair_marginal``."""
     _require_cells("source product",
                    source_joint.axes + w1_kernel.to_axes + w2_kernel.to_axes)
     p, k1 = source_joint.mass, w1_kernel.tensor

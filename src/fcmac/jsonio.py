@@ -122,8 +122,8 @@ def _flatten(data, shape: tuple[int, ...]) -> list | None:
 
 def _nested_floats(data, shape: tuple[int, ...], path: str) -> np.ndarray:
     # float() reads true as 1.0 and "0.5" as 0.5, so the entries' types are checked
-    # first. A table that fails this one pass is read again entry by entry, which
-    # names its fault (or accepts it, if it nests as tuples rather than lists).
+    # first. A table that fails this one pass is read again entry by entry, to name
+    # its fault.
     flat = _flatten(data, shape)
     if flat is not None and set(map(type, flat)) <= {float, int}:
         with contextlib.suppress(OverflowError):        # an integer past the float range
@@ -134,7 +134,10 @@ def _nested_floats(data, shape: tuple[int, ...], path: str) -> np.ndarray:
 
 
 def _entrywise_floats(data, shape: tuple[int, ...], path: str) -> np.ndarray:
-    # an object array of JSON values is built without error, ragged or not
+    # Diagnosis of a table that _nested_floats' one pass refused. For JSON input it
+    # raises, except on a non-finite number for a table of no axes (np.argwhere
+    # finds no index in a 0-d array): that it returns, and validate() refuses it.
+    # An object array of JSON values is built without error, ragged or not.
     cells = np.array(data, dtype=object)
     flat = cells.ravel().tolist()
     if not set(map(type, flat)) <= {float, int}:

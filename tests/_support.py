@@ -125,7 +125,8 @@ def joint_expected_distortion(spec: SystemSpec, joint: JointPMF) -> float:
 
 # --- the entry-by-entry JSON readers -----------------------------------------
 # The readers of numeric arrays and label lists before they checked each
-# nesting level and each array's types in one pass.
+# nesting level and each array's types in one pass: the behaviour the one-pass
+# readers must match, in what they accept and in how they name a refusal.
 
 def entrywise_nested_floats(data, shape: tuple, path: str) -> np.ndarray:
     cells = np.array(data, dtype=object)

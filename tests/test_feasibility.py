@@ -466,6 +466,32 @@ def _with_zero_mass_cells(rng, spec):
                                                            mass / mass.sum()))
 
 
+def _with_injective_function(rng, spec, unused_labels=0):
+    """``spec`` with a function that gives each source pair a label of its
+    own (|U1||U2| labels) and a new cost table over them, which lists
+    ``unused_labels`` more that the function never takes."""
+    n_u1, n_u2 = (len(a) for a in spec.function.domain_axes)
+    outputs = tuple(f"p{i}" for i in range(n_u1 * n_u2 + unused_labels))
+    estimates = spec.distortion.estimate_labels
+    return dataclasses.replace(
+        spec,
+        function=FunctionTable(spec.function.domain_axes,
+                               np.array(outputs[:n_u1 * n_u2]).reshape(n_u1, n_u2)),
+        distortion=DistortionTable(outputs, estimates,
+                                   rng.uniform(0.2, 1.0, size=(len(outputs), len(estimates)))))
+
+
+def _with_unused_labels(rng, spec, count):
+    """``spec`` whose cost table lists ``count`` function labels more, each
+    never taken by the function; the expected distortion is unchanged."""
+    dist = spec.distortion
+    extra = tuple(f"unused{i}" for i in range(count))
+    values = np.vstack([dist.values,
+                        rng.uniform(0.2, 1.0, size=(count, len(dist.estimate_labels)))])
+    return dataclasses.replace(spec, distortion=DistortionTable(
+        tuple(dist.output_labels) + extra, dist.estimate_labels, values))
+
+
 def _degenerate_spec(rng, kind):
     if kind == "singleton side information":
         sizes = {n: int(rng.integers(2, 4)) for n in ("u1", "u2", "w1", "w2", "y")}
@@ -584,6 +610,44 @@ class TestCliqueCheck:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_many_function_labels_match_dense_joint(self):
+        # more labels than min(|U1|, |W2|): the cost is gathered per source pair
+        rng = np.random.default_rng(56)
+        worst = 0.0
+        for _ in range(40):
+            spec = _with_injective_function(rng, random_system_spec(rng))
+            dense = joint_expected_distortion(spec, assemble_joint(spec))
+            worst = max(worst, abs(expected_distortion(spec) - dense))
+        assert worst <= 1e-12
+
+    def test_label_sum_and_pair_gather_agree(self):
+        # the same system read by the per-label sum, then, with its cost table
+        # padded past min(|U1|, |W2|) labels, by the per-pair gather
+        rng = np.random.default_rng(57)
+        sizes = dict(u1=6, u2=5, z1=2, z2=3, z=2, w1=4, w2=5, x1=2, x2=2, y=2)
+        for _ in range(20):
+            spec = random_system_spec(rng, sizes)     # 3 labels
+            padded = _with_unused_labels(rng, spec, 3)
+            assert expected_distortion(padded) == pytest.approx(expected_distortion(spec),
+                                                                rel=1e-14, abs=1e-15)
+
+    def test_peak_memory_with_an_injective_function(self):
+        # 4,096 function labels; 1,048,576 cells in the seven-axis product and
+        # 8 MB in p(u1, u2, z, w1, w2). A one-hot over labels and u1 per u2
+        # would take 134 MB.
+        sizes = dict(u1=64, u2=64, z1=1, z2=1, z=1, w1=16, w2=16, x1=2, x2=2, y=2)
+        rng = np.random.default_rng(58)
+        spec = _with_injective_function(rng, random_system_spec(rng, sizes))
+        pair_bytes = 8 * 64 * 64 * 16 * 16
+        for call in (lambda: check_feasibility(spec), lambda: expected_distortion(spec)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * pair_bytes
 
     def test_source_clique_over_the_cap_refused_before_composing(self, monkeypatch):
         sizes = dict(u1=3, u2=3, z1=2, z2=2, z=2, w1=3, w2=3, x1=2, x2=2, y=2)
