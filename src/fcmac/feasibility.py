@@ -16,12 +16,12 @@ from .probability import (
     AxisError,
     JointPMF,
     Kernel,
+    _conditional_entropy,
+    _marginal,
+    _mutual_information,
     binary_entropy,
     clamp_round_off,
     compose,
-    conditional_entropy,
-    marginalize,
-    mutual_information,
 )
 
 BOUNDARY_TOL = 1e-9
@@ -30,12 +30,12 @@ BOUNDARY_TOL = 1e-9
 # (u1, u2, z1, z2, z, w1, w2). The check never builds the latter, but its cell
 # count bounds the check's work and memory, whatever the number of function
 # labels. At the cap (|U| = 64, two-symbol side information, |W| = 16, ternary
-# X, |Y| = 5) one check takes 2.6-2.7 ms with a 3.5 MB tracemalloc peak for a
-# 3-label function, and 20-21 ms with 33 MB for an injective one (4,096
-# labels, so the distortion is gathered per source pair); at |U| = 16,
-# |W| = 8 (131,072 cells), 0.61-0.62 ms and 0.21 MB, and 0.79-0.83 ms and
-# 0.74 MB. Best of five per seed, seeds 1-3, on a 2-vCPU Intel Xeon VM with
-# one BLAS thread.
+# X, |Y| = 5) one check takes 2.2-2.4 ms with a 3.5 MB tracemalloc peak for a
+# 3-label function, and 18 ms with 33 MB for an injective one (4,096 labels,
+# so the distortion is gathered per source pair); at |U| = 16, |W| = 8
+# (131,072 cells), 0.52-0.53 ms and 0.21 MB, and 0.74-0.77 ms and 0.74 MB.
+# Best of five per seed, seeds 1-3, on a 2-vCPU Intel Xeon VM with one BLAS
+# thread.
 FEASIBILITY_CELL_CAP = 2**23
 
 
@@ -243,9 +243,9 @@ def _require_cells(what: str, axes: tuple[Alphabet, ...]) -> None:
 # contracted one encoder at a time. The cap still counts the cells of the
 # seven-axis product.
 
-def _encoder_joints(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
-                    ) -> tuple[JointPMF, JointPMF]:
-    """p(u1, z1, z, w1, w2) and p(u2, z2, z, w1, w2)."""
+def _encoder_joints(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel):
+    """p(u1, z1, z, w1, w2) and p(u2, z2, z, w1, w2), each as its mass and
+    axis names."""
     u1, u2, z1, z2, z = source_joint.axes
     w1, w2 = w1_kernel.to_axes + w2_kernel.to_axes
     _require_cells("source product", (u1, u2, z1, z2, z, w1, w2))
@@ -257,8 +257,8 @@ def _encoder_joints(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel
     s1 = p.transpose(1, 3, 4, 0, 2).reshape(-1, n1) @ w1_kernel.rows
     t1 = k1[:, :, None, :, None] * s2.reshape(len(u1), len(z1), len(z), 1, len(w2))
     t2 = k2[:, :, None, None, :] * s1.reshape(len(u2), len(z2), len(z), len(w1), 1)
-    return (JointPMF._adopt((u1, z1, z, w1, w2), t1),
-            JointPMF._adopt((u2, z2, z, w1, w2), t2))
+    return ((t1, (u1.name, z1.name, z.name, w1.name, w2.name)),
+            (t2, (u2.name, z2.name, z.name, w1.name, w2.name)))
 
 
 def _pair_marginal(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
@@ -293,18 +293,25 @@ def _label_marginal(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel
     return by_label.reshape(-1, n_u2 * n_z2) @ w2_kernel.rows
 
 
-def _source_side_bounds(t1: JointPMF, t2: JointPMF) -> tuple[float, float, float]:
+def _codeword_marginal(e1):
+    """p(z, w1, w2), summed from the first encoder joint ``e1``."""
+    mass, names = e1
+    return _marginal(mass, names, names[2:])
+
+
+def _source_side_bounds(e1, e2, zw) -> tuple[float, float, float]:
     """I(U1,Z1; W1 | W2,Z), I(U2,Z2; W2 | W1,Z) and I(U1,U2,Z1,Z2; W1,W2 | Z)
-    from the two encoder joints. The third is H(W1,W2 | Z) - H(W1 | U1,Z1)
-    - H(W2 | U2,Z2): given the sources and all side information the two
-    codewords are independent, each depending on its own encoder's inputs."""
-    u1, z1, z, w1, w2 = t1.axis_names
-    u2, z2 = t2.axis_names[:2]
-    joint_rate = (conditional_entropy(t1, (w1, w2), z)
-                  - conditional_entropy(t1, w1, (u1, z1))
-                  - conditional_entropy(t2, w2, (u2, z2)))
-    return (mutual_information(t1, (u1, z1), w1, (w2, z)),
-            mutual_information(t2, (u2, z2), w2, (w1, z)),
+    from the two encoder joints and their (z, w1, w2) marginal ``zw``. The
+    third is H(W1,W2 | Z) - H(W1 | U1,Z1) - H(W2 | U2,Z2): given the sources
+    and all side information the two codewords are independent, each
+    depending on its own encoder's inputs."""
+    u1, z1, z, w1, w2 = e1[1]
+    u2, z2 = e2[1][:2]
+    joint_rate = (_conditional_entropy(*zw, (w1, w2), (z,))
+                  - _conditional_entropy(*e1, (w1,), (u1, z1))
+                  - _conditional_entropy(*e2, (w2,), (u2, z2)))
+    return (_mutual_information(*e1, (u1, z1), (w1,), (w2, z)),
+            _mutual_information(*e2, (u2, z2), (w2,), (w1, z)),
             clamp_round_off(joint_rate))
 
 
@@ -320,20 +327,25 @@ def check_feasibility(spec: SystemSpec) -> FeasibilityReport:
     5-axis encoder joints p(u1, z1, z, w1, w2) and p(u2, z2, z, w1, w2), the
     distortion from p(f(u1, u2), z, w1, w2), and the channel clique extends the
     first encoder joint's (z, w1, w2) marginal. Neither the 7-axis source
-    clique nor the 10-axis joint is built.
+    clique nor the 10-axis joint is built. Each bound is evaluated on raw
+    arrays by the information measures' cores, with no ``JointPMF`` per
+    marginal.
     """
     n = spec.axis_names
     z = spec.source_joint.axes[4]
     _require_cells("channel clique", spec.w1_kernel.to_axes + spec.w2_kernel.to_axes + (z,)
                    + spec.x1_kernel.to_axes + spec.x2_kernel.to_axes
                    + spec.channel.law.to_axes)
-    t1, t2 = _encoder_joints(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
-    channel = compose(marginalize(t1, (n["w1"], n["w2"], n["z"])),
+    e1, e2 = _encoder_joints(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
+    zw = _codeword_marginal(e1)
+    channel = compose(JointPMF._adopt((z,) + spec.w1_kernel.to_axes + spec.w2_kernel.to_axes,
+                                      zw[0]),
                       [spec.x1_kernel, spec.x2_kernel, spec.channel.law])
-    lhs = _source_side_bounds(t1, t2)
-    rhs = (mutual_information(channel, n["x1"], n["y"], (n["x2"], n["w2"], n["z"])),
-           mutual_information(channel, n["x2"], n["y"], (n["x1"], n["w1"], n["z"])),
-           mutual_information(channel, (n["x1"], n["x2"]), n["y"], n["z"]))
+    clique = (channel.mass, channel.axis_names)
+    lhs = _source_side_bounds(e1, e2, zw)
+    rhs = (_mutual_information(*clique, (n["x1"],), (n["y"],), (n["x2"], n["w2"], n["z"])),
+           _mutual_information(*clique, (n["x2"],), (n["y"],), (n["x1"], n["w1"], n["z"])),
+           _mutual_information(*clique, (n["x1"], n["x2"]), (n["y"],), (n["z"],)))
     recs = tuple(InequalityRecord(name, left, right)
                  for name, left, right in zip(("encoder1", "encoder2", "sum"), lhs, rhs))
     return FeasibilityReport(recs, expected_distortion(spec), spec.target_d)
@@ -348,9 +360,6 @@ class SourceCodingBounds:
     r2: float
     r_sum: float
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.r1, self.r2, self.r_sum)
-
 
 def source_coding_region(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
                          ) -> SourceCodingBounds:
@@ -360,8 +369,8 @@ def source_coding_region(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: K
     u1, u2, z1, z2, z = axes
     _require(w1_kernel.from_axes == (u1, z1), "w1 kernel must condition on (source1, z1)")
     _require(w2_kernel.from_axes == (u2, z2), "w2 kernel must condition on (source2, z2)")
-    return SourceCodingBounds(*_source_side_bounds(
-        *_encoder_joints(source_joint, w1_kernel, w2_kernel)))
+    e1, e2 = _encoder_joints(source_joint, w1_kernel, w2_kernel)
+    return SourceCodingBounds(*_source_side_bounds(e1, e2, _codeword_marginal(e1)))
 
 
 def induce_remote_distortion(posterior: Kernel, f: FunctionTable, g: FunctionTable,

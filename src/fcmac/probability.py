@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -138,6 +139,8 @@ def validate(pmf: JointPMF) -> ValidationReport:
     problems = []
     for kind, bad in (("non_finite_entry", ~np.isfinite(pmf.mass)),
                       ("negative_entry", pmf.mass < 0)):
+        if not bad.any():       # np.argwhere costs more than the scan
+            continue
         for idx in np.argwhere(bad):
             idx = tuple(int(i) for i in idx)
             problems.append(ValidationProblem(kind, idx, float(pmf.mass[idx])))
@@ -154,10 +157,17 @@ def marginalize(pmf: JointPMF, keep) -> JointPMF:
     unknown = keep_names - have
     if unknown:
         raise AxisError(f"unknown axes {sorted(unknown)}; have {pmf.axis_names}")
-    drop = tuple(i for i, a in enumerate(pmf.axes) if a.name not in keep_names)
-    kept = tuple(a for a in pmf.axes if a.name in keep_names)
-    mass = pmf.mass.sum(axis=drop) if drop else pmf.mass
-    return JointPMF._adopt(kept, mass)
+    mass, _ = _marginal(pmf.mass, pmf.axis_names, keep_names)
+    return JointPMF._adopt(tuple(a for a in pmf.axes if a.name in keep_names), mass)
+
+
+def _marginal(mass: np.ndarray, names: tuple[str, ...], keep,
+              ) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The marginal of ``mass``, whose axes are ``names``, on the names in
+    ``keep``: its mass and its names, both in the order of ``names``. With
+    nothing to sum out it is ``mass`` itself."""
+    drop = tuple(i for i, n in enumerate(names) if n not in keep)
+    return (mass.sum(axis=drop) if drop else mass), tuple(n for n in names if n in keep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,8 +186,8 @@ class Kernel:
         from_axes = tuple(self.from_axes)
         to_axes = tuple(self.to_axes)
         rows = np.array(self.rows, dtype=float)
-        n_from = int(np.prod([len(a) for a in from_axes]))
-        n_to = int(np.prod([len(a) for a in to_axes]))
+        n_from = math.prod(len(a) for a in from_axes)
+        n_to = math.prod(len(a) for a in to_axes)
         if rows.shape != (n_from, n_to):
             raise ValueError(f"rows shape {rows.shape}, expected {(n_from, n_to)}")
         if not np.isfinite(rows).all():
@@ -187,9 +197,9 @@ class Kernel:
             idx = tuple(int(i) for i in np.argwhere(rows < 0)[0])
             raise ValueError(f"kernel row entry at {idx} is negative: {rows[idx]}")
         sums = rows.sum(axis=1)
-        bad = np.argwhere(np.abs(sums - 1.0) > NORMALIZATION_TOL)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > NORMALIZATION_TOL)
         if bad.size:
-            i = int(bad[0][0])
+            i = int(bad[0])
             raise ValueError(f"kernel row {i} sums to {sums[i]}, not 1")
         rows.setflags(write=False)
         object.__setattr__(self, "from_axes", from_axes)
@@ -208,8 +218,8 @@ class Kernel:
         """Point-mass kernel: ``fn(*source_symbols)`` returns the target symbol(s)."""
         from_axes = tuple(from_axes)
         to_axes = tuple(to_axes)
-        n_to = int(np.prod([len(a) for a in to_axes]))
-        rows = np.zeros((int(np.prod([len(a) for a in from_axes])), n_to))
+        n_to = math.prod(len(a) for a in to_axes)
+        rows = np.zeros((math.prod(len(a) for a in from_axes), n_to))
         to_strides = np.cumprod([1] + [len(a) for a in reversed(to_axes)])[:-1][::-1]
         for r, combo in enumerate(itertools.product(*(a.symbols for a in from_axes))):
             out = fn(*combo)
@@ -224,7 +234,7 @@ class Kernel:
                  pmf_row: Sequence[float]) -> "Kernel":
         """Same target pmf for every source tuple (target independent of source)."""
         from_axes = tuple(from_axes)
-        n_from = int(np.prod([len(a) for a in from_axes]))
+        n_from = math.prod(len(a) for a in from_axes)
         row = np.asarray(pmf_row, dtype=float).ravel()
         return Kernel(from_axes, tuple(to_axes), np.tile(row, (n_from, 1)))
 
@@ -273,9 +283,9 @@ def _plogp(flat: np.ndarray) -> float:
     return float(np.sum(p * np.log2(p)))
 
 
-def _joint_entropy(pmf: JointPMF) -> float:
-    """Entropy of ``pmf`` on all of its axes; 0 for the pmf on no axes."""
-    return -_plogp(pmf.mass.ravel()) if pmf.axes else 0.0
+def _joint_entropy(mass: np.ndarray, names: tuple[str, ...]) -> float:
+    """Entropy of ``mass`` on all of its axes ``names``; 0 on no axes."""
+    return -_plogp(mass.ravel()) if names else 0.0
 
 
 def entropy(pmf: JointPMF, axes) -> float:
@@ -283,13 +293,16 @@ def entropy(pmf: JointPMF, axes) -> float:
     names = _as_name_tuple(axes)
     if not names:
         raise AxisError("entropy needs a non-empty axis set")
-    return _joint_entropy(marginalize(pmf, names))
+    marginal = marginalize(pmf, names)
+    return _joint_entropy(marginal.mass, marginal.axis_names)
 
 
 # The information measures below reduce their input once, to the marginal on
 # every axis they name, and sum each smaller marginal from the smallest one
 # already formed: a strided reduction of a large joint costs far more than
-# the entropies that share it.
+# the entropies that share it. Each public measure checks its axes, reduces
+# the caller's pmf through ``marginalize`` and hands the raw (mass, names)
+# pair to its core, which the check also calls on the arrays it forms.
 
 def conditional_entropy(pmf: JointPMF, target, given=()) -> float:
     """H(target | given) = H(target, given) - H(given)."""
@@ -300,8 +313,15 @@ def conditional_entropy(pmf: JointPMF, target, given=()) -> float:
     if not t:
         raise AxisError("conditional_entropy needs a non-empty target")
     tg = marginalize(pmf, t + g)
-    h_g = _joint_entropy(marginalize(tg, g)) if g else 0.0
-    return _joint_entropy(tg) - h_g
+    return _conditional_entropy(tg.mass, tg.axis_names, t, g)
+
+
+def _conditional_entropy(mass: np.ndarray, names: tuple[str, ...], t: tuple, g: tuple,
+                         ) -> float:
+    """H(t | g) of ``mass`` on axes ``names``, which hold every name of t and g."""
+    tg = _marginal(mass, names, t + g)
+    h_g = _joint_entropy(*_marginal(*tg, g)) if g else 0.0
+    return _joint_entropy(*tg) - h_g
 
 
 def mutual_information(pmf: JointPMF, a, b, given=()) -> float:
@@ -315,12 +335,20 @@ def mutual_information(pmf: JointPMF, a, b, given=()) -> float:
     if not a:
         raise AxisError("mutual_information needs a non-empty first axis set")
     abg = marginalize(pmf, a + b + g)
-    ag = marginalize(abg, a + g)
-    bg = marginalize(abg, b + g)
-    smaller = ag if ag.mass.size <= bg.mass.size else bg
-    h_g = _joint_entropy(marginalize(smaller, g)) if g else 0.0
+    return _mutual_information(abg.mass, abg.axis_names, a, b, g)
+
+
+def _mutual_information(mass: np.ndarray, names: tuple[str, ...], a: tuple, b: tuple,
+                        g: tuple) -> float:
+    """I(a; b | g) of ``mass`` on axes ``names``, which hold every name of a,
+    b and g, clamped as ``mutual_information`` clamps it."""
+    abg = _marginal(mass, names, a + b + g)
+    ag = _marginal(*abg, a + g)
+    bg = _marginal(*abg, b + g)
+    smaller = ag if ag[0].size <= bg[0].size else bg
+    h_g = _joint_entropy(*_marginal(*smaller, g)) if g else 0.0
     return clamp_round_off(
-        (_joint_entropy(ag) - h_g) - (_joint_entropy(abg) - _joint_entropy(bg)))
+        (_joint_entropy(*ag) - h_g) - (_joint_entropy(*abg) - _joint_entropy(*bg)))
 
 
 def clamp_round_off(value: float) -> float:
@@ -336,9 +364,6 @@ class SlepianWolfBounds:
     first_given_second: float
     second_given_first: float
     sum_rate: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.first_given_second, self.second_given_first, self.sum_rate)
 
 
 def slepian_wolf_bounds(pmf: JointPMF, first, second, given=()) -> SlepianWolfBounds:

@@ -17,8 +17,8 @@ from fcmac.feasibility import DistortionTable, SystemSpec, _label_codes
 from fcmac.graphs import (CharGraph, ConditionalGraphEntropyResult, FunctionTable,
                           _row_sets, _stable_rows, conditional_chromatic_entropy, stable_sets)
 from fcmac.jsonio import SpecFormatError, _index_path
-from fcmac.probability import (Alphabet, AxisError, JointPMF, Kernel, compose, marginalize,
-                               plogp)
+from fcmac.probability import (Alphabet, AxisError, JointPMF, Kernel, clamp_round_off, compose,
+                               marginalize, plogp)
 
 
 # --- random instances -------------------------------------------------------
@@ -121,6 +121,70 @@ def joint_expected_distortion(spec: SystemSpec, joint: JointPMF) -> float:
     weighted = spec.distortion.values[:, np.moveaxis(d_codes, 2, 0)][f_codes]
     weighted *= mass
     return float(np.sum(weighted))
+
+
+# --- the check's bounds through JointPMF wrappers ----------------------------
+# How the check evaluated its six bounds before they were read from raw
+# arrays: each marginal wrapped in a JointPMF, each measure reducing its
+# input once and summing each smaller marginal from the smallest one formed.
+# The raw-array evaluation sums the same arrays over the same axes, so it
+# must match this bit for bit.
+
+def _wrapped_marginal(pmf: JointPMF, keep: tuple) -> JointPMF:
+    drop = tuple(i for i, a in enumerate(pmf.axes) if a.name not in keep)
+    kept = tuple(a for a in pmf.axes if a.name in keep)
+    return JointPMF._adopt(kept, pmf.mass.sum(axis=drop) if drop else pmf.mass)
+
+
+def _wrapped_entropy(pmf: JointPMF) -> float:
+    return -_sum_plogp(pmf.mass.ravel()) if pmf.axes else 0.0
+
+
+def _wrapped_conditional_entropy(pmf: JointPMF, t: tuple, g: tuple) -> float:
+    tg = _wrapped_marginal(pmf, t + g)
+    h_g = _wrapped_entropy(_wrapped_marginal(tg, g)) if g else 0.0
+    return _wrapped_entropy(tg) - h_g
+
+
+def _wrapped_mutual_information(pmf: JointPMF, a: tuple, b: tuple, g: tuple) -> float:
+    abg = _wrapped_marginal(pmf, a + b + g)
+    ag = _wrapped_marginal(abg, a + g)
+    bg = _wrapped_marginal(abg, b + g)
+    smaller = ag if ag.mass.size <= bg.mass.size else bg
+    h_g = _wrapped_entropy(_wrapped_marginal(smaller, g)) if g else 0.0
+    return clamp_round_off(
+        (_wrapped_entropy(ag) - h_g) - (_wrapped_entropy(abg) - _wrapped_entropy(bg)))
+
+
+def frozen_check_bounds(spec: SystemSpec) -> tuple[float, ...]:
+    """The check's (encoder1, encoder2, sum) left-hand sides, then its three
+    right-hand sides, each marginal summed from the source it was summed
+    from when every marginal was a JointPMF."""
+    n = spec.axis_names
+    u1, u2, z1, z2, z = spec.source_joint.axes
+    (w1,), (w2,) = spec.w1_kernel.to_axes, spec.w2_kernel.to_axes
+    p, k1, k2 = spec.source_joint.mass, spec.w1_kernel.tensor, spec.w2_kernel.tensor
+    s2 = p.transpose(0, 2, 4, 1, 3).reshape(-1, len(u2) * len(z2)) @ spec.w2_kernel.rows
+    s1 = p.transpose(1, 3, 4, 0, 2).reshape(-1, len(u1) * len(z1)) @ spec.w1_kernel.rows
+    t1 = JointPMF._adopt((u1, z1, z, w1, w2), k1[:, :, None, :, None]
+                         * s2.reshape(len(u1), len(z1), len(z), 1, len(w2)))
+    t2 = JointPMF._adopt((u2, z2, z, w1, w2), k2[:, :, None, None, :]
+                         * s1.reshape(len(u2), len(z2), len(z), len(w1), 1))
+    channel = compose(_wrapped_marginal(t1, (n["w1"], n["w2"], n["z"])),
+                      [spec.x1_kernel, spec.x2_kernel, spec.channel.law])
+    joint_rate = (_wrapped_conditional_entropy(t1, (n["w1"], n["w2"]), (n["z"],))
+                  - _wrapped_conditional_entropy(t1, (n["w1"],), (n["u1"], n["z1"]))
+                  - _wrapped_conditional_entropy(t2, (n["w2"],), (n["u2"], n["z2"])))
+    return (
+        _wrapped_mutual_information(t1, (n["u1"], n["z1"]), (n["w1"],), (n["w2"], n["z"])),
+        _wrapped_mutual_information(t2, (n["u2"], n["z2"]), (n["w2"],), (n["w1"], n["z"])),
+        clamp_round_off(joint_rate),
+        _wrapped_mutual_information(channel, (n["x1"],), (n["y"],),
+                                    (n["x2"], n["w2"], n["z"])),
+        _wrapped_mutual_information(channel, (n["x2"],), (n["y"],),
+                                    (n["x1"], n["w1"], n["z"])),
+        _wrapped_mutual_information(channel, (n["x1"], n["x2"]), (n["y"],), (n["z"],)),
+    )
 
 
 # --- the entry-by-entry JSON readers -----------------------------------------

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 single PASS/FAIL line (run with ``pytest -s`` to see them live)."""
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -315,7 +316,7 @@ def test_criterion_8_specializations():
               conditional_entropy(source, "u2", "u1"),
               entropy(source, ("u1", "u2")))
     checks.append(("corner quantities exact",
-                   max(abs(a - b) for a, b in zip(bounds.as_tuple(), corner)) <= 1e-12))
+                   max(abs(a - b) for a, b in zip(dataclasses.astuple(bounds), corner)) <= 1e-12))
 
     # one-sided setting: constant second source, side info off the loop
     rng = np.random.default_rng(82)

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _support import (alph, assemble_joint, joint_expected_distortion, random_system_spec,
-                      reorder)
+from _support import (alph, assemble_joint, frozen_check_bounds, joint_expected_distortion,
+                      random_system_spec, reorder)
 from fcmac import feasibility, presets
 from fcmac.channels import DiscreteMAC, adder_mac
 from fcmac.feasibility import (
@@ -538,14 +538,33 @@ class TestCliqueCheck:
             got = _report_values(report)
             worst = max(worst, float(np.max(np.abs(np.subtract(got, _dense_values(spec))))))
             bounds = source_coding_region(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
-            assert bounds.as_tuple() == tuple(r.lhs_bits for r in report.inequalities)
+            assert dataclasses.astuple(bounds) == tuple(r.lhs_bits for r in report.inequalities)
         assert worst <= 1e-12
 
     def test_source_coding_region_is_the_left_hand_sides(self):
         spec = random_system_spec(np.random.default_rng(48))
         lhs = tuple(r.lhs_bits for r in check_feasibility(spec).inequalities)
         bounds = source_coding_region(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
-        assert bounds.as_tuple() == lhs
+        assert dataclasses.astuple(bounds) == lhs
+
+    def test_bounds_match_the_wrapped_measures_bit_for_bit(self):
+        # Every marginal is summed from the same array over the same axes as
+        # when each was a JointPMF, so every bound keeps its bits. The
+        # distortion takes no marginal; the report must carry it unchanged.
+        rng = np.random.default_rng(2201)
+        wide = dict(u1=5, u2=4, z1=3, z2=2, z=3, w1=5, w2=4, x1=3, x2=2, y=4)
+        specs = [presets.section5_system("joint"), presets.section5_system("independent"),
+                 presets.grid_system()]
+        specs += [random_system_spec(rng) for _ in range(400)]
+        specs += [random_system_spec(rng, wide) for _ in range(40)]
+        for spec in specs:
+            report = check_feasibility(spec)
+            want = [v.hex() for v in frozen_check_bounds(spec)]
+            assert [r.lhs_bits.hex() for r in report.inequalities] == want[:3]
+            assert [r.rhs_bits.hex() for r in report.inequalities] == want[3:]
+            region = source_coding_region(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
+            assert [v.hex() for v in dataclasses.astuple(region)] == want[:3]
+            assert report.achieved_distortion.hex() == expected_distortion(spec).hex()
 
     def test_constant_encoders_give_zero_left_hand_sides(self):
         # W independent of (U, Z), so every left-hand side is 0. A constant
@@ -562,7 +581,7 @@ class TestCliqueCheck:
                 lhs = [r.lhs_bits for r in check_feasibility(system).inequalities]
                 bounds = source_coding_region(system.source_joint, system.w1_kernel,
                                               system.w2_kernel)
-                assert bounds.as_tuple() == tuple(lhs)
+                assert dataclasses.astuple(bounds) == tuple(lhs)
                 assert all(0.0 <= v <= most for v in lhs), lhs
 
     def test_never_builds_the_dense_joint(self, monkeypatch):

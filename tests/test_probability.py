@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -301,7 +302,7 @@ class TestSlepianWolf:
     def test_independent_fair_bits(self):
         pmf = uniform2x2()
         bounds = slepian_wolf_bounds(pmf, "a", "b")
-        assert bounds.as_tuple() == pytest.approx((1.0, 1.0, 2.0), abs=1e-12)
+        assert dataclasses.astuple(bounds) == pytest.approx((1.0, 1.0, 2.0), abs=1e-12)
 
 
 class TestProperties:
