@@ -30,12 +30,12 @@ BOUNDARY_TOL = 1e-9
 # (u1, u2, z1, z2, z, w1, w2). The check never builds the latter, but its cell
 # count bounds the check's work and memory, whatever the number of function
 # labels. At the cap (|U| = 64, two-symbol side information, |W| = 16, ternary
-# X, |Y| = 5) one check takes 2.2-2.4 ms with a 3.5 MB tracemalloc peak for a
-# 3-label function, and 18 ms with 33 MB for an injective one (4,096 labels,
-# so the distortion is gathered per source pair); at |U| = 16, |W| = 8
-# (131,072 cells), 0.52-0.53 ms and 0.21 MB, and 0.74-0.77 ms and 0.74 MB.
-# Best of five per seed, seeds 1-3, on a 2-vCPU Intel Xeon VM with one BLAS
-# thread.
+# X, |Y| = 5) one check takes 2.2-2.5 ms with a 3.5 MB tracemalloc peak for a
+# 3-label function, and 18-19 ms with 33 MB for an injective one (4,096
+# labels, so the distortion is gathered per source pair); at |U| = 16,
+# |W| = 8 (131,072 cells), 0.52-0.54 ms and 0.21 MB, and 0.71-0.77 ms and
+# 0.74 MB. Best of five per seed, seeds 1-3, on a 2-vCPU Intel Xeon VM with
+# one BLAS thread.
 FEASIBILITY_CELL_CAP = 2**23
 
 
