@@ -19,19 +19,19 @@ from .probability import Alphabet, AxisError, JointPMF, plogp
 # views grow with the square of the vertex count, so the cap is on vertices.
 OR_PRODUCT_CAP = 1024
 # Vertices for exact colouring, stable-set enumeration and the graph entropies
-# built on them. At 12 vertices: stable_sets 5-8 ms (edgeless, 4095 stable
-# sets; 0.4-0.6 ms for its one maximal set). Worst of 200 random graphs (edge
-# probability 0.15-0.5, Dirichlet masses): exact min_entropy_coloring
-# 0.17-0.19 s, once 0.23 s under load from outside (0.71-0.84 s before the
-# branch-and-bound read its bound from the search state);
-# conditional_chromatic_entropy with a full-support 12x12 joint 0.13-0.19 s
-# (0.97-1.14 s before).
+# built on them. At 12 vertices: stable_sets 5-9 ms (edgeless, 4095 stable
+# sets; 0.6-0.9 ms for its one maximal set, 0.4-0.5 ms before the sets grew as
+# int bitmasks). Worst of 200 random graphs (edge probability 0.15-0.5,
+# Dirichlet masses): exact min_entropy_coloring 0.17-0.19 s, once 0.23 s under
+# load from outside (0.71-0.84 s before the branch-and-bound read its bound
+# from the search state); conditional_chromatic_entropy with a full-support
+# 12x12 joint 0.13-0.19 s (0.97-1.14 s before).
 # conditional_graph_entropy on four disjoint triangles (81 maximal stable
-# sets) with the joint rng(s).random((12, 12)), s = 5, 6, 7: 0.36-0.55 s at
-# the default 10,000 iterations (0.48-0.78 s before each step made fewer
-# numpy calls), the colouring bound 0.015-0.05 s of it; s = 5 stops
-# certified, s = 6 and 7 stop at the iteration cap with gaps of 3.2e-7 and
-# 4.2e-5 bits. The solver's iterations, not the colouring, bound this size.
+# sets) with the joint rng(s).random((12, 12)), s = 5, 6, 7: 0.27-0.54 s at
+# the default 10,000 iterations (0.25-0.53 s, timed alternately, before the
+# steps wrote into preallocated arrays), the colouring bound 0.017-0.031 s of
+# it; s = 5 stops certified, s = 6 and 7 stop at the iteration cap with gaps
+# of 3.2e-7 and 4.2e-5 bits. The solver's iterations bound this size.
 EXACT_COLORING_CAP = 12
 # Cells (|X||Z|)^n of the n-fold joint of iid_pair_power, checked before the
 # product is built, and the block length n of it and of or_product.
@@ -44,7 +44,8 @@ EXACT_COLORING_CAP = 12
 IID_POWER_CELL_CAP = 2**16
 _MAX_BLOCK_LENGTH = 32
 # Multiply-adds |X|^2 |Y| of the zigzag matrix product. At the cap, worst
-# case a 2048x2048 support whose distinct rows are nested: 0.53-0.6 s.
+# case a 2048x2048 support whose distinct rows are nested: 0.31-0.38 s
+# (0.35-0.41 s, timed alternately, with np.unique finding the distinct rows).
 ZIGZAG_CAP = 2**33
 # Caps both |X|^2 |Z| (vertex pairs times peer symbols) and the square of
 # the distinct function labels of characteristic_graph. Worst case at the
@@ -58,6 +59,7 @@ ZIGZAG_CAP = 2**33
 # GRAPH_FILE_VERTEX_CAP.
 CHARACTERISTIC_GRAPH_CAP = 2**20
 _BLOCK_CELLS = 2**20   # array cells per row block in the pairwise kernels
+_LOG_FLOOR = np.array(1e-300)   # a 0-d array is not converted again at each use
 
 
 class SizeCapError(ValueError):
@@ -102,9 +104,6 @@ class CharGraph:
     def edges(self) -> frozenset:
         # written once; racing threads would each store an equal set
         return frozenset(self.sorted_edges())
-
-    def has_edge(self, a, b) -> bool:
-        return bool(self._adj[self.vertices.index(a), self.vertices.index(b)])
 
     def sorted_edges(self) -> list[tuple]:
         syms = self.vertices.symbols
@@ -174,23 +173,9 @@ class FunctionTable:
             values[combo] = fn(*(a.symbols[i] for a, i in zip(axes, combo)))
         return FunctionTable(axes, values)
 
-    def value_at(self, *symbols) -> object:
-        idx = tuple(a.index(s) for a, s in zip(self.domain_axes, symbols))
-        return self.values[idx]
-
     def range_labels(self) -> tuple:
         """Distinct output labels, ordered by first appearance in C order."""
         return self._labels
-
-    def reordered(self, names) -> "FunctionTable":
-        """Permute domain axes into the given name order."""
-        names = tuple(names)
-        have = tuple(a.name for a in self.domain_axes)
-        if sorted(names) != sorted(have):
-            raise AxisError(f"need a permutation of {have}, got {names}")
-        perm = [have.index(n) for n in names]
-        return FunctionTable(tuple(self.domain_axes[i] for i in perm),
-                             np.transpose(self.values, perm))
 
 
 def _check_vertex_axis(pmf: JointPMF, g: CharGraph, what: str) -> None:
@@ -480,13 +465,13 @@ def _stable_rows(g: CharGraph, maximal_only: bool) -> np.ndarray:
     n = len(g.vertices)
     if n > EXACT_COLORING_CAP:
         raise SizeCapError(f"{n} vertices exceeds the enumeration cap of {EXACT_COLORING_CAP}")
-    member = np.zeros((1, n), dtype=bool)       # the empty set
+    bit = 1 << np.arange(n)
+    nbr = (g._adj @ bit).tolist()       # each neighbourhood as an int bitmask
+    masks = [0]                         # the empty set
     for v in range(n):
         # the stable sets of vertices before v, then those of them v can join
-        grown = member[~(member & g._adj[v]).any(axis=1)]
-        grown[:, v] = True
-        member = np.concatenate([member, grown])
-    member = member[1:]
+        masks += [m | 1 << v for m in masks if not m & nbr[v]]
+    member = np.array(masks[1:], dtype=np.int64)[:, None] & bit != 0
     if maximal_only:
         # [set, v]: v has a neighbour in the set; float32 counts them exactly
         touched = member.astype(np.float32) @ g._adj.astype(np.float32) > 0
@@ -551,21 +536,31 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     log_q = np.log2(q, out=np.zeros_like(q), where=allowed)
 
     upper = conditional_chromatic_entropy(g, joint, 1)
+    # each step writes into these; the operations and their order are fixed,
+    # so every kernel is the same bit for bit as with fresh arrays
+    r = np.empty((p.shape[1], q.shape[1]))
+    log_r, a, d = np.empty_like(r), np.empty_like(q), np.empty_like(q)
+    top, total = np.empty((len(q), 1)), np.empty((len(q), 1))
+    least, mean = np.empty(len(q)), np.empty(len(q))
     for step in itertools.count():
-        r = p1_given_2.T @ q                                # r[u2, w] = p(w | u2)
-        a = p2_given_1 @ np.log2(np.maximum(r, 1e-300))     # a[u1, w]
+        np.matmul(p1_given_2.T, q, out=r)                   # r[u2, w] = p(w | u2)
+        np.log2(np.maximum(r, _LOG_FLOOR, out=log_r), out=log_r)
+        np.matmul(p2_given_1, log_r, out=a)                 # a[u1, w]
         # the gradient is p(u1) (log2 q - a); per row, its mean under q minus
         # its least allowed entry, which is nonnegative up to rounding
-        d = log_q - a
-        gap = max(float(p1 @ (np.einsum("ij,ij->i", q, d) - (d - off).min(axis=1))), 0.0)
+        np.subtract(log_q, a, out=d)
+        np.einsum("ij,ij->i", q, d, out=mean)
+        np.minimum.reduce(np.subtract(d, off, out=d), axis=1, out=least)
+        gap = max(float(p1 @ np.subtract(mean, least, out=mean)), 0.0)
         if gap <= tol or step >= max_iter:
             break
-        e = a + off
-        top = e.max(axis=1, keepdims=True)
-        q = np.exp2(e - top)
-        total = q.sum(axis=1, keepdims=True)
+        np.add(a, off, out=d)
+        np.maximum.reduce(d, axis=1, keepdims=True, out=top)
+        np.exp2(np.subtract(d, top, out=d), out=q)
+        np.add.reduce(q, axis=1, keepdims=True, out=total)
         q /= total
-        log_q = a - (top + np.log2(total))      # finite also where q underflows to 0
+        # finite also where q underflows to 0
+        np.subtract(a, np.add(top, np.log2(total, out=total), out=top), out=log_q)
     value = float(plogp(q).sum(axis=1) @ p1 - plogp(r).sum(axis=1) @ p2)   # H(W|U2) - H(W|U1)
     return ConditionalGraphEntropyResult(min(max(value, 0.0), upper), upper, q, tuple(sets),
                                          gap <= tol, gap)
@@ -599,8 +594,12 @@ def zigzag_check(joint: JointPMF) -> ZigzagResult:
         raise SizeCapError(
             f"zigzag check of a {rows}x{cols} support takes {rows * rows * cols}"
             f" multiply-adds, over the cap of {ZIGZAG_CAP}")
-    _, first = np.unique(np.packbits(support, axis=1), axis=0, return_index=True)
-    first.sort()                         # distinct rows, each at its first occurrence
+    packed = np.packbits(support, axis=1)
+    width, flat = packed.shape[1], packed.tobytes()
+    first_of: dict = {}         # distinct rows, each at its first occurrence
+    for i in range(rows):
+        first_of.setdefault(flat[i * width:(i + 1) * width], i)
+    first = list(first_of.values())
     s = support[first].astype(np.float32)   # counts only need to stay positive
     off = 1.0 - s
     block = max(1, _BLOCK_CELLS // len(first))

@@ -109,6 +109,26 @@ def reorder(pmf: JointPMF, names) -> JointPMF:
     return JointPMF(tuple(pmf.axes[i] for i in perm), np.transpose(pmf.mass, perm))
 
 
+def reordered(f: FunctionTable, names) -> FunctionTable:
+    """``f`` with its domain axes permuted into the given name order."""
+    names = tuple(names)
+    have = tuple(a.name for a in f.domain_axes)
+    if sorted(names) != sorted(have):
+        raise AxisError(f"need a permutation of {have}, got {names}")
+    perm = [have.index(n) for n in names]
+    return FunctionTable(tuple(f.domain_axes[i] for i in perm), np.transpose(f.values, perm))
+
+
+def value_at(f: FunctionTable, *symbols) -> object:
+    """The label of ``f`` at one symbol per domain axis."""
+    return f.values[tuple(a.index(s) for a, s in zip(f.domain_axes, symbols))]
+
+
+def has_edge(g: CharGraph, a, b) -> bool:
+    """Whether the vertex symbols ``a`` and ``b`` are adjacent in ``g``."""
+    return bool(g._adj[g.vertices.index(a), g.vertices.index(b)])
+
+
 def joint_expected_distortion(spec: SystemSpec, joint: JointPMF) -> float:
     """E[d(function(U1, U2), decoder(W1, W2, Z))] under any ``joint`` holding
     (u1, u2, z, w1, w2): the dense reference for ``expected_distortion``,

@@ -15,6 +15,7 @@ from _support import (
     random_kernel,
     random_pmf,
     random_system_spec,
+    value_at,
 )
 from fcmac import presets
 from fcmac.channels import GaussianMAC, adder_mac, gmac_sum_rate, mac_sum_capacity_independent
@@ -354,7 +355,7 @@ def test_criterion_8_specializations():
     for i, us in enumerate(obs_u.symbols):
         for j, zs in enumerate(obs_z.symbols):
             for k, ws in enumerate(w.symbols):
-                direct = d.cost(f.value_at(us, zs), gfun.value_at(ws, zs))
+                direct = d.cost(value_at(f, us, zs), value_at(gfun, ws, zs))
                 exact = exact and table[i, j, k] == direct
     checks.append(("identity posterior matches direct table", exact))
 

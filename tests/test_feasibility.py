@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _support import (alph, assemble_joint, frozen_check_bounds, joint_expected_distortion,
-                      random_system_spec, reorder)
+                      random_system_spec, reorder, value_at)
 from fcmac import feasibility, presets
 from fcmac.channels import DiscreteMAC, adder_mac
 from fcmac.feasibility import (
@@ -302,7 +302,7 @@ class TestInducedRemoteDistortion:
         for i, us in enumerate(u.symbols):
             for j, zs in enumerate(zt.symbols):
                 for k, ws in enumerate(w.symbols):
-                    direct = d.cost(f.value_at(us, zs), g.value_at(ws, zs))
+                    direct = d.cost(value_at(f, us, zs), value_at(g, ws, zs))
                     assert table[i, j, k] == pytest.approx(direct, abs=1e-15)
 
     def test_uniform_posterior_averages(self):
@@ -397,8 +397,8 @@ class TestSpecValidation:
             if p == 0:
                 continue
             u1s, u2s, w1s, w2s, zs = (a.symbols[i] for a, i in zip(marg.axes, idx))
-            total += p * spec.distortion.cost(spec.function.value_at(u1s, u2s),
-                                              spec.decoder.value_at(w1s, w2s, zs))
+            total += p * spec.distortion.cost(value_at(spec.function, u1s, u2s),
+                                              value_at(spec.decoder, w1s, w2s, zs))
         assert expected_distortion(spec) == pytest.approx(total, abs=1e-12)
 
 

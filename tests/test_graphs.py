@@ -16,6 +16,7 @@ from _support import (
     enumerate_stable_sets,
     frozen_conditional_graph_entropy,
     grid_conditional_graph_entropy,
+    has_edge,
     loop_adjacency_masks,
     loop_characteristic_edges,
     loop_coloring_clashes,
@@ -31,6 +32,7 @@ from _support import (
     random_graph,
     random_pmf,
     reorder,
+    reordered,
 )
 from fcmac import graphs, presets
 from fcmac.graphs import (
@@ -133,7 +135,7 @@ class TestCharacteristicGraph:
         base = presets.ternary_source_joint()
         f = presets.comparison_function()
         g2 = characteristic_graph(reorder(base, ("u2", "u1")),
-                                  f.reordered(("u2", "u1")))
+                                  reordered(f, ("u2", "u1")))
         assert g2.sorted_edges() == [("1", "3")]
 
 
@@ -659,7 +661,7 @@ class TestFastPathsAgainstLoops:
             assert g.sorted_edges() == loop_sorted_edges(g)
             for a in verts:
                 for b in verts:
-                    assert g.has_edge(a, b) == ((a, b) in normal or (b, a) in normal)
+                    assert has_edge(g, a, b) == ((a, b) in normal or (b, a) in normal)
 
     def test_greedy_assignment(self):
         rng = np.random.default_rng(36)
@@ -735,6 +737,26 @@ class TestFastPathsAgainstLoops:
             outcomes.add(res.holds)
         assert outcomes == {True, False}
 
+    def test_zigzag_on_repeated_rows(self):
+        # a few distinct rows, each at least twice and shuffled, so that the
+        # violating row occurs more than once and its first occurrence counts
+        rng = np.random.default_rng(2302)
+        outcomes = set()
+        for _ in range(300):
+            distinct, cols = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            base = rng.random((distinct, cols)) < rng.uniform(0.2, 0.8)
+            base[:, 0] |= ~base.any(axis=1)
+            order = np.concatenate([np.arange(distinct), np.arange(distinct),
+                                    rng.integers(0, distinct, size=int(rng.integers(0, 6)))])
+            rng.shuffle(order)
+            keep = base[order]
+            mass = keep * (rng.random(keep.shape) + 0.1)
+            pmf = JointPMF((alph("x", len(order)), alph("y", cols)), mass / mass.sum())
+            res = zigzag_check(pmf)
+            assert (res.holds, res.witness) == loop_zigzag(pmf)
+            outcomes.add(res.holds)
+        assert outcomes == {True, False}
+
     @pytest.mark.parametrize("delta, distortion", [
         (None, None),
         (1, lambda a, b: abs(a - b)),
@@ -776,7 +798,7 @@ class TestFastPathsAgainstLoops:
             values = self._object_table(
                 shape, lambda idx: (1, 1.0, True, 2, 2.0)[(idx[0] + idx[1] + idx[2]) % 5])
         f = FunctionTable(axes, values)
-        for table in (f, f.reordered(("c", "a", "b")), f.reordered(("b", "c", "a"))):
+        for table in (f, reordered(f, ("c", "a", "b")), reordered(f, ("b", "c", "a"))):
             labels, codes = loop_label_codes(table.values)
             assert table.range_labels() == labels
             assert [type(v) for v in table.range_labels()] == [type(v) for v in labels]
@@ -835,6 +857,17 @@ class TestFastPathsAgainstLoops:
                     mass[:, rng.integers(m)] = 0.0
             joint = JointPMF((g.vertices, alph("p", m)), mass / mass.sum())
             check_against_frozen_solver(g, joint, kwargs)
+
+    def test_conditional_graph_entropy_against_the_frozen_loop_on_bench_shapes(self):
+        # 240 instances shaped like the benchmark's small graph ones: 6-8
+        # vertices, edge probability 0.4, each vertex on one of 4 peers
+        rng = np.random.default_rng(2301)
+        for n in [6, 7, 8] * 80:
+            g = random_graph(rng, n, edge_prob=0.4)
+            mass = np.zeros((n, 4))
+            mass[np.arange(n), rng.integers(0, 4, size=n)] = rng.random(n) + 0.5
+            joint = JointPMF((g.vertices, alph("p", 4)), mass / mass.sum())
+            check_against_frozen_solver(g, joint, {})
 
     def test_conditional_graph_entropy_against_the_frozen_loop_at_the_cap(self):
         verts = alph("v", 12)
