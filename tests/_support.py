@@ -844,9 +844,10 @@ def frozen_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
                                      tol: float = 1e-8, max_iter: int = 10_000,
                                      ) -> ConditionalGraphEntropyResult:
     """The certified solver's loop as it was before each step was cut to
-    fewer numpy calls: ``np.where`` masks, ``log2 q`` with -inf off the
-    allowed sets, and ``plogp(q)`` inside every step. Its kernels and values
-    are the ones the solver must keep bit for bit."""
+    fewer numpy calls and then over-relaxed: plain steps only, ``np.where``
+    masks, ``log2 q`` with -inf off the allowed sets, and ``plogp(q)`` inside
+    every step. At ``max_iter=0`` the solver must return its kernel and value
+    bit for bit; elsewhere its certificates are the reference."""
     rows = _stable_rows(g, maximal_only=True)
     sets = _row_sets(g, rows)
     allowed = np.ascontiguousarray(rows.T)
@@ -878,6 +879,39 @@ def frozen_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     value = float(q_log_q @ p1 - plogp(r).sum(axis=1) @ p2)
     return ConditionalGraphEntropyResult(min(max(value, 0.0), upper), upper, q, tuple(sets),
                                          gap <= tol, gap)
+
+
+def loop_frank_wolfe_gap(g: CharGraph, joint: JointPMF, sets, kernel: np.ndarray) -> float:
+    """The Frank-Wolfe gap of a conditional-graph-entropy kernel q, from its
+    definition, in Python loops. The gradient of I(W; U1 | U2) in q[u1, w]
+    is p(u1) (log2 q[u1, w] - sum_u2 p(u2 | u1) log2 p(w | u2)); the gap sums
+    over the vertices u1 the gradient's mean under q[u1, :] minus its least
+    entry over the sets that contain u1. It is +inf where such an entry of a
+    vertex with mass is 0, since log2 q is -inf there."""
+    n, m = joint.mass.shape
+    mass = joint.mass.tolist()
+    q = kernel.tolist()
+    p1 = [math.fsum(row) for row in mass]
+    p2 = [math.fsum(mass[i][k] for i in range(n)) for k in range(m)]
+    # r[k][w] = p(w | u2 = k)
+    r = [[math.fsum(mass[i][k] * q[i][w] for i in range(n)) / p2[k] if p2[k] > 0 else 0.0
+          for w in range(len(sets))] for k in range(m)]
+    gap = 0.0
+    for i, v in enumerate(g.vertices.symbols):
+        if p1[i] == 0:
+            continue
+        grad = {}
+        for w, s in enumerate(sets):
+            if v not in s:
+                continue
+            if q[i][w] == 0:
+                grad[w] = -math.inf
+                continue
+            grad[w] = math.log2(q[i][w]) - math.fsum(
+                mass[i][k] / p1[i] * math.log2(r[k][w]) for k in range(m) if mass[i][k] > 0)
+        mean = math.fsum(q[i][w] * grad[w] for w in grad if q[i][w] > 0)
+        gap += p1[i] * (mean - min(grad.values()))
+    return gap
 
 
 # --- Monte Carlo references -------------------------------------------------

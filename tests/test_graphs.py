@@ -4,6 +4,7 @@ import math
 import signal
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from _support import (
     loop_characteristic_edges,
     loop_coloring_clashes,
     loop_conditional_graph_entropy,
+    loop_frank_wolfe_gap,
     loop_greedy_assignment,
     loop_label_codes,
     loop_min_entropy_partition,
@@ -470,6 +472,24 @@ class TestConditionalGraphEntropy:
         with pytest.raises(SizeCapError, match="enumeration cap"):
             stable_sets(big)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf])
+    def test_nan_and_negative_tol_refused_by_name(self, tol, monkeypatch):
+        # before, these ran all max_iter steps and reported converged=False
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("tol must be refused before the stable sets")
+        monkeypatch.setattr(graphs, "_stable_rows", no_enumeration)
+        with pytest.raises(ValueError, match="^tol must be nonnegative"):
+            conditional_graph_entropy(ternary_graph(), presets.ternary_source_joint(), tol=tol)
+
+    def test_negative_max_iter_refused_by_name(self, monkeypatch):
+        # before, it returned the uniform start as if max_iter were 0
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("max_iter must be refused before the stable sets")
+        monkeypatch.setattr(graphs, "_stable_rows", no_enumeration)
+        with pytest.raises(ValueError, match="^max_iter must be nonnegative"):
+            conditional_graph_entropy(ternary_graph(), presets.ternary_source_joint(),
+                                      max_iter=-1)
+
     @pytest.mark.parametrize("peers", [(), (("0", "1"), ("x", "y"))])
     def test_joint_without_two_axes_refused_before_any_work(self, peers, monkeypatch):
         def no_enumeration(*args, **kwargs):
@@ -587,19 +607,43 @@ class TestEdgeSetView:
         assert all(e == want for e in seen)
 
 
+def random_peer_joint(rng: np.random.Generator, vertices: tuple, peers: tuple, kind: int):
+    """A random graph and a joint on its vertices and peers, their counts
+    drawn from the half-open ranges given: kind 0 puts each vertex on one
+    peer, kind 1 has full support, kind 2 leaves a vertex without mass and
+    kind 3 a peer."""
+    n = int(rng.integers(*vertices))
+    g = random_graph(rng, n)
+    m = int(rng.integers(*peers))
+    if kind == 0:
+        mass = np.zeros((n, m))
+        mass[np.arange(n), rng.integers(0, m, size=n)] = rng.random(n) + 0.5
+    else:
+        mass = rng.random((n, m)) + 0.05
+        if kind == 2 and n > 1:
+            mass[rng.integers(n)] = 0.0
+        elif kind == 3 and m > 1:
+            mass[:, rng.integers(m)] = 0.0
+    return g, JointPMF((g.vertices, alph("p", m)), mass / mass.sum())
+
+
 def check_certified_solver(g: CharGraph, joint: JointPMF, kwargs: dict, loop):
-    """The solver's certificate against the loop reference and a run to a
-    1e-11 gap, and its kernel against the objective it reports."""
+    """The solver's certificate against the loop reference and the frozen
+    plain-step loop run to a 1e-11 gap, its gap against the definition, and
+    its kernel against the objective it reports."""
     got = conditional_graph_entropy(g, joint, **kwargs)
     # the loop's value is the objective at a feasible kernel, at least the minimum
     assert got.value - got.gap <= loop.value + 1e-12
     assert got.converged == (got.gap <= 1e-8)
     if got.converged:
-        ref = conditional_graph_entropy(g, joint, tol=1e-11, max_iter=10**6)
+        ref = frozen_conditional_graph_entropy(g, joint, tol=1e-11, max_iter=10**6)
         assert ref.converged
-        assert got.value - got.gap <= ref.value <= got.value + 1e-12
+        # both intervals [value - gap, value] hold the minimum
+        assert got.value - got.gap <= ref.value + 1e-12
+        assert ref.value - ref.gap <= got.value + 1e-12
     assert got.upper_bound == loop.upper_bound
     assert got.sets == loop.sets
+    assert abs(got.gap - loop_frank_wolfe_gap(g, joint, got.sets, got.kernel)) <= 1e-12
 
     n, m = joint.mass.shape
     q = got.kernel
@@ -620,17 +664,31 @@ def check_certified_solver(g: CharGraph, joint: JointPMF, kwargs: dict, loop):
 
 
 def check_against_frozen_solver(g: CharGraph, joint: JointPMF, kwargs: dict):
-    """The solver against its loop as it was before each step made fewer numpy
-    calls: the same kernel and value bit for bit, the same certificate flag,
-    and the gap equal up to the rounding of its last bits."""
+    """The solver against its plain-step loop as it was before the steps were
+    over-relaxed. At ``max_iter=0`` both return the uniform start: the same
+    kernel and value bit for bit, and the gap up to the rounding of its last
+    bits. Elsewhere the kernels differ, so the certificates are compared: the
+    same sets and colouring bound, ``converged`` exactly when the gap is at
+    most ``tol``, [value - gap, value] meeting the frozen loop's interval at
+    a 1e-11 gap up to 1e-12, and no certificate lost where the frozen loop
+    certifies with the same settings."""
     got = conditional_graph_entropy(g, joint, **kwargs)
     want = frozen_conditional_graph_entropy(g, joint, **kwargs)
-    assert got.kernel.tobytes() == want.kernel.tobytes()
-    assert got.value.hex() == want.value.hex()
     assert got.upper_bound == want.upper_bound
     assert got.sets == want.sets
-    assert got.converged == want.converged
-    assert abs(got.gap - want.gap) <= 1e-15
+    if kwargs.get("max_iter") == 0:
+        assert got.kernel.tobytes() == want.kernel.tobytes()
+        assert got.value.hex() == want.value.hex()
+        assert got.converged == want.converged
+        assert abs(got.gap - want.gap) <= 1e-15
+        return got
+    assert got.converged == (got.gap <= kwargs.get("tol", 1e-8))
+    ref = frozen_conditional_graph_entropy(g, joint, tol=1e-11, max_iter=10**6)
+    assert ref.converged
+    # both intervals [value - gap, value] hold the minimum
+    assert got.value - got.gap <= ref.value + 1e-12
+    assert ref.value - ref.gap <= got.value + 1e-12
+    assert got.converged or not want.converged
     return got
 
 
@@ -843,31 +901,38 @@ class TestFastPathsAgainstLoops:
         rng = np.random.default_rng(150 + (6 if max_iter is None else max_iter))
         kwargs = {} if max_iter is None else dict(max_iter=max_iter)
         for case in range(16):
-            n = int(rng.integers(3, 9))
-            g = random_graph(rng, n)
-            m = int(rng.integers(2, 5))
-            if case % 4 == 0:         # one peer per vertex
-                mass = np.zeros((n, m))
-                mass[np.arange(n), rng.integers(0, m, size=n)] = rng.random(n) + 0.5
-            else:                     # full support, a vertex or a peer without mass
-                mass = rng.random((n, m)) + 0.05
-                if case % 4 == 2:
-                    mass[rng.integers(n)] = 0.0
-                elif case % 4 == 3:
-                    mass[:, rng.integers(m)] = 0.0
-            joint = JointPMF((g.vertices, alph("p", m)), mass / mass.sum())
+            g, joint = random_peer_joint(rng, (3, 9), (2, 5), case % 4)
             check_against_frozen_solver(g, joint, kwargs)
 
     def test_conditional_graph_entropy_against_the_frozen_loop_on_bench_shapes(self):
-        # 240 instances shaped like the benchmark's small graph ones: 6-8
-        # vertices, edge probability 0.4, each vertex on one of 4 peers
-        rng = np.random.default_rng(2301)
-        for n in [6, 7, 8] * 80:
-            g = random_graph(rng, n, edge_prob=0.4)
-            mass = np.zeros((n, 4))
-            mass[np.arange(n), rng.integers(0, 4, size=n)] = rng.random(n) + 0.5
-            joint = JointPMF((g.vertices, alph("p", 4)), mass / mass.sum())
-            check_against_frozen_solver(g, joint, {})
+        # 240 instances for each of three seeds, shaped like the benchmark's
+        # small graph ones: 6-8 vertices, edge probability 0.4, each vertex
+        # on one of 4 peers
+        for seed in (2301, 2302, 2303):
+            rng = np.random.default_rng(seed)
+            for n in [6, 7, 8] * 80:
+                g = random_graph(rng, n, edge_prob=0.4)
+                mass = np.zeros((n, 4))
+                mass[np.arange(n), rng.integers(0, 4, size=n)] = rng.random(n) + 0.5
+                joint = JointPMF((g.vertices, alph("p", 4)), mass / mass.sum())
+                check_against_frozen_solver(g, joint, {})
+
+    def test_conditional_graph_entropy_keeps_every_frozen_certificate(self):
+        # 500 random instances of 1-10 vertices and 1-5 peers, of each kind
+        rng = np.random.default_rng(2401)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for case in range(500):
+                g, joint = random_peer_joint(rng, (1, 11), (1, 6), case % 4)
+                got = conditional_graph_entropy(g, joint)
+                want = frozen_conditional_graph_entropy(g, joint)
+                assert got.converged or not want.converged
+                assert got.converged == (got.gap <= 1e-8)
+                # a certified bound is held against the frozen loop run to a
+                # 1e-11 gap; any value of it is at least the minimum
+                if got.converged:
+                    want = frozen_conditional_graph_entropy(g, joint, tol=1e-11, max_iter=10**6)
+                assert got.value - got.gap <= want.value + 1e-12
 
     def test_conditional_graph_entropy_against_the_frozen_loop_at_the_cap(self):
         verts = alph("v", 12)
