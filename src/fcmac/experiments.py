@@ -328,22 +328,21 @@ def _gauss_diff(seed: int = DEFAULT_SEED, rho: float = 0.5, sigma2: float = 1.0,
                             sweep_header=header, sweep_rows=sweep)
 
 
-def _uniform_grid(seed: int = DEFAULT_SEED, cells: int = 3,
-                  target_d: float = 1.0 / 6.0, samples: int = 1_000_000,
-                  ) -> ExperimentResult:
-    # first, so that any cells but 3 is refused before the cells^2 pmf exists
-    system = presets.grid_system(cells=cells, target_d=target_d)
+def _uniform_grid(seed: int = DEFAULT_SEED, target_d: float = 1.0 / 6.0,
+                  samples: int = 1_000_000) -> ExperimentResult:
+    cells = presets.GRID_CELLS
+    system = presets.grid_system(target_d=target_d)
     _check_count("samples", samples, MIN_MC_SAMPLES, MAX_SAMPLES)
     registered = abs(target_d - 1.0 / 6.0) < 1e-12
     cell_pmf = offdiagonal_cell_pmf(cells)
     off_mass = 1.0 / (cells * cells - cells)
     # threshold at half a cell width: adjacent-cell center gaps are confusable
-    graph = characteristic_graph(cell_pmf, presets.grid_cell_function(cells),
+    graph = characteristic_graph(cell_pmf, presets.grid_cell_function(),
                                  delta=Fraction(1, 2 * cells))
     capacity = mac_sum_capacity_independent(adder_mac()).bits
     h_cells = entropy(cell_pmf, ("w1", "w2"))
-    colored = compose(cell_pmf, [presets.grid_color_kernel(cells, "w1", "c1"),
-                                 presets.grid_color_kernel(cells, "w2", "c2")])
+    colored = compose(cell_pmf, [presets.grid_color_kernel("w1", "c1"),
+                                 presets.grid_color_kernel("w2", "c2")])
     h_colors = entropy(colored, ("c1", "c2"))
     grid_sum = check_feasibility(system).record("sum")
     closed = grid_distortion_closed_form(cells)

@@ -87,13 +87,25 @@ class CharGraph:
     vertices: Alphabet
 
     def __init__(self, vertices: Alphabet, edges) -> None:
-        n = len(vertices)
-        adj = np.zeros((n, n), dtype=bool)
+        """Graph of the symbol pairs ``edges``. An unknown endpoint raises
+        KeyError before the first self-loop raises ValueError."""
+        edges = list(edges)
+        # one plain dict lookup per endpoint; Alphabet.index would add a call to each
+        index = {s: k for k, s in enumerate(vertices.symbols)}
+        rows, cols = [], []
         for a, b in edges:
-            ia, ib = vertices.index(a), vertices.index(b)
-            if ia == ib:
-                raise ValueError(f"self-loop at vertex {a!r}")
-            adj[ia, ib] = adj[ib, ia] = True
+            try:
+                rows.append(index[a])
+                cols.append(index[b])
+            except (KeyError, TypeError):       # unknown, or unhashable
+                vertices.index(a), vertices.index(b)    # raises the KeyError naming it
+                raise
+        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        loops = np.flatnonzero(rows == cols)
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {edges[loops[0]][0]!r}")
+        adj = np.zeros((len(vertices), len(vertices)), dtype=bool)
+        adj[rows, cols] = adj[cols, rows] = True
         self._settle(vertices, adj)
 
     @classmethod

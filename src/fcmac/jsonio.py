@@ -22,7 +22,7 @@ from .probability import Alphabet, JointPMF, Kernel, validate
 # the library builds can be read back. A file's vertex count alone sizes the n x n
 # adjacency matrix and the greedy colouring's quadratic work. At the cap a
 # whole `fcmac graph color --mode greedy` process, import included, takes
-# 0.31-0.38 s on the edgeless graph and 1.18-1.23 s with 127 MB peak RSS on
+# 0.31-0.38 s on the edgeless graph and 0.38-0.39 s with 130 MB peak RSS on
 # the complete graph (523,776 listed edges, a 6.2 MB file; 2.8-3.0 s and
 # 161 MB when every edge was looked up twice). The edge list costs about
 # 0.4 us per edge after json.load, which a vertex cap does not bound.
@@ -224,28 +224,26 @@ def graph_from_json(obj, path: str = "$") -> CharGraph:
         raise SizeCapError(f"{path}.vertices: {len(verts)} vertices exceeds the"
                            f" graph-file cap of {GRAPH_FILE_VERTEX_CAP}")
     alphabet = _alphabet(name, verts, f"{path}.vertices")
-    # one plain dict lookup per endpoint; Alphabet.index would add a call to each
-    index = {s: k for k, s in enumerate(alphabet.symbols)}
     edges = _expect_list(_get(obj, "edges", path), f"{path}.edges")
-    rows, cols = [], []
+    # the shape is checked first: the constructor would unpack a two-letter
+    # string as a pair
+    if set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}:
+        try:
+            return CharGraph(alphabet, edges)
+        except KeyError:
+            pass
+        except ValueError as exc:       # a self-loop; every edge is well formed and known
+            raise SpecFormatError(f"{path}.edges", str(exc)) from None
+    # on failure only: name the first edge that is malformed or has an unknown
+    # endpoint; there is one, so the loop ends in a raise
     for i, e in enumerate(edges):
-        if not isinstance(e, list) or len(e) != 2:
+        if type(e) is not list or len(e) != 2:
             _expect_list(e, f"{path}.edges[{i}]")
             raise SpecFormatError(f"{path}.edges[{i}]", "an edge is a two-element array")
         a, b = e
-        try:
-            rows.append(index[a])
-            cols.append(index[b])
-        except (KeyError, TypeError):
+        if a not in alphabet or b not in alphabet:
             unknown = b if a in alphabet else a
-            raise SpecFormatError(f"{path}.edges[{i}]", f"unknown vertex {unknown!r}") from None
-    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    loops = np.flatnonzero(rows == cols)
-    if loops.size:
-        raise SpecFormatError(f"{path}.edges", f"self-loop at vertex {edges[loops[0]][0]!r}")
-    adj = np.zeros((len(alphabet), len(alphabet)), dtype=bool)
-    adj[rows, cols] = adj[cols, rows] = True
-    return CharGraph._from_adjacency(alphabet, adj)
+            raise SpecFormatError(f"{path}.edges[{i}]", f"unknown vertex {unknown!r}")
 
 
 def graph_to_json(g: CharGraph) -> dict:

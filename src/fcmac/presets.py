@@ -126,49 +126,40 @@ def section5_system(code: str = "joint") -> SystemSpec:
 
 # --- quantized-cell system -------------------------------------------------
 
-def grid_centers(cells: int = 3) -> list[Fraction]:
-    """Cell midpoints of the unit interval as exact fractions."""
-    return [Fraction(2 * i + 1, 2 * cells) for i in range(cells)]
+# Cells per source of the quantized-cell system: with more, two colors no
+# longer identify the center gap on the off-diagonal support.
+GRID_CELLS = 3
+# the cell midpoints of the unit interval as exact fractions, and the
+# alternating 2-coloring of the path-shaped cell confusability graph
+GRID_CENTERS = tuple(Fraction(2 * i + 1, 2 * GRID_CELLS) for i in range(GRID_CELLS))
+GRID_COLOR_OF = {str(i + 1): str(i % 2) for i in range(GRID_CELLS)}
 
 
-def grid_cell_function(cells: int = 3, name1: str = "w1", name2: str = "w2",
-                       ) -> FunctionTable:
-    """Absolute difference of cell centers, with exact fraction labels."""
-    centers = grid_centers(cells)
-    q = GridQuantizer(0.0, 1.0, cells)
+def grid_cell_function(name1: str = "w1", name2: str = "w2") -> FunctionTable:
+    """Absolute difference of the grid cells' centers, with exact fraction labels."""
+    q = GridQuantizer(0.0, 1.0, GRID_CELLS)
     axes = (q.cell_alphabet(name1), q.cell_alphabet(name2))
     return FunctionTable.from_callable(
-        axes, lambda a, b: abs(centers[int(a) - 1] - centers[int(b) - 1]))
+        axes, lambda a, b: abs(GRID_CENTERS[int(a) - 1] - GRID_CENTERS[int(b) - 1]))
 
 
-def grid_color_of(cells: int = 3) -> dict:
-    """Alternating 2-coloring of the path-shaped cell confusability graph."""
-    return {str(i + 1): str(i % 2) for i in range(cells)}
-
-
-def grid_color_kernel(cells: int, source_name: str, color_name: str) -> Kernel:
-    src = GridQuantizer(0.0, 1.0, cells).cell_alphabet(source_name)
+def grid_color_kernel(source_name: str, color_name: str) -> Kernel:
+    """Deterministic coloring of one grid source by ``GRID_COLOR_OF``."""
+    src = GridQuantizer(0.0, 1.0, GRID_CELLS).cell_alphabet(source_name)
     col = Alphabet(color_name, BITS)
-    color_of = grid_color_of(cells)
-    return Kernel.deterministic((src,), (col,), lambda s: color_of[s])
+    return Kernel.deterministic((src,), (col,), lambda s: GRID_COLOR_OF[s])
 
 
-def grid_system(cells: int = 3, target_d: float = 1.0 / 6.0) -> SystemSpec:
-    """Quantized-cell absolute difference over the adder channel via colors.
-
-    Only supported for three cells: with more cells two colors no longer
-    identify the center gap on the off-diagonal support.
-    """
-    if cells != 3:
-        raise ValueError("cells must be 3: the color decoding table is only defined for 3 cells")
-    centers = grid_centers(cells)
-    f = grid_cell_function(cells, "u1", "u2")
-    gap1 = centers[1] - centers[0]
-    gap2 = centers[2] - centers[0]
+def grid_system(target_d: float = 1.0 / 6.0) -> SystemSpec:
+    """Quantized-cell absolute difference over the adder channel via colors;
+    the decoder reads the center gap off the color pair."""
+    f = grid_cell_function("u1", "u2")
+    gap1 = GRID_CENTERS[1] - GRID_CENTERS[0]
+    gap2 = GRID_CENTERS[2] - GRID_CENTERS[0]
     decode = {("0", "0"): gap2, ("0", "1"): gap1,
               ("1", "0"): gap1, ("1", "1"): Fraction(0)}
     labels = sorted(set(f.range_labels()) | set(decode.values()))
     costs = [[float(abs(a - b)) for b in labels] for a in labels]
     distortion = DistortionTable(tuple(labels), tuple(labels), costs)
-    return _adder_color_system(offdiagonal_cell_pmf(cells, "u1", "u2"), grid_color_of(cells),
+    return _adder_color_system(offdiagonal_cell_pmf(GRID_CELLS, "u1", "u2"), GRID_COLOR_OF,
                                f, decode, distortion, target_d)

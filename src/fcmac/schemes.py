@@ -43,17 +43,8 @@ class GaussianPairSource:
 
     def sample(self, samples: int, seed: int = DEFAULT_SEED) -> np.ndarray:
         """(n, 2) draws from keyed per-block streams."""
-        _cap_samples(samples)
-        out = np.empty((samples, 2))
-
-        def block(b: int, m: int) -> None:
-            z = _block_rng(seed, b).standard_normal((m, 2))
-            rows = out[b * _BLOCK:b * _BLOCK + m]
-            self._pair(z, rows[:, 0], rows[:, 1])
-
-        for _ in _map_blocks(block, samples):
-            pass
-        return out
+        return _sample_pairs(samples, lambda b, u1, u2: self._pair(
+            _block_rng(seed, b).standard_normal((len(u1), 2)), u1, u2))
 
     def _pair(self, z: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> None:
         """Write the source pair, from the first two columns of standard
@@ -76,16 +67,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _blocks(total: int):
-    b = 0
-    done = 0
-    while done < total:
-        m = min(_BLOCK, total - done)
-        yield b, m
-        b += 1
-        done += m
-
-
 def _map_blocks(fn, samples: int):
     """``fn(block, size)`` for each keyed block of ``samples`` draws, run on
     the process-wide pool, with the results yielded in block order.
@@ -103,7 +84,8 @@ def _map_blocks(fn, samples: int):
                     else os.cpu_count() or 1)
             _pool = ThreadPoolExecutor(cpus, thread_name_prefix="fcmac-block")
         pool = _pool
-    return pool.map(lambda block: fn(*block), _blocks(samples))
+    return pool.map(lambda start: fn(start // _BLOCK, min(_BLOCK, samples - start)),
+                    range(0, samples, _BLOCK))
 
 
 def _drop_pool() -> None:
@@ -125,8 +107,23 @@ class MonteCarloEstimate:
 
 
 def _cap_samples(samples: int) -> None:
-    if samples > MAX_SAMPLES:
-        raise MonteCarloError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise MonteCarloError(f"samples must be between 0 and {MAX_SAMPLES}, got {samples}")
+
+
+def _sample_pairs(samples: int, write) -> np.ndarray:
+    """(samples, 2) array filled one keyed block at a time by
+    ``write(block, u1, u2)``, with ``u1`` and ``u2`` the block's two columns."""
+    _cap_samples(samples)
+    out = np.empty((samples, 2))
+
+    def block(b: int, m: int) -> None:
+        rows = out[b * _BLOCK:b * _BLOCK + m]
+        write(b, rows[:, 0], rows[:, 1])
+
+    for _ in _map_blocks(block, samples):
+        pass
+    return out
 
 
 def _check_samples(samples: int) -> None:
@@ -276,12 +273,16 @@ def _cell_counts(key: np.ndarray, cells: int) -> np.ndarray:
     return np.bincount(key, minlength=cells * cells).reshape(cells, cells)
 
 
+def _check_offdiagonal_cells(cells: int) -> None:
+    if cells < 2:
+        raise ValueError("need at least two cells for an off-diagonal density")
+
+
 def offdiagonal_cell_pmf(cells: int = 3, name1: str = "w1", name2: str = "w2",
                          ) -> JointPMF:
     """Exact cell pmf of the blocked-uniform pair density on the unit square
     (zero on the diagonal blocks, uniform elsewhere)."""
-    if cells < 2:
-        raise ValueError("need at least two cells for an off-diagonal density")
+    _check_offdiagonal_cells(cells)
     mass = np.full((cells, cells), 1.0 / (cells * cells - cells))
     np.fill_diagonal(mass, 0.0)
     q = GridQuantizer(0.0, 1.0, cells)
@@ -309,16 +310,8 @@ def _offdiagonal_block(cells: int, seed: int, block: int,
 def sample_offdiagonal_uniform(cells: int, samples: int, seed: int = DEFAULT_SEED,
                                ) -> np.ndarray:
     """Draw (n, 2) points from the blocked-uniform density on [0, 1]^2."""
-    _cap_samples(samples)
-    out = np.empty((samples, 2))
-
-    def block(b: int, m: int) -> None:
-        rows = out[b * _BLOCK:b * _BLOCK + m]
-        _offdiagonal_block(cells, seed, b, rows[:, 0], rows[:, 1])
-
-    for _ in _map_blocks(block, samples):
-        pass
-    return out
+    _check_offdiagonal_cells(cells)
+    return _sample_pairs(samples, lambda b, u1, u2: _offdiagonal_block(cells, seed, b, u1, u2))
 
 
 def grid_distortion_closed_form(cells: int = 3) -> float:
@@ -327,8 +320,7 @@ def grid_distortion_closed_form(cells: int = 3) -> float:
     Conditioned on any off-diagonal cell pair the error is |V2 - V1| with
     V uniform on a cell width w, whose mean is w/3.
     """
-    if cells < 2:
-        raise ValueError("need at least two cells")
+    _check_offdiagonal_cells(cells)
     return 1.0 / (3.0 * cells)
 
 
@@ -340,6 +332,7 @@ def monte_carlo_grid_distortion(cells: int = 3, samples: int = 1_000_000,
     center gap, under the blocked-uniform density. When ``cell_counts`` (a
     cells x cells integer array) is given, the same draws add their
     quantized cell-pair counts to it, as ``quantize_grid`` would count them."""
+    _check_offdiagonal_cells(cells)
     _check_samples(samples)
     centers = GridQuantizer(0.0, 1.0, cells).centers
     # |center gap| of each cell pair, by key i1 * cells + i2

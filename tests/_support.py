@@ -842,12 +842,15 @@ def loop_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *, restarts: i
 
 def frozen_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
                                      tol: float = 1e-8, max_iter: int = 10_000,
+                                     lower_goal: float | None = None,
                                      ) -> ConditionalGraphEntropyResult:
     """The certified solver's loop as it was before each step was cut to
     fewer numpy calls and then over-relaxed: plain steps only, ``np.where``
     masks, ``log2 q`` with -inf off the allowed sets, and ``plogp(q)`` inside
     every step. At ``max_iter=0`` the solver must return its kernel and value
-    bit for bit; elsewhere its certificates are the reference."""
+    bit for bit; elsewhere its certificates are the reference. With
+    ``lower_goal`` the loop also stops once its own lower bound on the
+    minimum, value minus gap, reaches that goal; the iterates are the same."""
     rows = _stable_rows(g, maximal_only=True)
     sets = _row_sets(g, rows)
     allowed = np.ascontiguousarray(rows.T)
@@ -862,6 +865,10 @@ def frozen_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
         log_q = np.log2(q)
 
     upper = conditional_chromatic_entropy(g, joint, 1)
+
+    def value_at(q_log_q, r) -> float:
+        return min(max(float(q_log_q @ p1 - plogp(r).sum(axis=1) @ p2), 0.0), upper)
+
     for step in itertools.count():
         r = p1_given_2.T @ q
         a = p2_given_1 @ np.log2(np.maximum(r, 1e-300))
@@ -870,14 +877,15 @@ def frozen_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
         gap = max(float(p1 @ (q_log_q - (q * a).sum(axis=1) - least)), 0.0)
         if gap <= tol or step >= max_iter:
             break
+        if lower_goal is not None and value_at(q_log_q, r) - gap >= lower_goal:
+            break
         e = np.where(allowed, a, -np.inf)
         e -= e.max(axis=1, keepdims=True)
         q = np.exp2(e)
         total = q.sum(axis=1, keepdims=True)
         q /= total
         log_q = e - np.log2(total)
-    value = float(q_log_q @ p1 - plogp(r).sum(axis=1) @ p2)
-    return ConditionalGraphEntropyResult(min(max(value, 0.0), upper), upper, q, tuple(sets),
+    return ConditionalGraphEntropyResult(value_at(q_log_q, r), upper, q, tuple(sets),
                                          gap <= tol, gap)
 
 

@@ -112,7 +112,7 @@ def test_criterion_3_characteristic_graphs():
     base = presets.ternary_source_joint()
     g1 = characteristic_graph(base, presets.comparison_function())
     cells = characteristic_graph(presets.ternary_source_joint("w1", "w2"),
-                                 presets.grid_cell_function(3),
+                                 presets.grid_cell_function(),
                                  delta=Fraction(1, 6))
     _, bits = min_entropy_coloring(g1, marginalize(base, "u1"), "exact")
     checks = [

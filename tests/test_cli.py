@@ -35,7 +35,7 @@ def spec_files(tmp_path):
     jsonio.dump_json(jsonio.function_table_to_json(presets.comparison_function()),
                      str(paths["function"]))
     paths["grid_function"] = tmp_path / "grid_function.json"
-    jsonio.dump_json(jsonio.function_table_to_json(presets.grid_cell_function(3)),
+    jsonio.dump_json(jsonio.function_table_to_json(presets.grid_cell_function()),
                      str(paths["grid_function"]))
     paths["mac"] = tmp_path / "mac.json"
     jsonio.dump_json(jsonio.mac_to_json(adder_mac()), str(paths["mac"]))
@@ -139,10 +139,10 @@ class TestExperimentCommand:
         assert "override" in capsys.readouterr().err
 
     def test_every_unsupported_override_named(self, capsys):
-        assert main(["experiment", "gauss-binary", "--cells", "4",
+        assert main(["experiment", "gauss-binary", "--steps", "4",
                      "--samples", "10000"]) == 2
         assert capsys.readouterr().err == (
-            "error: unsupported override for gauss-binary: samples, cells;"
+            "error: unsupported override for gauss-binary: steps, samples;"
             " it accepts rho, power, rho_x\n")
 
     def test_over_cap_cells_refused_before_the_pmf(self, capsys, monkeypatch):
@@ -152,10 +152,12 @@ class TestExperimentCommand:
         monkeypatch.setattr(schemes, "offdiagonal_cell_pmf", no_pmf)
         monkeypatch.setattr(presets, "offdiagonal_cell_pmf", no_pmf)
         monkeypatch.setattr(experiments, "offdiagonal_cell_pmf", no_pmf)
-        with pytest.raises(ValueError, match="only defined for 3 cells"):
+        with pytest.raises(ValueError, match="^unsupported override for uniform-grid: cells;"):
             experiments.run_experiment("uniform-grid", cells=100000)
-        assert main(["experiment", "uniform-grid", "--cells", "100000"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(SystemExit) as exit_info:      # --cells is not an option
+            main(["experiment", "uniform-grid", "--cells", "100000"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cells 100000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment, flag, value", [
         ("gauss-diff", "--steps", experiments.MAX_STEPS + 1),
@@ -807,8 +809,6 @@ MALFORMED_INPUT = {
     "experiment over-cap samples": lambda f: (
         ["experiment", "uniform-grid", "--samples", str(schemes.MAX_SAMPLES + 1)],
         "samples must be between"),
-    "experiment over-cap cells": lambda f: (
-        ["experiment", "uniform-grid", "--cells", "4"], "cells must be 3: "),
     "experiment gauss-binary rho 2": lambda f: (
         ["experiment", "gauss-binary", "--rho", "2"], "rho must lie in [-1, 1]"),
     "experiment gauss-binary rho-x nan": lambda f: (

@@ -50,8 +50,9 @@ class TestUniformGridRegistry:
         assert res.row("distortion_closed_form").value == pytest.approx(1 / 9)
 
     def test_other_cell_counts_rejected(self):
-        # the two-color decoding table only identifies center gaps for 3 cells
-        with pytest.raises(ValueError):
+        # the two-color decoding table only identifies center gaps for 3 cells,
+        # so the cell count is not an override
+        with pytest.raises(ValueError, match="^unsupported override for uniform-grid: cells;"):
             run_experiment("uniform-grid", cells=4, samples=50_000)
 
 

@@ -156,6 +156,25 @@ class TestGraphRoundTrip:
         with pytest.raises(jsonio.SpecFormatError):
             jsonio.graph_from_json({"vertices": ["a", "b"], "edges": [["a", "a"]]})
 
+    def test_reader_and_constructor_build_the_same_graph(self):
+        # the reader builds through the constructor; duplicates and reversed
+        # pairs are one edge in both
+        rng = np.random.default_rng(2502)
+        for _ in range(60):
+            n = int(rng.integers(2, 12))
+            verts = alph("v", n)
+            ends = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+            pairs = [(verts.symbols[a], verts.symbols[b]) for a, b in ends if a != b]
+            pairs += [(b, a) for a, b in pairs[::3]] + pairs[::2]
+            rng.shuffle(pairs)
+            built = CharGraph(verts, pairs)
+            read = jsonio.graph_from_json({"name": "v", "vertices": list(verts.symbols),
+                                           "edges": [list(p) for p in pairs]})
+            assert read.vertices.symbols == built.vertices.symbols
+            assert read.sorted_edges() == built.sorted_edges()
+            assert set(built.sorted_edges()) == {
+                (a, b) if verts.index(a) < verts.index(b) else (b, a) for a, b in pairs}
+
     def test_coloring_serialization(self):
         g = characteristic_graph(presets.ternary_source_joint(),
                                  presets.comparison_function())
@@ -172,7 +191,7 @@ class TestFunctionTableRoundTrip:
         assert value_at(back, "1", "3") == 0
 
     def test_fraction_labels_become_strings(self):
-        f = presets.grid_cell_function(3)
+        f = presets.grid_cell_function()
         obj = jsonio.function_table_to_json(f)
         assert obj["values"][0][1] == "1/3"
         back = jsonio.function_table_from_json(obj)

@@ -391,6 +391,23 @@ class TestSampleCap:
         with pytest.raises(ValueError, match="^samples"):
             draw(schemes.MAX_SAMPLES + 1)
 
+    @pytest.mark.parametrize("draw", [
+        lambda: GaussianPairSource().sample(-1),
+        lambda: sample_offdiagonal_uniform(3, -5),
+    ], ids=["pair-source", "offdiagonal"])
+    def test_negative_sample_count_named(self, draw):
+        with pytest.raises(MonteCarloError, match=r"^samples must be between 0 and \d+, got -\d$"):
+            draw()
+
+    @pytest.mark.parametrize("draw", [
+        lambda: sample_offdiagonal_uniform(1, 100),
+        lambda: sample_offdiagonal_uniform(0, 100),
+        lambda: monte_carlo_grid_distortion(1, 20_000),
+    ], ids=["offdiagonal-1", "offdiagonal-0", "mc-grid-1"])
+    def test_fewer_than_two_cells_refused(self, draw):
+        with pytest.raises(ValueError, match="^need at least two cells for an off-diagonal"):
+            draw()
+
 
 class TestGridDistortion:
     def test_closed_form_value(self):
