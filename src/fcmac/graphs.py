@@ -30,11 +30,12 @@ OR_PRODUCT_CAP = 1024
 # sets) with the joint rng(s).random((12, 12)), s = 5, 6, 7, with
 # over-relaxed steps, timed alternately with plain steps: s = 5 certified in
 # 4,539 steps, 0.10-0.11 s (plain: 7,844 steps, 0.16-0.17 s); s = 6
-# certified in 8,783 steps, 0.20 s (plain: uncertified at the default
+# certified in 8,783 steps, 0.19-0.20 s (plain: uncertified at the default
 # 10,000 steps, gap 3.2e-7 bits, 0.21 s); s = 7 uncertified at 10,000
-# steps, gap 1.6e-5 bits, 0.22-0.23 s (plain: gap 4.2e-5, 0.21 s), and
-# 1.0 s to a 1e-8 gap (plain: 1.75 s). The colouring bound is 0.009-0.011 s
-# of each. The solver's steps bound this size.
+# steps, gap 1.6e-5 bits, 0.22 s (0.22-0.23 s while log2 q was floored after
+# plain steps too; plain: gap 4.2e-5, 0.21 s), and 1.0 s to a 1e-8 gap
+# (plain: 1.75 s). The colouring's certificate settles none of the three;
+# the colouring is 0.009-0.011 s of each. The solver's steps bound this size.
 EXACT_COLORING_CAP = 12
 # Cells (|X||Z|)^n of the n-fold joint of iid_pair_power, checked before the
 # product is built, and the block length n of it and of or_product.
@@ -68,6 +69,11 @@ _LOG_FLOOR = np.array(1e-300)   # a 0-d array is not converted again at each use
 # step's extrapolation 2 a - log2 q finite
 _RELAXATION = 2.0
 _LOG_Q_FLOOR = np.array(-2000.0)
+# A plain step's exponent off the allowed sets: 2**-1e300 is 0, so q is 0
+# there and log2 q stays finite without the floor; a - 1e300 rounds to this
+# one constant, on which exp2 is as fast as on -inf (it is about 4x slower on
+# varied arguments below -1075)
+_LOG_Q_HOLE = -1e300
 
 
 class SizeCapError(ValueError):
@@ -512,15 +518,18 @@ def stable_sets(g: CharGraph, maximal_only: bool = True) -> list[frozenset]:
 
 @dataclass(frozen=True)
 class ConditionalGraphEntropyResult:
-    """Solver output: the objective at the returned kernel, its Frank-Wolfe
-    gap, and the feasible-coloring upper bound. By convexity the minimum lies
-    in ``[value - gap, value]``."""
+    """Solver output: ``value``, the objective at the returned kernel (held
+    in [0, ``upper_bound``], which moves it by rounding only); ``gap``,
+    ``value`` minus a lower bound on the minimum, the larger of the last
+    iterate's Frank-Wolfe bound and the colouring kernel's closed-form
+    certificate; and the feasible-coloring upper bound. The minimum lies in
+    ``[value - gap, value]``."""
 
     value: float
     upper_bound: float          # conditional chromatic entropy at n = 1
     kernel: np.ndarray          # p(stable set | vertex), rows in vertex order
     sets: tuple[frozenset, ...]
-    converged: bool             # gap <= tol at the returned kernel
+    converged: bool             # gap <= tol
     gap: float
 
 
@@ -531,18 +540,31 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
 
     Support is restricted to maximal stable sets (any stable set extends to
     a maximal one without raising the objective). The objective is convex in
-    the kernel q, solved by Blahut-Arimoto-type alternating minimization from
-    the uniform interior point. The plain step q+ is proportional to 2**a on
-    the allowed sets, with a[u1, w] = sum_u2 p(u2 | u1) log2 p(w | u2). Each
-    step is over-relaxed: log2 q moves twice as far towards log2 q+ and is
-    renormalised (Matz and Duhamel, ITW 2004; Salakhutdinov and Roweis, ICML
-    2003). A relaxed iterate is kept only if neither its objective nor its
-    Frank-Wolfe gap exceeds that of the iterate it left; otherwise it is
-    discarded and the plain step, which never raises the objective, is taken
-    from the kept one. A discarded step counts as a step. Each iterate's
-    Frank-Wolfe gap bounds its distance to the minimum from above (Jaggi
-    2013); the solver stops once the gap is at most ``tol``, or after
-    ``max_iter`` steps.
+    the kernel q. The first candidate is the exact colouring's kernel q0,
+    which puts each colour class on the first maximal stable set holding it;
+    it is certified in closed form by the antiblocker duality of Csiszar,
+    Korner, Lovasz, Marton and Simonyi (Combinatorica 1990): for b >= 0 whose
+    sum over every stable set is at most 1 at each u2, the minimum is at
+    least H(U1|U2) + sum p(u1, u2) log2 b(u1, u2) (Gibbs' inequality on
+    p(u1 | w, u2), which lives on the set w). With b = p(u1|u2) / p(w0(u1) |
+    u2) scaled down by its largest stable-set sum t(u2) where that exceeds 1,
+    the bound is the objective at q0 minus gap0 = sum p(u2) log2 t(u2). If
+    gap0 is at most ``tol``, q0 is returned after no step.
+
+    Otherwise the minimum is sought by Blahut-Arimoto-type alternating
+    minimization from the uniform interior point. The plain step q+ is
+    proportional to 2**a on the allowed sets, with a[u1, w] = sum_u2 p(u2 |
+    u1) log2 p(w | u2). Each step is over-relaxed: log2 q moves twice as far
+    towards log2 q+ and is renormalised (Matz and Duhamel, ITW 2004;
+    Salakhutdinov and Roweis, ICML 2003). A relaxed iterate is kept only if
+    neither its objective nor its Frank-Wolfe gap exceeds that of the
+    iterate it left; otherwise it is discarded and the plain step, which
+    never raises the objective, is taken from the kept one. A discarded step
+    counts as a step. Each iterate's Frank-Wolfe gap bounds its distance to
+    the minimum from above (Jaggi 2013); the steps stop once the gap is at
+    most ``tol``, or after ``max_iter`` of them. The lower bound is then the
+    larger of the iterate's and q0's, and the one of the two kernels with
+    the smaller objective is returned.
     """
     if not tol >= 0:                    # refuses NaN as well
         raise ValueError(f"tol must be nonnegative, got {tol}")
@@ -552,26 +574,69 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     if len(joint.axes) != 2:
         raise AxisError("need a two-axis joint")
     rows = _stable_rows(g, maximal_only=True)
-    sets = _row_sets(g, rows)
+    sets = tuple(_row_sets(g, rows))
     # C order: a transposed view would pass q to BLAS in F order, which sums
     # the products below in another order
     allowed = np.ascontiguousarray(rows.T)
-    off = np.where(allowed, 0.0, -np.inf)       # added to mask the disallowed sets
 
     p = joint.mass.astype(float)
     p1 = p.sum(axis=1)
     p2 = p.sum(axis=0)
-    q = allowed / allowed.sum(axis=1, keepdims=True)
     p2_given_1 = np.divide(p, p1[:, None], out=np.zeros_like(p), where=p1[:, None] > 0)
     p1_given_2 = np.divide(p, p2, out=np.zeros_like(p), where=p2 > 0)
+
+    def objective(q: np.ndarray, r: np.ndarray) -> float:   # H(W|U2) - H(W|U1)
+        return float(plogp(q).sum(axis=1) @ p1 - plogp(r).sum(axis=1) @ p2)
+
+    # the colouring's kernel; classes that land on one set merge, which
+    # cannot raise H(W|U2)
+    assign, upper = _min_entropy_partition(g._adj, p)
+    upper = float(upper)
+    vertex = np.arange(len(p))
+    classes = np.zeros((max(assign) + 1, len(p)), dtype=bool)
+    classes[assign, vertex] = True
+    # [class, set]: the set holds every vertex of the class; float32 counts exactly
+    holds = classes.astype(np.float32) @ ~allowed == 0
+    home = holds.argmax(axis=1)[assign]                     # w0(u1)
+    q0 = np.zeros(allowed.shape)
+    q0[vertex, home] = 1.0
+    r0 = p1_given_2.T @ q0                                  # r0[u2, w] = p(w | u2)
+    # b[u1, u2] = p(u1 | u2) / p(w0(u1) | u2); the denominator is at least
+    # the numerator, so it is positive wherever the numerator is
+    b = np.divide(p1_given_2, r0[:, home].T, out=np.zeros_like(p), where=p1_given_2 > 0)
+    load = np.maximum((rows @ b).max(axis=0), 1.0)          # t(u2)
+    value0 = objective(q0, r0)
+    gap0 = float(p2 @ np.log2(load))
+    kernel, value, lower = q0, value0, value0 - gap0
+    if gap0 > tol:
+        q, r, gap = _alternating_minimization(allowed, p1, p2_given_1, p1_given_2,
+                                              tol, max_iter)
+        f = objective(q, r)
+        lower = max(lower, f - gap)
+        if f < value0:
+            kernel, value = q, f
+    # f(q0) summed from r0 can exceed the colouring's entropy, and f(q) fall
+    # below 0, by rounding in the last bits only
+    value = min(max(value, 0.0), upper)
+    gap = max(value - lower, 0.0)
+    return ConditionalGraphEntropyResult(value, upper, kernel, sets, gap <= tol, gap)
+
+
+def _alternating_minimization(allowed: np.ndarray, p1: np.ndarray, p2_given_1: np.ndarray,
+                              p1_given_2: np.ndarray, tol: float, max_iter: int,
+                              ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The over-relaxed steps of ``conditional_graph_entropy`` from the
+    uniform kernel; returns the last kept kernel q, r[u2, w] = p(w | u2) and
+    q's Frank-Wolfe gap."""
+    off = np.where(allowed, 0.0, -np.inf)       # added to mask the disallowed sets
+    hole = np.where(allowed, 0.0, _LOG_Q_HOLE)  # the plain step's mask
+    q = allowed / allowed.sum(axis=1, keepdims=True)
     # finite everywhere: off the allowed sets q is 0, so those entries never count
     log_q = np.log2(q, out=np.zeros_like(q), where=allowed)
-
-    upper = conditional_chromatic_entropy(g, joint, 1)
     # two iterates, each (q, log2 q, a, r): the current one and the spare,
     # which holds the kept iterate while a relaxed one is on trial; a step
     # writes into the spare and swaps the two
-    r = np.empty((p.shape[1], q.shape[1]))
+    r = np.empty((p1_given_2.shape[1], q.shape[1]))
     cur = (q, log_q, np.empty_like(q), r)
     spare = tuple(np.empty_like(x) for x in cur)
     log_r, d = np.empty_like(r), np.empty_like(q)
@@ -602,7 +667,7 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
             break
         q_next, e = spare[:2]                               # e: the next log2 q, unnormalised
         if reject:
-            np.add(a, off, out=e)                           # the plain step
+            np.add(a, hole, out=e)                          # the plain step
         else:
             kept_objective, kept_gap = objective, gap
             # d is +inf off the allowed sets, so e is -inf there
@@ -612,12 +677,13 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
         np.exp2(np.subtract(e, top, out=e), out=q_next)
         np.add.reduce(q_next, axis=1, keepdims=True, out=total)
         q_next /= total
-        # the new log2 q, floored where q is 0
-        np.maximum(np.subtract(e, np.log2(total, out=total), out=e), _LOG_Q_FLOOR, out=e)
+        np.subtract(e, np.log2(total, out=total), out=e)    # the new log2 q
+        if relaxed:
+            # floored where q is 0; after a plain step log2 q >= about -1,000
+            # on the allowed sets, so the floor would never bind there
+            np.maximum(e, _LOG_Q_FLOOR, out=e)
         cur, spare = spare, cur
-    value = float(plogp(q).sum(axis=1) @ p1 - plogp(r).sum(axis=1) @ p2)   # H(W|U2) - H(W|U1)
-    return ConditionalGraphEntropyResult(min(max(value, 0.0), upper), upper, q, tuple(sets),
-                                         gap <= tol, gap)
+    return q, r, gap
 
 
 @dataclass(frozen=True)

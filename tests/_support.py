@@ -847,10 +847,11 @@ def frozen_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     """The certified solver's loop as it was before each step was cut to
     fewer numpy calls and then over-relaxed: plain steps only, ``np.where``
     masks, ``log2 q`` with -inf off the allowed sets, and ``plogp(q)`` inside
-    every step. At ``max_iter=0`` the solver must return its kernel and value
-    bit for bit; elsewhere its certificates are the reference. With
-    ``lower_goal`` the loop also stops once its own lower bound on the
-    minimum, value minus gap, reaches that goal; the iterates are the same."""
+    every step. At ``max_iter=0``, where the solver keeps the uniform start,
+    it must return this kernel and value bit for bit; elsewhere these
+    certificates are the reference. With ``lower_goal`` the loop also stops
+    once its own lower bound on the minimum, value minus gap, reaches that
+    goal; the iterates are the same."""
     rows = _stable_rows(g, maximal_only=True)
     sets = _row_sets(g, rows)
     allowed = np.ascontiguousarray(rows.T)
@@ -877,7 +878,11 @@ def frozen_conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
         gap = max(float(p1 @ (q_log_q - (q * a).sum(axis=1) - least)), 0.0)
         if gap <= tol or step >= max_iter:
             break
-        if lower_goal is not None and value_at(q_log_q, r) - gap >= lower_goal:
+        # p1 @ least is value - gap before rounding and the clamp, so the
+        # value, whose plogp(r) costs more than the rest of the step, is only
+        # formed near the goal
+        if (lower_goal is not None and float(p1 @ least) >= lower_goal - 1e-9
+                and value_at(q_log_q, r) - gap >= lower_goal):
             break
         e = np.where(allowed, a, -np.inf)
         e -= e.max(axis=1, keepdims=True)
@@ -920,6 +925,60 @@ def loop_frank_wolfe_gap(g: CharGraph, joint: JointPMF, sets, kernel: np.ndarray
         mean = math.fsum(q[i][w] * grad[w] for w in grad if q[i][w] > 0)
         gap += p1[i] * (mean - min(grad.values()))
     return gap
+
+
+def loop_kernel_objective(joint: JointPMF, kernel: np.ndarray) -> float:
+    """I(W; U1 | U2) = H(W | U2) - H(W | U1) of a conditional-graph-entropy
+    kernel q[u1, w], from the triple p(u1, u2) q[u1, w] held in a dict; the
+    zero cells, which add nothing, are left out."""
+    n, m = joint.mass.shape
+    triple = {(i, k, j): float(joint.mass[i, k] * kernel[i, j])
+              for i in range(n) for k in range(m) for j in range(kernel.shape[1])
+              if joint.mass[i, k] * kernel[i, j] > 0}
+    return (dict_conditional_entropy(triple, (2,), (1,))
+            - dict_conditional_entropy(triple, (2,), (0,)))
+
+
+def loop_coloring_kernel(g: CharGraph, joint: JointPMF) -> np.ndarray:
+    """The exact colouring's deterministic kernel over the maximal stable
+    sets: each class of the bitmask branch-and-bound's partition goes to the
+    first set, in ``stable_sets`` order, that holds all of it."""
+    sets = stable_sets(g, maximal_only=True)
+    syms = g.vertices.symbols
+    assign, _ = loop_min_entropy_partition(loop_adjacency_masks(g), joint.mass.astype(float))
+    kernel = np.zeros((len(syms), len(sets)))
+    for c in set(assign):
+        members = [v for v in range(len(syms)) if assign[v] == c]
+        home = next(w for w, s in enumerate(sets) if all(syms[v] in s for v in members))
+        kernel[members, home] = 1.0
+    return kernel
+
+
+def loop_clique_certificate(g: CharGraph, joint: JointPMF, kernel: np.ndarray) -> float:
+    """The closed-form gap of a deterministic kernel, in Python loops over
+    ``stable_sets(g)``: with w0(u1) the set a vertex is sent to, b(u1, u2) =
+    p(u1 | u2) / p(w0(u1) | u2), and t(u2) the largest of 1 and b's sums over
+    the maximal stable sets, the gap is sum over u2 of p(u2) log2 t(u2). The
+    objective at the kernel minus this gap is at most the minimum."""
+    sets = stable_sets(g, maximal_only=True)
+    syms = g.vertices.symbols
+    n, m = joint.mass.shape
+    mass = joint.mass.tolist()
+    home = []
+    for row in kernel.tolist():
+        assert sorted(row) == [0.0] * (len(row) - 1) + [1.0], "not a deterministic kernel"
+        home.append(row.index(1.0))
+    terms = []
+    for k in range(m):
+        p2 = math.fsum(mass[i][k] for i in range(n))
+        if p2 == 0:
+            continue
+        # p(u1 | u2) / p(w0(u1) | u2): the vertex's mass over its set's mass
+        b = {syms[i]: mass[i][k] / math.fsum(mass[j][k] for j in range(n) if home[j] == home[i])
+             for i in range(n) if mass[i][k] > 0}
+        t = max([1.0] + [math.fsum(b.get(v, 0.0) for v in s) for s in sets])
+        terms.append(p2 * math.log2(t))
+    return math.fsum(terms)
 
 
 # --- Monte Carlo references -------------------------------------------------
