@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import signal
@@ -630,6 +631,35 @@ def random_peer_joint(rng: np.random.Generator, vertices: tuple, peers: tuple, k
     return g, JointPMF((g.vertices, alph("p", m)), mass / mass.sum())
 
 
+def bench_small_instances(seed: int):
+    """The 240 instances of the benchmark's graphs small ops of ``seed``,
+    drawn as its workload draws them: 6-8 vertices, edge probability 0.4,
+    each vertex on one of 4 peers."""
+    rng = np.random.default_rng(seed)
+    for n in (6, 7, 8) * 80:
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
+        mass = np.zeros((n, 4))
+        mass[np.arange(n), rng.integers(0, 4, size=n)] = rng.random(n) + 0.5
+        rng.random((n, 4)), rng.random((n, 4))      # the workload's sparse zigzag support
+        verts = alph("v", n)
+        g = CharGraph(verts, [(verts.symbols[a], verts.symbols[b]) for a, b in edges])
+        yield g, JointPMF((verts, alph("p", 4)), mass / mass.sum())
+
+
+def cap_instance(seed: int):
+    """Four disjoint triangles, 81 maximal stable sets on 12 vertices, with
+    the joint rng(seed).random((12, 12)) normalised."""
+    verts = alph("v", 12)
+    g = CharGraph(verts, frozenset((verts.symbols[3 * t + i], verts.symbols[3 * t + j])
+                                   for t in range(4) for i, j in ((0, 1), (0, 2), (1, 2))))
+    mass = np.random.default_rng(seed).random((12, 12))
+    return g, JointPMF((verts, alph("p", 12)), mass / mass.sum())
+
+
+# sha256 of the solver's returned bits in test_conditional_graph_entropy_bits_are_pinned
+PINNED_SOLVER_BITS = "690ddb3ef8dfb91791c77e4ec723fa3592181c8341ce9148bc81b3c61026cb3f"
+
+
 def check_lower_bounds(g: CharGraph, joint: JointPMF, got, tol: float = 1e-8,
                        ) -> tuple[float, bool]:
     """The solver's kernel, value and lower bound against the loop oracles;
@@ -929,12 +959,7 @@ class TestFastPathsAgainstLoops:
             check_certified_solver(g, joint, kwargs, loop)
 
     def test_conditional_graph_entropy_at_the_cap(self):
-        # four disjoint triangles: 81 maximal stable sets on 12 vertices
-        verts = alph("v", 12)
-        g = CharGraph(verts, frozenset((verts.symbols[3 * t + i], verts.symbols[3 * t + j])
-                                       for t in range(4) for i, j in ((0, 1), (0, 2), (1, 2))))
-        mass = np.random.default_rng(5).random((12, 12))
-        joint = JointPMF((verts, alph("p", 12)), mass / mass.sum())
+        g, joint = cap_instance(5)
         # one short loop run keeps the test fast; the 1e-11 run is the tight bound
         loop = loop_conditional_graph_entropy(g, joint, restarts=1, max_iter=100)
         assert len(check_certified_solver(g, joint, {}, loop).sets) == 81
@@ -988,29 +1013,34 @@ class TestFastPathsAgainstLoops:
                 assert want.value - want.gap >= lower - 1e-12 or lower <= want.value + 1e-12
 
     def test_conditional_graph_entropy_against_the_frozen_loop_at_the_cap(self):
-        verts = alph("v", 12)
-        g = CharGraph(verts, frozenset((verts.symbols[3 * t + i], verts.symbols[3 * t + j])
-                                       for t in range(4) for i, j in ((0, 1), (0, 2), (1, 2))))
-        mass = np.random.default_rng(5).random((12, 12))
-        joint = JointPMF((verts, alph("p", 12)), mass / mass.sum())
+        g, joint = cap_instance(5)
         assert check_against_frozen_solver(g, joint, {})[0].converged
 
     def test_colouring_certificate_settles_the_bench_instances(self):
-        # the benchmark's graphs small instances of seed 24101, drawn as its
-        # workload draws them; on about half of them the minimum is at the
+        # on about half of seed 24101's instances the minimum is at the
         # colouring's kernel, which its certificate settles after no step
-        rng = np.random.default_rng(24101)
-        settled = 0
-        for n in (6, 7, 8) * 80:
-            edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
-            mass = np.zeros((n, 4))
-            mass[np.arange(n), rng.integers(0, 4, size=n)] = rng.random(n) + 0.5
-            rng.random((n, 4)), rng.random((n, 4))      # the workload's sparse zigzag support
-            verts = alph("v", n)
-            g = CharGraph(verts, [(verts.symbols[a], verts.symbols[b]) for a, b in edges])
-            joint = JointPMF((verts, alph("p", 4)), mass / mass.sum())
-            settled += conditional_graph_entropy(g, joint, max_iter=0).converged
+        settled = sum(conditional_graph_entropy(g, joint, max_iter=0).converged
+                      for g, joint in bench_small_instances(24101))
         assert settled >= 117
+
+    def test_conditional_graph_entropy_bits_are_pinned(self):
+        # sha256 over every returned bit of 240 bench-shaped instances, 100
+        # random ones at four step budgets and the cap instance of seed 5; a
+        # refactor of the solver must keep them all. Pinned with Python
+        # 3.11 and numpy 2.4.6, as PINNED_OUTPUTS in test_cli.py is.
+        calls = [(g, joint, {}) for g, joint in bench_small_instances(24101)]
+        rng = np.random.default_rng(2701)
+        for case in range(100):
+            g, joint = random_peer_joint(rng, (1, 9), (1, 5), case % 4)
+            calls += [(g, joint, dict(max_iter=k)) for k in (0, 1, 5)] + [(g, joint, {})]
+        calls.append((*cap_instance(5), {}))
+        digest = hashlib.sha256()
+        for g, joint, kwargs in calls:
+            got = conditional_graph_entropy(g, joint, **kwargs)
+            digest.update(got.kernel.tobytes())
+            digest.update(f"{got.value.hex()} {got.gap.hex()} {got.converged}"
+                          f" {got.upper_bound.hex()};".encode())
+        assert digest.hexdigest() == PINNED_SOLVER_BITS
 
     def test_threshold_calls_distortion_once_per_ordered_label_pair(self):
         joint = presets.ternary_source_joint("w1", "w2")
