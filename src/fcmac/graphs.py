@@ -36,6 +36,10 @@ OR_PRODUCT_CAP = 1024
 # plain steps too; plain: gap 4.2e-5, 0.21 s), and 1.0 s to a 1e-8 gap
 # (plain: 1.75 s). The colouring's certificate settles none of the three;
 # the colouring is 0.009-0.011 s of each. The solver's steps bound this size.
+# With fresh arrays at each step, best of 3 in six processes alternated with
+# steps written into arrays allocated once per call: s = 5 / 6 / 7 take
+# 0.104-0.106 / 0.191-0.195 / 0.218-0.220 s, against 0.104-0.105 /
+# 0.194-0.196 / 0.218-0.223 s.
 EXACT_COLORING_CAP = 12
 # Cells (|X||Z|)^n of the n-fold joint of iid_pair_power, checked before the
 # product is built, and the block length n of it and of or_product.
@@ -60,9 +64,10 @@ ZIGZAG_CAP = 2**33
 # and the indented json.dumps of the output format 1.5-2.0 s. 32 vertices
 # with 1,024 peers and labels: 0.5-1.1 s. Every graph built under the cap
 # has at most 1,024 vertices, so its file can be read back under
-# GRAPH_FILE_VERTEX_CAP.
+# GRAPH_FILE_VERTEX_CAP. The cap also bounds the |X|^2 |Z| cells of the one
+# table lookup that builds the graph, so it needs no row blocks.
 CHARACTERISTIC_GRAPH_CAP = 2**20
-_BLOCK_CELLS = 2**20   # array cells per row block in the pairwise kernels
+_BLOCK_CELLS = 2**20   # array cells per row block of zigzag_check's products
 _LOG_FLOOR = np.array(1e-300)   # a 0-d array is not converted again at each use
 # The solver's over-relaxation factor, and the floor of its log2 q: a kernel
 # entry there is 0 (2**-2000 underflows), and the floor keeps the relaxed
@@ -96,8 +101,9 @@ class CharGraph:
         """Graph of the symbol pairs ``edges``. An unknown endpoint raises
         KeyError before the first self-loop raises ValueError."""
         edges = list(edges)
-        # one plain dict lookup per endpoint; Alphabet.index would add a call to each
-        index = {s: k for k, s in enumerate(vertices.symbols)}
+        # the alphabet's own symbol index: one plain dict lookup per endpoint,
+        # where Alphabet.index would add a call to each
+        index = vertices._position
         rows, cols = [], []
         for a, b in edges:
             try:
@@ -251,16 +257,11 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
     confusable_labels = np.array(pair_table, dtype=bool)
     codes = f._codes
     support = joint.mass > 0
-    adj = np.zeros((n, n), dtype=bool)
-    rows = max(1, _BLOCK_CELLS // (n * m))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        # [i, j, k]: peer k is shared by i and j and their labels are confusable
-        hit = (support[lo:hi, None, :] & support[None, :, :]
-               & confusable_labels[codes[lo:hi, None, :], codes[None, :, :]])
-        adj[lo:hi] = hit.any(axis=2)
+    # [i, j, k]: peer k is shared by i and j and their labels are confusable
+    hit = (support[:, None, :] & support[None, :, :]
+           & confusable_labels[codes[:, None, :], codes[None, :, :]])
     # the label pair is read in (i, j) order with i < j; mirror that half
-    adj = np.triu(adj, 1)
+    adj = np.triu(hit.any(axis=2), 1)
     return CharGraph._from_adjacency(joint.axes[0], adj | adj.T)
 
 
@@ -633,56 +634,45 @@ def _alternating_minimization(allowed: np.ndarray, p1: np.ndarray, p2_given_1: n
     q = allowed / allowed.sum(axis=1, keepdims=True)
     # finite everywhere: off the allowed sets q is 0, so those entries never count
     log_q = np.log2(q, out=np.zeros_like(q), where=allowed)
-    # two iterates, each (q, log2 q, a, r): the current one and the spare,
-    # which holds the kept iterate while a relaxed one is on trial; a step
-    # writes into the spare and swaps the two
-    r = np.empty((p1_given_2.shape[1], q.shape[1]))
-    cur = (q, log_q, np.empty_like(q), r)
-    spare = tuple(np.empty_like(x) for x in cur)
-    log_r, d = np.empty_like(r), np.empty_like(q)
-    top, total = np.empty((len(q), 1)), np.empty((len(q), 1))
-    least, mean = np.empty(len(q)), np.empty(len(q))
-    relaxed, kept_objective, kept_gap = False, 0.0, 0.0
+    # the iterate a relaxed step left, to which a rejected relaxed step goes back
+    relaxed, kept, kept_objective, kept_gap = False, (), 0.0, 0.0
     for step in itertools.count():
-        q, log_q, a, r = cur
-        np.matmul(p1_given_2.T, q, out=r)                   # r[u2, w] = p(w | u2)
-        np.log2(np.maximum(r, _LOG_FLOOR, out=log_r), out=log_r)
-        np.matmul(p2_given_1, log_r, out=a)                 # a[u1, w]
+        r = p1_given_2.T @ q                                # r[u2, w] = p(w | u2)
+        log_r = np.maximum(r, _LOG_FLOOR)
+        a = p2_given_1 @ np.log2(log_r, out=log_r)          # a[u1, w]
         # the gradient is p(u1) (log2 q - a); per row, its mean under q minus
         # its least allowed entry, which is nonnegative up to rounding
-        np.subtract(log_q, a, out=d)
-        np.einsum("ij,ij->i", q, d, out=mean)
+        d = log_q - a
+        mean = np.einsum("ij,ij->i", q, d)
         # the objective H(W|U2) - H(W|U1): sum p1 sum q a = sum p2 sum r log2 r
         objective = float(p1 @ mean)
-        np.minimum.reduce(np.subtract(d, off, out=d), axis=1, out=least)
-        gap = max(float(p1 @ np.subtract(mean, least, out=mean)), 0.0)
+        d -= off
+        gap = max(float(p1 @ (mean - np.minimum.reduce(d, axis=1))), 0.0)
         if gap <= tol:
             break
         reject = relaxed and (objective > kept_objective or gap > kept_gap)
         if reject:
-            cur, spare = spare, cur                         # back to the kept iterate
-            q, log_q, a, r = cur
-            gap = kept_gap
+            (q, a, r), gap = kept, kept_gap
         if step >= max_iter:
             break
-        q_next, e = spare[:2]                               # e: the next log2 q, unnormalised
+        # the next log2 q, unnormalised
         if reject:
-            np.add(a, hole, out=e)                          # the plain step
+            log_q = a + hole                                # the plain step
         else:
-            kept_objective, kept_gap = objective, gap
-            # d is +inf off the allowed sets, so e is -inf there
-            np.subtract(log_q, np.multiply(d, _RELAXATION, out=d), out=e)
+            kept, kept_objective, kept_gap = (q, a, r), objective, gap
+            # d is +inf off the allowed sets, so log2 q is -inf there
+            d *= _RELAXATION
+            log_q -= d
         relaxed = not reject
-        np.maximum.reduce(e, axis=1, keepdims=True, out=top)
-        np.exp2(np.subtract(e, top, out=e), out=q_next)
-        np.add.reduce(q_next, axis=1, keepdims=True, out=total)
-        q_next /= total
-        np.subtract(e, np.log2(total, out=total), out=e)    # the new log2 q
+        log_q -= np.maximum.reduce(log_q, axis=1, keepdims=True)
+        q = np.exp2(log_q)
+        total = np.add.reduce(q, axis=1, keepdims=True)
+        q /= total
+        log_q -= np.log2(total)
         if relaxed:
             # floored where q is 0; after a plain step log2 q >= about -1,000
             # on the allowed sets, so the floor would never bind there
-            np.maximum(e, _LOG_Q_FLOOR, out=e)
-        cur, spare = spare, cur
+            np.maximum(log_q, _LOG_Q_FLOOR, out=log_q)
     return q, r, gap
 
 

@@ -235,10 +235,14 @@ class GridQuantizer:
     cells: int
 
     def __post_init__(self) -> None:
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if not math.isfinite(bound):
+                raise ValueError(f"{name} must be finite, got {bound}")
         if self.hi <= self.lo:
             raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
-        if self.cells < 1:
-            raise ValueError(f"need at least one cell, got {self.cells}")
+        cells = self.cells
+        if isinstance(cells, bool) or not isinstance(cells, (int, np.integer)) or cells < 1:
+            raise ValueError(f"cells must be an integer of at least 1, got {cells!r}")
 
     @property
     def width(self) -> float:
@@ -364,8 +368,8 @@ def monte_carlo_grid_distortion(cells: int = 3, samples: int = 1_000_000,
 def lipschitz_budget(alpha: float, target_d: float) -> float:
     """Per-pair quantization budget: a function moving at most alpha times
     the source distance meets distortion D when pairs are within D/alpha."""
-    if alpha <= 0:
+    if not alpha > 0:                   # refuses NaN as well
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if target_d < 0:
+    if not target_d >= 0:
         raise ValueError(f"target distortion must be nonnegative, got {target_d}")
     return target_d / alpha

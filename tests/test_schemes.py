@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -220,6 +221,26 @@ class TestGridQuantizer:
         with pytest.raises(ValueError):
             quantize_grid(GridQuantizer(0.0, 1.0, 3), np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("lo,hi,cells,field", [
+        (0.0, math.nan, 3, "hi"),
+        (math.nan, 1.0, 3, "lo"),
+        (-math.inf, 1.0, 3, "lo"),
+        (0.0, math.inf, 3, "hi"),
+        (0.0, 1.0, 2.5, "cells"),
+        (0.0, 1.0, 3.0, "cells"),
+        (0.0, 1.0, True, "cells"),
+        (0.0, 1.0, 0, "cells"),
+        (0.0, 1.0, np.int64(0), "cells"),
+    ])
+    def test_refuses_bad_fields_by_name(self, lo, hi, cells, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                GridQuantizer(lo, hi, cells)
+
+    def test_accepts_numpy_integer_cells(self):
+        assert list(GridQuantizer(0.0, 1.0, np.int64(2)).index(np.array([0.2, 0.7]))) == [0, 1]
+
 
 MANY_BLOCKS = 20 * (1 << 16) + 1   # twenty full blocks and a one-draw block
 
@@ -433,6 +454,10 @@ class TestLipschitzBudget:
             lipschitz_budget(0.0, 1.0)
         with pytest.raises(ValueError):
             lipschitz_budget(1.0, -1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            lipschitz_budget(math.nan, 1.0)
+        with pytest.raises(ValueError, match="target distortion"):
+            lipschitz_budget(1.0, math.nan)
 
 
 class TestRunScheme:
