@@ -14,17 +14,23 @@ from .probability import (Alphabet, AxisError, JointPMF, Kernel, _plogp, compose
 
 CAPACITY_GRID_POINTS = 51
 # Capacity grid points, and grid points times output symbols. One BLAS
-# thread on a 2-vCPU Xeon VM, random Dirichlet laws, seeds 1-3, three runs
-# each, time and peak RSS of a whole search:
-#   inputs (points)      |Y| = 2               |Y| = 5
-#   1x6 (3,478,761)      0.22-0.32 s, 90 MB    0.37-0.56 s, 90 MB
-#   6x1                  0.22-0.30 s, 90 MB    0.34-0.51 s, 90 MB
-#   3x3 (1,758,276)      0.08-0.12 s, 43 MB    0.15-0.23 s, 42 MB
-#   2x4 (1,194,726)      0.06-0.08 s, 45 MB    0.10-0.21 s, 42 MB
+# thread on a 2-vCPU Xeon VM, random Dirichlet laws, seeds 1-3, best of three
+# per seed in each of three processes, alternated with as many of the
+# buffered sweep this one replaced (its times in brackets); time and peak
+# RSS of a whole search:
+#   inputs (points)      |Y| = 2                         |Y| = 5
+#   1x6 (3,478,761)      0.23-0.39 s [0.23-0.34], 90 MB  0.36-0.61 s [0.39-0.73], 90 MB
+#   6x1                  0.27-0.44 s [0.24-0.40], 90 MB  0.39-0.78 s [0.38-0.65], 90 MB
+#   3x3 (1,758,276)      0.11-0.17 s [0.10-0.17], 42 MB  0.19-0.27 s [0.18-0.25], 42 MB
+#   2x4 (1,194,726)      0.06-0.11 s [0.07-0.11], 43 MB  0.13-0.27 s [0.12-0.26], 42 MB
 # (the three-operand einsum sweep took 0.81-1.19 s and 388-627 MB at 1x6).
 # The sweep's work and the refinement's grow with |Y|: at the cell cap,
-# 1x6 with |Y| = 9 takes 0.54-0.74 s, 3x3 with |Y| = 19 0.57-0.83 s and
-# 2x4 with |Y| = 28 0.55-0.79 s, all at 41-90 MB.
+# 1x6 with |Y| = 9 takes 0.65-1.22 s [0.68-1.16], 3x3 with |Y| = 19
+# 0.63-1.12 s [0.68-0.92] and 2x4 with |Y| = 28 0.71-0.90 s [0.65-1.08],
+# all at 40-90 MB. The sweep alone, interleaved with the buffered one in one
+# process (two runs of 10 and 12 calls, medians): 1x6 |Y| = 2 0-5 % faster,
+# 3x3 |Y| = 5 8-9 % and 2x4 |Y| = 28 7-18 % slower, where each block's
+# fresh arrays take about 11,000 and 20,000 more minor page faults a sweep.
 CAPACITY_GRID_CAP = 4_000_000
 CAPACITY_CELL_CAP = 2**25
 
@@ -163,21 +169,13 @@ def _grid_argmax(law3: np.ndarray, rows: np.ndarray, counts1: np.ndarray,
     small = np.divide(counts2 if swap else counts1, steps, dtype=float)
     big = counts1 if swap else counts2
     block = min(len(big), max(1, _BLOCK_CELLS // (len(small) * ny * n1 * n2)))
-    size = block * len(small)
-    py_buf, term_buf, pair_buf = np.empty((ny, size)), np.empty((ny, size)), np.empty(size)
     best, first = -math.inf, (0, 0)
     for lo in range(0, len(big), block):
         part = np.divide(big[lo:lo + block], steps, dtype=float, order="F")   # columns contiguous
         g1, g2 = (part, small) if swap else (small, part)
-        shape = (len(g1), len(g2))
-        cells = len(g1) * len(g2)
-        py = py_buf[:, :cells].reshape(ny, *shape)   # [y, a, b]
-        term = term_buf[:, :cells].reshape(ny, *shape)
-        pair = pair_buf[:cells].reshape(shape)
-        py.fill(0.0)
+        py = np.zeros((ny, len(g1), len(g2)))   # [y, a, b]
         for i, j in itertools.product(range(n1), range(n2)):
-            np.multiply.outer(g1[:, i], g2[:, j], out=pair)
-            py += np.multiply(pair, law3[i, j, :, None, None], out=term)
+            py += np.multiply.outer(g1[:, i], g2[:, j]) * law3[i, j, :, None, None]
         # the einsum sweep summed H(Y) over a last axis, which np.sum adds in
         # order below 8 terms and pairwise from 8 on
         terms = plogp(py)

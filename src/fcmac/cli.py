@@ -159,9 +159,7 @@ def _cmd_check(args) -> int:
 
 
 def _numeric_label(value):
-    if isinstance(value, bool):
-        raise ValueError(f"label {value!r} is not numeric")
-    if isinstance(value, (int, float, Fraction)):
+    if isinstance(value, (int, float, Fraction)):   # the reader refuses booleans
         return value
     try:
         return Fraction(str(value))
@@ -173,10 +171,11 @@ def _numeric_label(value):
 def _cmd_graph_build(args) -> int:
     joint = jsonio.pmf_from_json(jsonio.load_json(args.joint))
     table = jsonio.function_table_from_json(jsonio.load_json(args.function))
-    # the range distortion is read in threshold mode only, when --delta is given
-    g = characteristic_graph(
-        joint, table, delta=args.delta,
-        range_distortion=lambda a, b: abs(_numeric_label(a) - _numeric_label(b)))
+    # the range distortion is read in threshold mode only, when --delta is
+    # given, on every ordered label pair: each label is parsed once
+    numeric = functools.cache(_numeric_label)
+    g = characteristic_graph(joint, table, delta=args.delta,
+                             range_distortion=lambda a, b: abs(numeric(a) - numeric(b)))
     _write_text(args.out, jsonio.json_text(jsonio.graph_to_json(g)))
     return 0
 

@@ -341,8 +341,8 @@ def _uniform_grid(seed: int = DEFAULT_SEED, target_d: float = 1.0 / 6.0,
                                  delta=Fraction(1, 2 * cells))
     capacity = mac_sum_capacity_independent(adder_mac()).bits
     h_cells = entropy(cell_pmf, ("w1", "w2"))
-    colored = compose(cell_pmf, [presets.grid_color_kernel("w1", "c1"),
-                                 presets.grid_color_kernel("w2", "c2")])
+    colored = compose(cell_pmf, [presets.color_kernel_single("w1", "c1", presets.GRID_COLOR_OF),
+                                 presets.color_kernel_single("w2", "c2", presets.GRID_COLOR_OF)])
     h_colors = entropy(colored, ("c1", "c2"))
     grid_sum = check_feasibility(system).record("sum")
     closed = grid_distortion_closed_form(cells)

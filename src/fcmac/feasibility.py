@@ -83,6 +83,28 @@ def _same_axis(a: Alphabet, b: Alphabet) -> bool:
     return a.name == b.name and a.symbols == b.symbols
 
 
+def _source_axes(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
+                 ) -> tuple[Alphabet, ...]:
+    """The seven source-side axes (u1, u2, z1, z2, z, w1, w2), once the
+    encoder kernels are checked to chain onto the five-axis source joint."""
+    axes = source_joint.axes
+    _require(len(axes) == 5, f"source joint needs 5 axes, got {len(axes)}")
+    u1, u2, z1, z2, z = axes
+    _require(w1_kernel.from_axes == (u1, z1),
+             "w1 kernel must condition on (source1, side info 1)")
+    _require(w2_kernel.from_axes == (u2, z2),
+             "w2 kernel must condition on (source2, side info 2)")
+    _require(len(w1_kernel.to_axes) == 1 and len(w2_kernel.to_axes) == 1,
+             "encoder kernels must emit a single axis")
+    return (*axes, *w1_kernel.to_axes, *w2_kernel.to_axes)
+
+
+def _require_distinct(axes: tuple[Alphabet, ...], what: str) -> None:
+    names = [a.name for a in axes]
+    for i, name in enumerate(names):
+        _require(name not in names[:i], f"axis name {name!r} is used twice among the {what}")
+
+
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
     """One complete instance of the transmission system.
@@ -105,28 +127,15 @@ class SystemSpec:
     target_d: float
 
     def __post_init__(self) -> None:
-        axes = self.source_joint.axes
-        _require(len(axes) == 5, f"source joint needs 5 axes, got {len(axes)}")
-        u1, u2, z1, z2, z = axes
-        _require(self.w1_kernel.from_axes == (u1, z1),
-                 "w1 kernel must condition on (source1, side info 1)")
-        _require(self.w2_kernel.from_axes == (u2, z2),
-                 "w2 kernel must condition on (source2, side info 2)")
-        _require(len(self.w1_kernel.to_axes) == 1 and len(self.w2_kernel.to_axes) == 1,
-                 "encoder kernels must emit a single axis")
-        w1, = self.w1_kernel.to_axes
-        w2, = self.w2_kernel.to_axes
+        source = _source_axes(self.source_joint, self.w1_kernel, self.w2_kernel)
+        u1, u2, z1, z2, z, w1, w2 = source
         _require(self.x1_kernel.from_axes == (w1,), "x1 kernel must condition on w1")
         _require(self.x2_kernel.from_axes == (w2,), "x2 kernel must condition on w2")
         _require(len(self.x1_kernel.to_axes) == 1 and len(self.x2_kernel.to_axes) == 1,
                  "channel-input kernels must emit a single axis")
         x1, = self.x1_kernel.to_axes
         x2, = self.x2_kernel.to_axes
-        names = [a.name for a in (u1, u2, z1, z2, z, w1, w2, x1, x2,
-                                  self.channel.output_alphabet)]
-        for i, name in enumerate(names):
-            _require(name not in names[:i],
-                     f"axis name {name!r} is used twice among the ten system axes")
+        _require_distinct((*source, x1, x2, self.channel.output_alphabet), "ten system axes")
         c1, c2 = self.channel.input_alphabets
         _require(_same_axis(x1, c1) and _same_axis(x2, c2),
                  "channel input alphabets must match the x kernels")
@@ -363,12 +372,9 @@ class SourceCodingBounds:
 
 def source_coding_region(source_joint: JointPMF, w1_kernel: Kernel, w2_kernel: Kernel,
                          ) -> SourceCodingBounds:
-    """Rate bounds for distributed source coding with decoder side information."""
-    axes = source_joint.axes
-    _require(len(axes) == 5, f"source joint needs 5 axes, got {len(axes)}")
-    u1, u2, z1, z2, z = axes
-    _require(w1_kernel.from_axes == (u1, z1), "w1 kernel must condition on (source1, z1)")
-    _require(w2_kernel.from_axes == (u2, z2), "w2 kernel must condition on (source2, z2)")
+    """Rate bounds for distributed source coding with decoder side
+    information; refuses what ``SystemSpec`` refuses of the source side."""
+    _require_distinct(_source_axes(source_joint, w1_kernel, w2_kernel), "seven source axes")
     e1, e2 = _encoder_joints(source_joint, w1_kernel, w2_kernel)
     return SourceCodingBounds(*_source_side_bounds(e1, e2, _codeword_marginal(e1)))
 

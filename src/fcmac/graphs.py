@@ -62,10 +62,16 @@ ZIGZAG_CAP = 2**33
 # file included, takes 2.7-3.1 s and 221 MB peak RSS. The graph itself is
 # 0.12-0.29 s of it (exact and threshold mode), graph_to_json 0.42-0.51 s
 # and the indented json.dumps of the output format 1.5-2.0 s. 32 vertices
-# with 1,024 peers and labels: 0.5-1.1 s. Every graph built under the cap
-# has at most 1,024 vertices, so its file can be read back under
-# GRAPH_FILE_VERTEX_CAP. The cap also bounds the |X|^2 |Z| cells of the one
-# table lookup that builds the graph, so it needs no row blocks.
+# with 1,024 peers and labels: 0.5-1.1 s. The cap does not hold threshold
+# mode with fraction-string labels to that: at 1,024 vertices, one peer,
+# labels "k/1024" and `--delta 0.5`, each label is parsed once but each of
+# the 1,048,576 ordered label pairs is an exact Fraction subtraction, and a
+# whole process takes 7.2-9.1 s (16-21 s when each pair parsed its labels),
+# against 0.9 s with integer labels 0-1,023 at `--delta 512` and 2.0-2.3 s
+# in exact mode. Every graph built under the cap has at most 1,024 vertices,
+# so its file can be read back under GRAPH_FILE_VERTEX_CAP. The cap also
+# bounds the |X|^2 |Z| cells of the one table lookup that builds the graph,
+# so it needs no row blocks.
 CHARACTERISTIC_GRAPH_CAP = 2**20
 _BLOCK_CELLS = 2**20   # array cells per row block of zigzag_check's products
 _LOG_FLOOR = np.array(1e-300)   # a 0-d array is not converted again at each use
@@ -435,7 +441,7 @@ def min_entropy_coloring(g: CharGraph, marginal: JointPMF, mode: str = "exact",
     _check_vertex_axis(marginal, g, "marginal")
     if len(marginal.axes) != 1:
         raise AxisError("marginal must be a single-axis pmf over the vertices")
-    mass = marginal.mass.astype(float)
+    mass = marginal.mass
     if mode == "exact":
         if len(g.vertices) > EXACT_COLORING_CAP:
             raise SizeCapError(
@@ -482,7 +488,7 @@ def conditional_chromatic_entropy(g: CharGraph, joint: JointPMF, n: int = 1) -> 
     # the joint first: on a one-vertex graph only its cap bounds n
     jn = iid_pair_power(joint, n)
     gn = or_product(g, n)
-    _, value = _min_entropy_partition(gn._adj, jn.mass.astype(float))
+    _, value = _min_entropy_partition(gn._adj, jn.mass)
     return float(value) / n
 
 
@@ -580,7 +586,7 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     # the products below in another order
     allowed = np.ascontiguousarray(rows.T)
 
-    p = joint.mass.astype(float)
+    p = joint.mass
     p1 = p.sum(axis=1)
     p2 = p.sum(axis=0)
     p2_given_1 = np.divide(p, p1[:, None], out=np.zeros_like(p), where=p1[:, None] > 0)

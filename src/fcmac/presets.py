@@ -39,11 +39,13 @@ def comparison_function() -> FunctionTable:
     return FunctionTable.from_callable(axes, lambda a, b: 1 if int(a) > int(b) else 0)
 
 
-def color_kernel_single(source_name: str, color_name: str) -> Kernel:
-    """Deterministic coloring of one ternary source (no side-information input)."""
-    src = Alphabet(source_name, TERNARY)
+def color_kernel_single(source_name: str, color_name: str,
+                        color_of: dict = COLOR_OF) -> Kernel:
+    """Deterministic coloring of one source by ``color_of``, whose keys are
+    the source's symbols (no side-information input)."""
+    src = Alphabet(source_name, tuple(color_of))
     col = Alphabet(color_name, BITS)
-    return Kernel.deterministic((src,), (col,), lambda s: COLOR_OF[s])
+    return Kernel.deterministic((src,), (col,), lambda s: color_of[s])
 
 
 def side_info_kernel() -> Kernel:
@@ -141,13 +143,6 @@ def grid_cell_function(name1: str = "w1", name2: str = "w2") -> FunctionTable:
     axes = (q.cell_alphabet(name1), q.cell_alphabet(name2))
     return FunctionTable.from_callable(
         axes, lambda a, b: abs(GRID_CENTERS[int(a) - 1] - GRID_CENTERS[int(b) - 1]))
-
-
-def grid_color_kernel(source_name: str, color_name: str) -> Kernel:
-    """Deterministic coloring of one grid source by ``GRID_COLOR_OF``."""
-    src = GridQuantizer(0.0, 1.0, GRID_CELLS).cell_alphabet(source_name)
-    col = Alphabet(color_name, BITS)
-    return Kernel.deterministic((src,), (col,), lambda s: GRID_COLOR_OF[s])
 
 
 def grid_system(target_d: float = 1.0 / 6.0) -> SystemSpec:

@@ -111,12 +111,6 @@ class JointPMF:
                 return i
         raise AxisError(f"no axis named {name!r}; have {self.axis_names}")
 
-    @staticmethod
-    def uniform(axes: Sequence[Alphabet]) -> "JointPMF":
-        axes = tuple(axes)
-        shape = tuple(len(a) for a in axes)
-        return JointPMF(axes, np.full(shape, 1.0 / float(np.prod(shape))))
-
 
 @dataclass(frozen=True)
 class ValidationProblem:

@@ -240,6 +240,8 @@ class GridQuantizer:
                 raise ValueError(f"{name} must be finite, got {bound}")
         if self.hi <= self.lo:
             raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"hi - lo must be finite, got [{self.lo}, {self.hi}]")
         cells = self.cells
         if isinstance(cells, bool) or not isinstance(cells, (int, np.integer)) or cells < 1:
             raise ValueError(f"cells must be an integer of at least 1, got {cells!r}")
@@ -253,8 +255,14 @@ class GridQuantizer:
         return self.lo + (np.arange(self.cells) + 0.5) * self.width
 
     def index(self, x: np.ndarray) -> np.ndarray:
-        raw = np.floor(self.cells * (np.asarray(x) - self.lo) / (self.hi - self.lo))
-        return np.clip(raw.astype(int), 0, self.cells - 1)
+        x = np.asarray(x)
+        bad = ~np.isfinite(x)
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"sample at {idx} is not finite: {x[idx]}")
+        raw = np.floor(self.cells * (x - self.lo) / (self.hi - self.lo))
+        # clipped before the cast, which would wrap a sample beyond 2**63 cells
+        return np.clip(raw, 0, self.cells - 1).astype(int)
 
     def cell_alphabet(self, name: str) -> Alphabet:
         return Alphabet(name, tuple(str(i + 1) for i in range(self.cells)))
@@ -266,7 +274,7 @@ def quantize_grid(q: GridQuantizer, sample_pairs: np.ndarray,
     pts = np.asarray(sample_pairs, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) sample array, got shape {pts.shape}")
-    idx = np.stack([q.index(pts[:, 0]), q.index(pts[:, 1])], axis=1)
+    idx = q.index(pts)
     counts = _cell_counts(idx[:, 0] * q.cells + idx[:, 1], q.cells)
     pmf = JointPMF((q.cell_alphabet("w1"), q.cell_alphabet("w2")), counts / len(pts))
     return idx, pmf

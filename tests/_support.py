@@ -21,6 +21,16 @@ from fcmac.probability import (Alphabet, AxisError, JointPMF, Kernel, clamp_roun
                                marginalize, plogp)
 
 
+def assert_refuses(call, error: type, message: str) -> None:
+    """``call()`` raises exactly ``error`` with exactly ``message``."""
+    try:
+        call()
+    except Exception as exc:
+        assert type(exc) is error and str(exc) == message, (type(exc), str(exc))
+    else:
+        raise AssertionError(f"no {error.__name__} raised")
+
+
 # --- random instances -------------------------------------------------------
 
 def alph(name: str, size: int, prefix: str | None = None) -> Alphabet:

@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from _support import einsum_grid_argmax, golden_capacity_reference, loop_simplex_grid
+from _support import (assert_refuses, einsum_grid_argmax, golden_capacity_reference,
+                      loop_simplex_grid)
 from fcmac import channels
 from fcmac.channels import (
     DiscreteMAC,
@@ -378,6 +379,18 @@ class TestBlockGap:
         gap = _block_gap(law3, rows, np.array([0.5, 0.5]), np.array([1.0]))
         assert math.isfinite(gap) and gap > 0
 
+    def test_exchange_can_move_a_symbols_whole_mass(self):
+        # x = 0 and x = 1 send y = 0 and y = 1, x = 2 a fair coin: moving all
+        # of x = 2's mass to x = 1 still gains, up to the 1-bit optimum
+        x = Alphabet("x1", ("0", "1", "2"))
+        x2 = Alphabet("x2", ("0",))
+        y = Alphabet("y", ("0", "1"))
+        mac = DiscreteMAC((x, x2), y, Kernel((x, x2), (y,), [[1.0, 0.0], [0.0, 1.0],
+                                                             [0.5, 0.5]]))
+        law3, rows = self.parts(mac)
+        p = np.array([0.5, 0.25, 0.25])
+        assert channels._exchange(law3, rows, p, np.array([1.0]), 2, 1) == 0.25
+
 
 class TestGaussianSumRate:
     def test_quoted_operating_points(self):
@@ -410,3 +423,21 @@ class TestGaussianSumRate:
     def test_non_finite_parameters_rejected(self, power, noise_var, named):
         with pytest.raises(ValueError, match=f"^{named} must be finite"):
             GaussianMAC(power, noise_var)
+
+
+# (call, exception type, message) of refusals no other test reaches
+REFUSALS = {
+    "channel law on other axes": (
+        lambda: DiscreteMAC(adder_mac().input_alphabets, Alphabet("v", ("0", "1", "2")),
+                            adder_mac().law),
+        AxisError, "channel law axes must be (input1, input2) -> (output,)"),
+    "mutual information of a one-axis input": (
+        lambda: mac_mutual_info(adder_mac(), JointPMF(adder_mac().input_alphabets[:1],
+                                                      [0.5, 0.5])),
+        AxisError, "input joint must have exactly the two channel input axes"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_names_the_fault(case):
+    assert_refuses(*REFUSALS[case])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,26 @@ class TestGraphCommands:
                      "--delta", str(1 / 6), "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
         assert obj["edges"] == [["1", "2"], ["2", "3"]]
+
+    @pytest.mark.parametrize("delta, edges", [("0.5", [["1", "3"]]), ("1", [])])
+    def test_build_threshold_with_integer_labels(self, spec_files, tmp_path, delta, edges):
+        # the comparison function's labels are 0 and 1
+        out = tmp_path / "graph.json"
+        assert main(["graph", "build", "--joint", str(spec_files["pmf"]),
+                     "--function", str(spec_files["function"]),
+                     "--delta", delta, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["edges"] == edges
+
+    def test_build_threshold_with_float_labels(self, spec_files, tmp_path):
+        table = json.loads(spec_files["grid_function"].read_text())
+        table["values"] = [[float(Fraction(v)) for v in row] for row in table["values"]]
+        function = tmp_path / "float_function.json"
+        function.write_text(json.dumps(table))
+        out = tmp_path / "graph.json"
+        assert main(["graph", "build", "--joint", str(spec_files["pmf"]),
+                     "--function", str(function),
+                     "--delta", str(1 / 6), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["edges"] == [["1", "2"], ["2", "3"]]
 
     def test_color(self, spec_files, tmp_path, capsys):
         graph_path = tmp_path / "graph.json"
@@ -714,6 +735,15 @@ MALFORMED_INPUT = {
     "check x1 axis named u1": lambda f: (
         _check(f.edited("joint_spec", _rename_x1("u1"))),
         "$: axis name 'u1' is used twice among the ten system axes"),
+    "check source joint as an array": lambda f: (
+        _check(f.edited("joint_spec", _set("source_joint", []))),
+        "$.source_joint: expected an object, got list"),
+    "check negative distortion": lambda f: (
+        _check(f.edited("joint_spec", _set("distortion", "values", 0, 1, -1.0))),
+        "$.distortion.values: distortion values must be nonnegative"),
+    "check nonzero distortion of equal labels": lambda f: (
+        _check(f.edited("joint_spec", _set("distortion", "values", 1, 1, 0.5))),
+        "$.distortion.values: d(1, 1) = 0.5 violates d = 0 iff labels equal"),
     "check flat decoder": lambda f: (
         _check(f.edited("joint_spec", _apply("decoder", "values", _flattened))),
         "$.decoder.values: values must form a dense table of shape (2, 2, 1)"),
@@ -746,6 +776,14 @@ MALFORMED_INPUT = {
         ["graph", "build", "--joint", f["pmf"],
          "--function", f.edited("function", _apply("values", _wrapped))],
         "$.values: values must form a dense table of shape (3, 3)"),
+    "graph build non-numeric label": lambda f: (
+        ["graph", "build", "--joint", f["pmf"], "--delta", "0.5", "--function",
+         f.edited("function", _recast("values", lambda v: "yes" if v else "no"))],
+        "label 'no' is not numeric; threshold mode needs numeric function values"),
+    "graph build repeated axis name": lambda f: (
+        ["graph", "build", "--function", f["function"],
+         "--joint", f.edited("pmf", _set("axes", 1, "name", "u1"))],
+        "$: duplicate axis names ['u1', 'u1']"),
     "graph build unwritable out": lambda f: _unwritable(
         f, ["graph", "build", "--joint", f["pmf"], "--function", f["function"]]),
     # graph color

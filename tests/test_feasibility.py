@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _support import (alph, assemble_joint, frozen_check_bounds, joint_expected_distortion,
-                      random_system_spec, reorder, value_at)
+from _support import (alph, assemble_joint, assert_refuses, frozen_check_bounds,
+                      joint_expected_distortion, random_system_spec, reorder, value_at)
 from fcmac import feasibility, presets
 from fcmac.channels import DiscreteMAC, adder_mac
 from fcmac.feasibility import (
@@ -283,6 +283,34 @@ class TestSourceCodingRegion:
         spec = presets.section5_system("joint")
         bounds = source_coding_region(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
         assert bounds.r_sum == pytest.approx(LOG2_3, abs=1e-9)
+
+    @staticmethod
+    def seeded_binary_system(w1_axes):
+        """Binary sources, one-symbol side information, a Dirichlet source
+        and encoders; ``w1_axes`` are the first encoder's output axes."""
+        rng = np.random.default_rng(1)
+        bits = ("0", "1")
+        u1, u2 = Alphabet("u1", bits), Alphabet("u2", bits)
+        z1, z2, z = alph("z1", 1), alph("z2", 1), alph("z", 1)
+        source = JointPMF((u1, u2, z1, z2, z), rng.dirichlet(np.ones(4)).reshape(2, 2, 1, 1, 1))
+        w1 = Kernel((u1, z1), w1_axes, rng.dirichlet(np.ones(2), size=2))
+        w2 = Kernel((u2, z2), (Alphabet("w2", bits),), rng.dirichlet(np.ones(2), size=2))
+        return source, w1, w2
+
+    def test_refuses_a_codeword_named_as_the_side_information(self):
+        bits = ("0", "1")
+        bounds = source_coding_region(*self.seeded_binary_system((Alphabet("w1", bits),)))
+        assert bounds.r1 == pytest.approx(0.0973017, abs=1e-7)
+        assert bounds.r_sum == pytest.approx(0.3283217, abs=1e-7)
+        # the same system with w1 named z read r1 = 0 and r_sum = -0.639
+        with pytest.raises(AxisError,
+                           match="^axis name 'z' is used twice among the seven source axes$"):
+            source_coding_region(*self.seeded_binary_system((Alphabet("z", bits),)))
+
+    def test_refuses_a_two_axis_codeword(self):
+        two_axes = (Alphabet("w1", ("0", "1")), Alphabet("w1b", ("0",)))
+        with pytest.raises(AxisError, match="^encoder kernels must emit a single axis$"):
+            source_coding_region(*self.seeded_binary_system(two_axes))
 
 
 class TestInducedRemoteDistortion:
@@ -688,3 +716,19 @@ class TestCliqueCheck:
         with pytest.raises(SizeCapError,
                            match=r"channel clique \(w1, w2, z, x1, x2, y\) has 512 cells"):
             check_feasibility(spec)
+
+
+# (call, exception type, message) of refusals no other test reaches
+REFUSALS = {
+    "distortion table of the wrong shape": (
+        lambda: DistortionTable((0, 1), (0, 1), [[0.0, 1.0]]),
+        ValueError, "distortion shape (1, 2) != (2, 2)"),
+    "section 5 system with an unknown code": (
+        lambda: presets.section5_system("x"),
+        ValueError, "code must be 'joint' or 'independent', got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_names_the_fault(case):
+    assert_refuses(*REFUSALS[case])

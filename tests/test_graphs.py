@@ -13,6 +13,7 @@ import pytest
 
 from _support import (
     alph,
+    assert_refuses,
     brute_force_min_conditional_entropy,
     dict_conditional_entropy,
     enumerate_stable_sets,
@@ -1054,3 +1055,43 @@ class TestFastPathsAgainstLoops:
         characteristic_graph(joint, f, delta=Fraction(1, 6), range_distortion=distortion)
         labels = f.range_labels()
         assert calls == [(a, b) for a in labels for b in labels]
+
+
+# (call, exception type, message) of refusals no other test reaches
+REFUSALS = {
+    "marginal on other symbols": (
+        lambda: min_entropy_coloring(ternary_graph(), JointPMF((alph("u1", 3),),
+                                                               np.full(3, 1 / 3))),
+        AxisError, "marginal first axis must carry the graph's vertex symbols"),
+    "characteristic graph of a three-axis joint": (
+        lambda: characteristic_graph(presets.ternary_with_side_info(),
+                                     presets.comparison_function()),
+        AxisError, "need a two-axis joint, got axes ('u1', 'u2', 'z')"),
+    "characteristic graph of a one-axis function": (
+        lambda: characteristic_graph(presets.ternary_source_joint(), FunctionTable.from_callable(
+            (Alphabet("u1", presets.TERNARY),), lambda a: 0)),
+        AxisError, "function must be defined on two axes"),
+    "OR product of length 0": (
+        lambda: or_product(ternary_graph(), 0), ValueError, "n must be >= 1, got 0"),
+    "colouring of a two-axis marginal": (
+        lambda: min_entropy_coloring(ternary_graph(), presets.ternary_source_joint()),
+        AxisError, "marginal must be a single-axis pmf over the vertices"),
+    "colouring in an unknown mode": (
+        lambda: min_entropy_coloring(
+            ternary_graph(), marginalize(presets.ternary_source_joint(), "u1"), "fast"),
+        ValueError, "mode must be 'exact' or 'greedy', got 'fast'"),
+    "iid power of a three-axis joint": (
+        lambda: iid_pair_power(presets.ternary_with_side_info(), 2),
+        AxisError, "need a two-axis joint"),
+    "conditional chromatic entropy of a three-axis joint": (
+        lambda: conditional_chromatic_entropy(ternary_graph(), presets.ternary_with_side_info()),
+        AxisError, "need a two-axis joint"),
+    "zigzag check of a three-axis joint": (
+        lambda: zigzag_check(presets.ternary_with_side_info()),
+        AxisError, "need a two-axis joint"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_names_the_fault(case):
+    assert_refuses(*REFUSALS[case])

@@ -7,6 +7,7 @@ import pytest
 
 from _support import (
     alph,
+    assert_refuses,
     assemble_joint,
     dict_conditional_entropy,
     loop_conditional_entropy,
@@ -465,3 +466,44 @@ def test_binary_entropy_values():
     assert binary_entropy(0.25) == pytest.approx(0.8112781244591328, abs=1e-12)
     with pytest.raises(ValueError):
         binary_entropy(1.5)
+
+
+def _singletons(count: int) -> JointPMF:
+    return JointPMF(tuple(Alphabet(f"s{i}", ("-",)) for i in range(count)),
+                    np.ones((1,) * count))
+
+
+# (call, exception type, message) of refusals no other test reaches
+REFUSALS = {
+    "joint with a repeated axis name": (
+        lambda: JointPMF((alph("a", 2), alph("a", 2)), np.full((2, 2), 0.25)),
+        AxisError, "duplicate axis names ['a', 'a']"),
+    "joint mass of the wrong shape": (
+        lambda: JointPMF((alph("a", 2),), np.full(3, 1 / 3)),
+        ValueError, "mass shape (3,) does not match axis sizes (2,)"),
+    "kernel rows of the wrong shape": (
+        lambda: Kernel((alph("a", 2),), (alph("b", 2),), np.full((2, 3), 1 / 3)),
+        ValueError, "rows shape (2, 3), expected (2, 2)"),
+    "compose onto other symbols": (
+        lambda: compose(uniform2x2(), [Kernel((alph("a", 2),), (alph("c", 2),), np.eye(2))]),
+        AxisError, "axis 'a' symbol mismatch between joint and kernel"),
+    "compose onto a present axis": (
+        lambda: compose(uniform2x2(), [Kernel.deterministic(
+            uniform2x2().axes[:1], uniform2x2().axes[1:], lambda s: s)]),
+        AxisError, "kernel target axis 'b' already present"),
+    "compose past the subscript letters": (
+        lambda: compose(_singletons(52), [Kernel((Alphabet("s0", ("-",)),),
+                                                 (Alphabet("t", ("-",)),), [[1.0]])]),
+        AxisError, "too many axes to compose"),
+    "conditional entropy of no target": (
+        lambda: conditional_entropy(uniform2x2(), (), "a"),
+        AxisError, "conditional_entropy needs a non-empty target"),
+    "Slepian-Wolf bounds of overlapping sets": (
+        lambda: slepian_wolf_bounds(uniform2x2(), "a", ("a", "b")),
+        AxisError, "axis sets must be pairwise disjoint: ('a',), ('a', 'b'), ()"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_names_the_fault(case):
+    assert_refuses(*REFUSALS[case])

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import multiprocessing
 import os
 import sys
 import threading
@@ -12,7 +13,7 @@ import pytest
 
 from fcmac import schemes
 from fcmac.experiments import run_experiment
-from fcmac.probability import entropy, validate
+from fcmac.probability import Alphabet, JointPMF, entropy, validate
 from fcmac.schemes import (
     GaussianPairSource,
     GridQuantizer,
@@ -31,6 +32,7 @@ from fcmac.schemes import (
 )
 
 from _support import (
+    assert_refuses,
     loop_gaussian_pairs,
     loop_grid_distortion,
     loop_monte_carlo_af,
@@ -226,6 +228,7 @@ class TestGridQuantizer:
         (math.nan, 1.0, 3, "lo"),
         (-math.inf, 1.0, 3, "lo"),
         (0.0, math.inf, 3, "hi"),
+        (-1e308, 1e308, 3, "hi - lo"),
         (0.0, 1.0, 2.5, "cells"),
         (0.0, 1.0, 3.0, "cells"),
         (0.0, 1.0, True, "cells"),
@@ -240,6 +243,23 @@ class TestGridQuantizer:
 
     def test_accepts_numpy_integer_cells(self):
         assert list(GridQuantizer(0.0, 1.0, np.int64(2)).index(np.array([0.2, 0.7]))) == [0, 1]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_index_refuses_a_non_finite_sample_by_position(self, bad):
+        q = GridQuantizer(0.0, 1.0, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^sample at \(2,\) is not finite: {bad}$"):
+                q.index(np.array([0.5, 2.0, bad, 0.1]))
+            with pytest.raises(ValueError, match=rf"^sample at \(1, 0\) is not finite: {bad}$"):
+                quantize_grid(q, np.array([[0.1, 0.2], [bad, 0.3]]))
+
+    def test_index_puts_samples_beyond_the_bounds_in_the_end_cells(self):
+        q = GridQuantizer(0.0, 1.0, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q.index(np.array([-1e300, -0.5, 0.0, 0.5, 1.0, 1.5, 1e19, 1e300])).tolist() == [
+                0, 0, 0, 1, 2, 2, 2, 2]
 
 
 MANY_BLOCKS = 20 * (1 << 16) + 1   # twenty full blocks and a one-draw block
@@ -376,25 +396,25 @@ class TestBlockPool:
     def test_forked_child_runs_monte_carlo(self):
         want = monte_carlo_af(5.0, 0.5, samples=200_000, seed=3)   # the pool exists now
         assert schemes._pool is not None
-        pid = os.fork()
-        if pid == 0:    # the child: report through the exit status, never return
-            status = 1
-            try:
-                mc = monte_carlo_af(5.0, 0.5, samples=200_000, seed=3)
-                status = 0 if (mc.value, mc.halfwidth) == (want.value, want.halfwidth) else 3
-            finally:
-                os._exit(status)
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.01)
-        else:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child's Monte Carlo call did not finish in 30 s")
-        assert os.waitstatus_to_exitcode(status) == 0
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_report_forked_estimate, args=(send,))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(30), "the forked child's Monte Carlo call did not finish in 30 s"
+            assert receive.recv() == (True, want.value, want.halfwidth)
+        finally:
+            child.kill()
+            child.join()
+
+
+def _report_forked_estimate(send) -> None:
+    """In a forked child: whether the inherited pool is gone, then the
+    Monte Carlo estimate the parent computed before the fork."""
+    dropped = schemes._pool is None
+    mc = monte_carlo_af(5.0, 0.5, samples=200_000, seed=3)
+    send.send((dropped, mc.value, mc.halfwidth))
 
 
 class TestSampleCap:
@@ -494,3 +514,27 @@ class TestRunScheme:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
             run_experiment("nonesuch")
+
+
+# (call, exception type, message) of refusals no other test reaches
+REFUSALS = {
+    "pair source with correlation 1.5": (
+        lambda: GaussianPairSource(rho=1.5),
+        ValueError, "correlation rho must lie in [-1, 1], got 1.5"),
+    "correlation of a 3x2 pmf": (
+        lambda: binary_pair_correlation(JointPMF(
+            (Alphabet("a", ("0", "1", "2")), Alphabet("b", ("0", "1"))), np.full((3, 2), 1 / 6))),
+        ValueError, "need a 2x2 pmf"),
+    "correlation of a degenerate pmf": (
+        lambda: binary_pair_correlation(JointPMF(
+            (Alphabet("a", ("0", "1")), Alphabet("b", ("0", "1"))), [[1.0, 0.0], [0.0, 0.0]])),
+        ValueError, "degenerate marginal; correlation undefined"),
+    "quantizer with hi below lo": (
+        lambda: GridQuantizer(1.0, 0.0, 3),
+        ValueError, "need hi > lo, got [1.0, 0.0]"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_names_the_fault(case):
+    assert_refuses(*REFUSALS[case])
