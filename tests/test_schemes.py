@@ -228,12 +228,12 @@ class TestGridQuantizer:
         (math.nan, 1.0, 3, "lo"),
         (-math.inf, 1.0, 3, "lo"),
         (0.0, math.inf, 3, "hi"),
-        (-1e308, 1e308, 3, "hi - lo"),
         (0.0, 1.0, 2.5, "cells"),
         (0.0, 1.0, 3.0, "cells"),
         (0.0, 1.0, True, "cells"),
         (0.0, 1.0, 0, "cells"),
         (0.0, 1.0, np.int64(0), "cells"),
+        (-1e308, 1e308, 3, "hi - lo"),
     ])
     def test_refuses_bad_fields_by_name(self, lo, hi, cells, field):
         with warnings.catch_warnings():
