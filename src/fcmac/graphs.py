@@ -191,8 +191,11 @@ class FunctionTable:
 
     def __post_init__(self) -> None:
         axes = tuple(self.domain_axes)
-        values = np.empty(tuple(len(a) for a in axes), dtype=object)
-        values[...] = np.asarray(self.values, dtype=object).reshape(values.shape)
+        shape = tuple(len(a) for a in axes)
+        values = np.array(self.values, dtype=object)
+        if values.shape != shape:
+            raise ValueError(f"values shape {values.shape} does not match domain axis sizes"
+                             f" {shape}")
         code: dict = {}
         codes = np.array([code.setdefault(v, len(code)) for v in values.flat],
                          dtype=np.intp).reshape(values.shape)
@@ -260,12 +263,15 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
         pair_table = [[la != lb for lb in labels] for la in labels]
     else:
         pair_table = [[range_distortion(la, lb) > delta for lb in labels] for la in labels]
-    confusable_labels = np.array(pair_table, dtype=bool)
-    codes = f._codes
-    support = joint.mass > 0
+    # label len(labels) codes an off-support cell, confusable with no label
+    size = len(labels) + 1
+    confusable = np.zeros((size, size), dtype=bool)
+    confusable[:-1, :-1] = pair_table
+    # int32 halves the index array against intp and holds the largest flat
+    # index the cap admits, 1025^2 - 1
+    codes = np.where(joint.mass > 0, f._codes, len(labels)).astype(np.int32)
     # [i, j, k]: peer k is shared by i and j and their labels are confusable
-    hit = (support[:, None, :] & support[None, :, :]
-           & confusable_labels[codes[:, None, :], codes[None, :, :]])
+    hit = confusable.ravel()[codes[:, None, :] * size + codes[None, :, :]]
     # the label pair is read in (i, j) order with i < j; mirror that half
     adj = np.triu(hit.any(axis=2), 1)
     return CharGraph._from_adjacency(joint.axes[0], adj | adj.T)
@@ -294,10 +300,20 @@ def or_product(g: CharGraph, n: int) -> CharGraph:
 
 def _kron_power(base: np.ndarray, n: int) -> np.ndarray:
     """n-th Kronecker power of a matrix, rows and columns indexed by n-tuples
-    in ``itertools.product`` order; entry products run left to right."""
+    in ``itertools.product`` order; entry products run left to right.
+
+    Each factor is one broadcast product into an (r, k0, c k1) array whose
+    entry [i, a, j k1 + b] is ``power[i, j] * base[a, b]``, so its inner
+    loop runs over a whole output row.
+    """
+    k0, k1 = base.shape
     power = base
     for _ in range(n - 1):
-        power = np.kron(power, base)
+        r, c = power.shape
+        out = np.empty((r, k0, c * k1), dtype=np.result_type(power, base))
+        np.multiply(np.repeat(power, k1, axis=1)[:, None, :], np.tile(base, (1, c))[None],
+                    out=out)
+        power = out.reshape(r * k0, c * k1)
     return power
 
 
@@ -350,7 +366,8 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
     the cells of the columns it has mass in; and ``peak``, each column's
     largest class mass, which each child gets as its own copy. With ``r`` a
     column's mass not yet placed, the bound is ``-s - H(Z)`` plus, per
-    column, ``plogp(peak) - plogp(peak + r)``. Scalar p*log2(p) is memoised
+    column, ``plogp(peak) - plogp(peak + r)``; ``r`` depends only on the
+    depth, so it is subtracted out once per call. Scalar p*log2(p) is memoised
     per call, keyed by the mass, and stays ``np.log2``: ``math.log2`` differs
     from it in the last bit on about 0.2 % of inputs, which changes the
     returned values.
@@ -360,8 +377,12 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
     h_cond = -sum(_plogp(c) for c in col_total)  # H(Z), subtracted at the end
     # classes hold only vertices placed before v, so the classes v may not
     # join are those of its earlier neighbours
-    earlier = [np.flatnonzero(adj[v, :v]).tolist() for v in range(n)]
+    earlier = [[u for u in range(v) if row[u]] for v, row in enumerate(adj.tolist())]
     rows = weights.tolist()
+    # remaining[v]: each column's mass not placed before vertex v
+    remaining = [col_total.tolist()]
+    for row in rows:
+        remaining.append([r - x for r, x in zip(remaining[-1], row)])
     # adding a zero cell leaves a class unchanged
     support = [[(z, x) for z, x in enumerate(row) if x] for row in rows]
     plogp_of = _PlogpMemo()
@@ -373,7 +394,7 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
     s = 0.0     # running sum of p*log2(p) over all (class, column) cells
     empty = ([0.0] * m, [0.0] * m)
 
-    def descend(v: int, remaining: list[float], peak: list[float]) -> None:
+    def descend(v: int, peak: list[float]) -> None:
         nonlocal best_assign, best_val, s
         if v == n:
             val = -s - h_cond
@@ -384,11 +405,10 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
         # merging each column's remaining mass into its largest class changes
         # that column's cell sum by plogp(peak + r) - plogp(peak)
         bound = -s - h_cond
-        for p, r in zip(peak, remaining):
+        for p, r in zip(peak, remaining[v]):
             bound += plogp_of[p] - plogp_of[p + r]
         if bound >= best_val - 1e-12:
             return
-        rem = [r - x for r, x in zip(remaining, rows[v])]
         taken = {assign[u] for u in earlier[v]}
         for c in range(len(cells) + 1):
             if c in taken:
@@ -407,12 +427,12 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
             cells[c] = (mass, logs)
             s += ds
             assign[v] = c
-            descend(v + 1, rem, child_peak)
+            descend(v + 1, child_peak)
             cells[c] = old
             s -= ds
         cells.pop()
 
-    descend(0, col_total.tolist(), [0.0] * m)
+    descend(0, [0.0] * m)
     assert best_assign is not None
     return best_assign, max(best_val, 0.0)
 
