@@ -269,7 +269,7 @@ def function_table_from_json(obj, path: str = "$") -> FunctionTable:
                               f"values must form a dense table of shape {shape}")
     _check_labels(values, lambda pos: f"{path}.values"
                   + _index_path(np.unravel_index(pos, shape)))
-    return FunctionTable(axes, values)
+    return FunctionTable(axes, np.array(values, dtype=object).reshape(shape))
 
 
 def function_table_to_json(f: FunctionTable) -> dict:

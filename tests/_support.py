@@ -530,6 +530,16 @@ def outer_iid_pair_power_mass(mass: np.ndarray, n: int) -> np.ndarray:
     return np.transpose(full, perm).reshape(s1 ** n, s2 ** n)
 
 
+def np_kron_power(base: np.ndarray, n: int) -> np.ndarray:
+    """n-th Kronecker power of a matrix by n - 1 calls of ``np.kron``, as
+    ``graphs._kron_power`` built it before it formed each factor on whole
+    output rows."""
+    power = base
+    for _ in range(n - 1):
+        power = np.kron(power, base)
+    return power
+
+
 def loop_zigzag(joint: JointPMF) -> tuple[bool, tuple | None]:
     """Zigzag condition and its first witness by scanning all support pairs
     in row-major order."""

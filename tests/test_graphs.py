@@ -2,9 +2,11 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import signal
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -34,6 +36,7 @@ from _support import (
     loop_or_product_edges,
     loop_sorted_edges,
     loop_zigzag,
+    np_kron_power,
     outer_iid_pair_power_mass,
     pmf_as_dict,
     random_graph,
@@ -137,6 +140,24 @@ class TestCharacteristicGraph:
         with pytest.raises(SizeCapError, match="3 vertices, 3 peer symbols"):
             characteristic_graph(joint, f)
 
+    def test_peak_memory_at_the_cap(self):
+        # 1,024 vertices, one peer and 1,024 distinct labels: the complete
+        # graph. The int32 flat index peaks at 14.7 MB; an intp one would
+        # peak at 18.7 MB
+        n = 1024
+        axes = (alph("x", n), alph("z", 1))
+        joint = JointPMF(axes, np.full((n, 1), 1 / n))
+        f = FunctionTable(axes, np.arange(n).reshape(n, 1))
+        assert n * n == len(f.range_labels()) ** 2 == graphs.CHARACTERISTIC_GRAPH_CAP
+        tracemalloc.start()
+        try:
+            g = characteristic_graph(joint, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g._adj.sum() == n * (n - 1)
+        assert peak <= 16 * 2**20
+
     def test_second_encoder_graph_via_reorder(self):
         # the symmetric construction: swap the joint and the function domain
         base = presets.ternary_source_joint()
@@ -150,6 +171,19 @@ class TestOrProduct:
     def test_n1_identity(self):
         g = ternary_graph()
         assert or_product(g, 1) is g
+
+    def test_boolean_kron_power_against_np_kron(self):
+        # square and rectangular bases, n = 1-6 up to 2^16 cells
+        rng = np.random.default_rng(2903)
+        for rows, cols in [(1, 1), (2, 2), (3, 3), (4, 4), (1, 3), (3, 1), (2, 3), (4, 2)]:
+            for _ in range(4):
+                base = rng.random((rows, cols)) < rng.uniform(0.2, 0.8)
+                for n in range(1, 7):
+                    if (rows * cols) ** n > 2**16:
+                        break
+                    got, want = graphs._kron_power(base, n), np_kron_power(base, n)
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
 
     def test_ternary_square_against_double_loop(self):
         g = ternary_graph()
@@ -206,6 +240,26 @@ class TestOrProduct:
         e_small = or_product(small, 2).edges
         e_large = or_product(large, 2).edges
         assert e_small <= e_large
+
+
+class TestFunctionTable:
+    @pytest.mark.parametrize("case", ["flat", "transposed", "wrong-size", "scalar", "tuples"])
+    def test_values_must_have_the_domain_shape(self, case):
+        # only a table of the domain's shape is read; a tuple label is one cell
+        axes = (alph("u1", 2), alph("u2", 3))
+        tuples = np.empty((2, 3), dtype=object)
+        for i, j in itertools.product(range(2), range(3)):
+            tuples[i, j] = (i, j)
+        values = {"flat": [0, 1, 2, 1, 2, 0], "transposed": np.arange(6).reshape(3, 2),
+                  "wrong-size": [0, 1, 2], "scalar": 5, "tuples": tuples}[case]
+        if case == "tuples":
+            f = FunctionTable(axes, values)
+            assert f.values.shape == (2, 3) and f.values[1, 2] == (1, 2)
+            assert f.range_labels() == tuple(tuples.flat)
+            return
+        message = f"values shape {np.shape(values)} does not match domain axis sizes (2, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FunctionTable(axes, values)
 
 
 class TestColoring:
