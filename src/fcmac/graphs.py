@@ -11,12 +11,15 @@ import numpy as np
 
 from .probability import Alphabet, AxisError, JointPMF, plogp
 
-# Measured with one BLAS thread on a 2-vCPU Xeon VM. At the cap, worst case
-# the complete graph (523,776 edges), the OR product itself takes 1-13 ms;
-# the views read from it afterwards take far longer: the symbol edge set
-# 0.21-0.45 s, sorted_edges 0.13-0.38 s. The ternary comparison graph at
-# n = 6 (729 vertices): 2.6-4.4 ms, then 94-138 ms for its edge set. Those
-# views grow with the square of the vertex count, so the cap is on vertices.
+# Measured with one BLAS thread on a 2-vCPU Xeon VM, best to median in three
+# processes alternated with np.kron factors (their times in brackets). At the
+# cap, worst case the complete graph (523,776 edges), the OR product itself
+# takes 1.5-1.7 ms [7.0-7.7 ms]; the views read from it afterwards take far
+# longer: the symbol edge set 0.23-0.26 s, sorted_edges 0.10-0.13 s. The
+# ternary comparison graph at n = 6 (729 vertices): 0.30-0.33 ms [1.8-2.2
+# ms], then 94-138 ms for its edge set; one vertex at n = 32: 0.11-0.12 ms
+# [0.39-0.42 ms]. Those views grow with the square of the vertex count, so
+# the cap is on vertices.
 OR_PRODUCT_CAP = 1024
 # Vertices for exact colouring, stable-set enumeration and the graph entropies
 # built on them. At 12 vertices: stable_sets 5-9 ms (edgeless, 4095 stable
@@ -60,7 +63,12 @@ ZIGZAG_CAP = 2**33
 # cap: |X| = 1,024, one peer and 1,024 distinct labels, whose graph is
 # complete; a whole `fcmac graph build` process, import and the 21 MB output
 # file included, takes 2.7-3.1 s and 221 MB peak RSS. The graph itself is
-# 0.12-0.29 s of it (exact and threshold mode), graph_to_json 0.42-0.51 s
+# 52-58 ms of it in exact mode and 96-105 ms in threshold mode (integer
+# labels, delta 0), as with the two-index gather this lookup replaced
+# (52-58 / 95-107 ms, best to median in three alternated processes): the
+# 1,048,576 label pairs, compared in Python and converted to the table, set
+# its time. Its tracemalloc peak is 14.7 MB (13.7 MB with the gather; an
+# intp index would take 18.7 MB). graph_to_json takes 0.42-0.51 s
 # and the indented json.dumps of the output format 1.5-2.0 s. 32 vertices
 # with 1,024 peers and labels: 0.5-1.1 s. The cap does not hold threshold
 # mode with fraction-string labels to that: at 1,024 vertices, one peer,
