@@ -54,16 +54,17 @@ class DistortionTable:
         vals = np.array(self.values, dtype=float)
         if vals.shape != (len(out), len(est)):
             raise ValueError(f"distortion shape {vals.shape} != {(len(out), len(est))}")
-        if not np.isfinite(vals).all():
+        if not np.logical_and.reduce(np.isfinite(vals), axis=None):
             idx = tuple(int(i) for i in np.argwhere(~np.isfinite(vals))[0])
             raise ValueError(f"distortion value at {idx} is not finite: {vals[idx]}")
-        if (vals < 0).any():
+        # on finite values the least is negative iff some value is
+        if np.minimum.reduce(vals, axis=None) < 0:
             raise ValueError("distortion values must be nonnegative")
-        for i, a in enumerate(out):
-            for j, b in enumerate(est):
-                if (a == b) != (vals[i, j] == 0.0):
-                    raise ValueError(
-                        f"d({a!r}, {b!r}) = {vals[i, j]} violates d = 0 iff labels equal")
+        # Python floats, not one numpy scalar per cell; each prints as its scalar did
+        for a, row in zip(out, vals.tolist()):
+            for b, v in zip(est, row):
+                if (a == b) != (v == 0.0):
+                    raise ValueError(f"d({a!r}, {b!r}) = {v} violates d = 0 iff labels equal")
         vals.setflags(write=False)
         object.__setattr__(self, "output_labels", out)
         object.__setattr__(self, "estimate_labels", est)
@@ -218,7 +219,7 @@ def expected_distortion(spec: SystemSpec) -> float:
     p(u1, u2, z, w1, w2). Either way no array is larger than those that form
     that pmf, whatever the number of labels."""
     f_codes = _label_codes(spec.function, spec.distortion.output_labels)
-    d_codes = np.moveaxis(_label_codes(spec.decoder, spec.distortion.estimate_labels), 2, 0)
+    d_codes = _label_codes(spec.decoder, spec.distortion.estimate_labels).transpose(2, 0, 1)
     labels = len(spec.distortion.output_labels)
     if labels <= min(f_codes.shape[0], len(spec.w2_kernel.to_axes[0])):
         by_label = _label_marginal(spec.source_joint, spec.w1_kernel, spec.w2_kernel,
@@ -227,7 +228,7 @@ def expected_distortion(spec: SystemSpec) -> float:
     mass = _pair_marginal(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
     weighted = spec.distortion.values[f_codes[:, :, None, None, None], d_codes]
     weighted *= mass
-    return float(np.sum(weighted))
+    return float(np.add.reduce(weighted, axis=None))
 
 
 def _label_codes(table: FunctionTable, labels: Alphabet) -> np.ndarray:

@@ -128,7 +128,7 @@ def _nested_floats(data, shape: tuple[int, ...], path: str) -> np.ndarray:
     if flat is not None and set(map(type, flat)) <= {float, int}:
         with contextlib.suppress(OverflowError):        # an integer past the float range
             arr = np.array(flat, dtype=float).reshape(shape)
-            if np.isfinite(arr).all():
+            if np.logical_and.reduce(np.isfinite(arr), axis=None):
                 return arr
     return _entrywise_floats(data, shape, path)
 
@@ -166,7 +166,7 @@ def pmf_from_json(obj, path: str = "$") -> JointPMF:
     shape = tuple(len(a) for a in axes)
     mass = _nested_floats(_get(obj, "mass", path), shape, f"{path}.mass")
     try:
-        pmf = JointPMF(axes, mass)
+        pmf = JointPMF._adopt(axes, mass)      # a fresh array that no caller holds
     except ValueError as exc:
         raise SpecFormatError(path, str(exc)) from None
     report = validate(pmf)
@@ -193,7 +193,8 @@ def kernel_from_json(obj, path: str = "$") -> Kernel:
     n_to = math.prod(len(a) for a in to_axes)
     rows = _nested_floats(_get(obj, "rows", path), (n_from, n_to), f"{path}.rows")
     try:
-        return Kernel(from_axes, to_axes, rows)
+        # fresh and, at two axes, finite; the kernel checks its signs and row sums
+        return Kernel._adopt(from_axes, to_axes, rows)
     except ValueError as exc:
         raise SpecFormatError(f"{path}.rows", str(exc)) from None
 

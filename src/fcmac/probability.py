@@ -80,7 +80,7 @@ class JointPMF:
 
     @classmethod
     def _adopt(cls, axes, mass: np.ndarray) -> "JointPMF":
-        """Wrap an array the library has just computed, without copying it."""
+        """Wrap an array the library has just computed or read, without copying it."""
         pmf = object.__new__(cls)
         object.__setattr__(pmf, "axes", axes)
         pmf._settle(np.asarray(mass, dtype=float))
@@ -133,12 +133,13 @@ def validate(pmf: JointPMF) -> ValidationReport:
     problems = []
     for kind, bad in (("non_finite_entry", ~np.isfinite(pmf.mass)),
                       ("negative_entry", pmf.mass < 0)):
-        if not bad.any():       # np.argwhere costs more than the scan
+        # np.argwhere costs more than the scan
+        if not np.logical_or.reduce(bad, axis=None):
             continue
         for idx in np.argwhere(bad):
             idx = tuple(int(i) for i in idx)
             problems.append(ValidationProblem(kind, idx, float(pmf.mass[idx])))
-    total = float(pmf.mass.sum())
+    total = float(np.add.reduce(pmf.mass, axis=None))
     if abs(total - 1.0) > NORMALIZATION_TOL:
         problems.append(ValidationProblem("not_normalized", None, total))
     return ValidationReport(not problems, tuple(problems))
@@ -159,9 +160,15 @@ def _marginal(mass: np.ndarray, names: tuple[str, ...], keep,
               ) -> tuple[np.ndarray, tuple[str, ...]]:
     """The marginal of ``mass``, whose axes are ``names``, on the names in
     ``keep``: its mass and its names, both in the order of ``names``. With
-    nothing to sum out it is ``mass`` itself."""
+    nothing to sum out it is ``mass`` itself, with ``names``.
+
+    Here and in ``_plogp`` each reduction calls the ufunc method itself:
+    ``np.sum`` and ``ndarray.sum`` make the same call through a Python
+    wrapper, which costs as much as the sum on these small arrays."""
     drop = tuple(i for i, n in enumerate(names) if n not in keep)
-    return (mass.sum(axis=drop) if drop else mass), tuple(n for n in names if n in keep)
+    if not drop:
+        return mass, names
+    return np.add.reduce(mass, axis=drop), tuple(n for n in names if n in keep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,23 +184,37 @@ class Kernel:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
+        # the caller may still hold and write to the array it passed
+        self._settle(np.array(self.rows, dtype=float), known_finite=False)
+
+    @classmethod
+    def _adopt(cls, from_axes, to_axes, rows: np.ndarray) -> "Kernel":
+        """Wrap a float array the library has just built and found finite,
+        without copying it or scanning it for finiteness again."""
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "from_axes", from_axes)
+        object.__setattr__(kernel, "to_axes", to_axes)
+        kernel._settle(rows, known_finite=True)
+        return kernel
+
+    def _settle(self, rows: np.ndarray, known_finite: bool) -> None:
         from_axes = tuple(self.from_axes)
         to_axes = tuple(self.to_axes)
-        rows = np.array(self.rows, dtype=float)
         n_from = math.prod(len(a) for a in from_axes)
         n_to = math.prod(len(a) for a in to_axes)
         if rows.shape != (n_from, n_to):
             raise ValueError(f"rows shape {rows.shape}, expected {(n_from, n_to)}")
-        if not np.isfinite(rows).all():
+        if not known_finite and not np.logical_and.reduce(np.isfinite(rows), axis=None):
             idx = tuple(int(i) for i in np.argwhere(~np.isfinite(rows))[0])
             raise ValueError(f"kernel row entry at {idx} is not finite: {rows[idx]}")
-        if (rows < 0).any():
+        # on finite entries the least is negative iff some entry is
+        if np.minimum.reduce(rows, axis=None) < 0:
             idx = tuple(int(i) for i in np.argwhere(rows < 0)[0])
             raise ValueError(f"kernel row entry at {idx} is negative: {rows[idx]}")
-        sums = rows.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > NORMALIZATION_TOL)
-        if bad.size:
-            i = int(bad[0])
+        sums = np.add.reduce(rows, axis=1)
+        off = np.abs(sums - 1.0) > NORMALIZATION_TOL
+        if np.logical_or.reduce(off):
+            i = int(np.flatnonzero(off)[0])
             raise ValueError(f"kernel row {i} sums to {sums[i]}, not 1")
         rows.setflags(write=False)
         object.__setattr__(self, "from_axes", from_axes)
@@ -273,8 +294,8 @@ def _plogp(flat: np.ndarray) -> float:
     every entry is positive the mask would select all of them, so ``flat``
     is reduced itself: the same values in the same order, without copying a
     full-support joint."""
-    p = flat if flat.min() > 0 else flat[flat > 0]
-    return float(np.sum(p * np.log2(p)))
+    p = flat if np.minimum.reduce(flat) > 0 else flat[flat > 0]
+    return float(np.add.reduce(p * np.log2(p)))
 
 
 def _joint_entropy(mass: np.ndarray, names: tuple[str, ...]) -> float:

@@ -242,6 +242,23 @@ class TestSystemSpecRoundTrip:
         with pytest.raises(jsonio.SpecFormatError):
             jsonio.system_spec_from_json(obj)
 
+    def test_read_arrays_are_the_written_bytes_and_read_only(self):
+        # the readers hand the arrays they build to the constructors uncopied
+        rng = np.random.default_rng(3001)
+        for _ in range(200):
+            spec = random_system_spec(rng)
+            back = jsonio.system_spec_from_json(
+                json.loads(jsonio.json_text(jsonio.system_spec_to_json(spec))))
+            pairs = [(spec.source_joint.mass, back.source_joint.mass),
+                     (spec.channel.law.rows, back.channel.law.rows),
+                     (spec.distortion.values, back.distortion.values)]
+            pairs += [(getattr(spec, k).rows, getattr(back, k).rows)
+                      for k in ("w1_kernel", "w2_kernel", "x1_kernel", "x2_kernel")]
+            for want, got in pairs:
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+
     @pytest.mark.parametrize("field,where", [
         ("target_d", "$.target_d"),
         ("distortion", "$.distortion.values[0][1]"),
