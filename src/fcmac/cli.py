@@ -9,6 +9,7 @@ set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -21,12 +22,14 @@ from fractions import Fraction
 from . import experiments, jsonio
 from .feasibility import check_feasibility
 from .graphs import (
+    SizeCapError,
     characteristic_graph,
     conditional_chromatic_entropy,
     conditional_graph_entropy,
     min_entropy_coloring,
 )
 from .channels import GaussianMAC, gmac_sum_rate, mac_sum_capacity_independent
+from .probability import AxisError
 from .schemes import DEFAULT_SEED
 
 
@@ -46,6 +49,17 @@ def _write_text(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+@contextlib.contextmanager
+def _at_fault(flags: dict):
+    """Prefix a library refusal raised inside with the flag that ``flags``
+    gives its exception type: the option naming the input at fault."""
+    try:
+        yield
+    except tuple(flags) as exc:
+        flag = next(f for kind, f in flags.items() if isinstance(exc, kind))
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _rows_csv(header, rows) -> str:
@@ -133,7 +147,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_check(args) -> int:
     spec = jsonio.system_spec_from_json(jsonio.load_json(args.spec))
-    report = check_feasibility(spec)
+    with _at_fault({SizeCapError: "--spec"}):
+        report = check_feasibility(spec)
     if args.format == "json":
         text = jsonio.json_text(jsonio.feasibility_report_to_json(report))
     elif args.format == "csv":
@@ -164,7 +179,7 @@ def _numeric_label(value):
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"label {value!r} is not numeric; threshold mode needs"
+        raise ValueError(f"--function: label {value!r} is not numeric; threshold mode needs"
                          " numeric function values") from None
 
 
@@ -174,8 +189,10 @@ def _cmd_graph_build(args) -> int:
     # the range distortion is read in threshold mode only, when --delta is
     # given, on every ordered label pair: each label is parsed once
     numeric = functools.cache(_numeric_label)
-    g = characteristic_graph(joint, table, delta=args.delta,
-                             range_distortion=lambda a, b: abs(numeric(a) - numeric(b)))
+    # the joint's axis count is checked first; any later mismatch is the function's
+    with _at_fault({AxisError: "--joint" if len(joint.axes) != 2 else "--function"}):
+        g = characteristic_graph(joint, table, delta=args.delta,
+                                 range_distortion=lambda a, b: abs(numeric(a) - numeric(b)))
     _write_text(args.out, jsonio.json_text(jsonio.graph_to_json(g)))
     return 0
 
@@ -183,7 +200,8 @@ def _cmd_graph_build(args) -> int:
 def _cmd_graph_color(args) -> int:
     g = jsonio.graph_from_json(jsonio.load_json(args.graph))
     marginal = jsonio.pmf_from_json(jsonio.load_json(args.marginal))
-    coloring, bits = min_entropy_coloring(g, marginal, args.mode)
+    with _at_fault({AxisError: "--marginal", SizeCapError: "--graph"}):
+        coloring, bits = min_entropy_coloring(g, marginal, args.mode)
     print(f"entropy_bits {_fmt(bits)} ({args.mode})")
     _write_text(args.out, jsonio.json_text(jsonio.coloring_to_json(coloring)))
     return 0
@@ -195,23 +213,27 @@ def _cmd_graph_entropy(args) -> int:
     if getattr(args, needed) is None:
         raise ValueError(f"--kind {args.kind} needs --{needed}")
     pmf = jsonio.pmf_from_json(jsonio.load_json(getattr(args, needed)))
-    if args.kind == "chromatic":
-        payload = {"kind": "chromatic", "bits": min_entropy_coloring(g, pmf, "exact")[1]}
-    elif args.kind == "conditional-chromatic":
-        payload = {"kind": "conditional-chromatic", "n": args.n,
-                   "bits": conditional_chromatic_entropy(g, pmf, args.n)}
-    else:
-        res = conditional_graph_entropy(g, pmf)
-        payload = {"kind": "conditional-graph", "bits": res.value,
-                   "gap_bits": res.gap, "upper_bound_bits": res.upper_bound,
-                   "converged": res.converged}
+    # a size cap is the graph's, unless a block length past 1 raised it
+    sized = "--n" if args.kind == "conditional-chromatic" and args.n > 1 else "--graph"
+    with _at_fault({AxisError: f"--{needed}", SizeCapError: sized}):
+        if args.kind == "chromatic":
+            payload = {"kind": "chromatic", "bits": min_entropy_coloring(g, pmf, "exact")[1]}
+        elif args.kind == "conditional-chromatic":
+            payload = {"kind": "conditional-chromatic", "n": args.n,
+                       "bits": conditional_chromatic_entropy(g, pmf, args.n)}
+        else:
+            res = conditional_graph_entropy(g, pmf)
+            payload = {"kind": "conditional-graph", "bits": res.value,
+                       "gap_bits": res.gap, "upper_bound_bits": res.upper_bound,
+                       "converged": res.converged}
     sys.stdout.write(jsonio.json_text(payload))
     return 0
 
 
 def _cmd_channel_capacity(args) -> int:
     mac = jsonio.mac_from_json(jsonio.load_json(args.mac))
-    res = mac_sum_capacity_independent(mac)
+    with _at_fault({SizeCapError: "--mac"}):
+        res = mac_sum_capacity_independent(mac)
     # JSON has no infinity: a gap that is +inf, because a block could
     # open an unused output, is written as null
     gap1, gap2 = (g if math.isfinite(g) else None for g in (res.gap1, res.gap2))

@@ -61,22 +61,24 @@ ZIGZAG_CAP = 2**33
 # Caps both |X|^2 |Z| (vertex pairs times peer symbols) and the square of
 # the distinct function labels of characteristic_graph. Worst case at the
 # cap: |X| = 1,024, one peer and 1,024 distinct labels, whose graph is
-# complete; a whole `fcmac graph build` process, import and the 21 MB output
-# file included, takes 2.7-3.1 s and 221 MB peak RSS. The graph itself is
-# 52-58 ms of it in exact mode and 96-105 ms in threshold mode (integer
-# labels, delta 0), as with the two-index gather this lookup replaced
-# (52-58 / 95-107 ms, best to median in three alternated processes): the
-# 1,048,576 label pairs, compared in Python and converted to the table, set
-# its time. Its tracemalloc peak is 14.7 MB (13.7 MB with the gather; an
-# intp index would take 18.7 MB). graph_to_json takes 0.42-0.51 s
-# and the indented json.dumps of the output format 1.5-2.0 s. 32 vertices
-# with 1,024 peers and labels: 0.5-1.1 s. The cap does not hold threshold
-# mode with fraction-string labels to that: at 1,024 vertices, one peer,
-# labels "k/1024" and `--delta 0.5`, each label is parsed once but each of
-# the 1,048,576 ordered label pairs is an exact Fraction subtraction, and a
-# whole process takes 7.2-9.1 s (16-21 s when each pair parsed its labels),
-# against 0.9 s with integer labels 0-1,023 at `--delta 512` and 2.0-2.3 s
-# in exact mode. Every graph built under the cap has at most 1,024 vertices,
+# complete; a whole exact-mode `fcmac graph build` process, import and the
+# 17 MB output file of integer labels included, takes 1.7-2.9 s and 218 MB
+# peak RSS (2.0-3.0 s when the label table was 1,048,576 Python
+# comparisons; two runs each). The graph itself takes 6.9-8.6 ms in exact
+# mode, whose label table is the identity's complement (67-114 ms with the
+# comparisons), with a 7.1 MB tracemalloc peak (14.7 MB), and 114-234 ms in
+# threshold mode (integer labels, delta 0), where the 1,048,576 label pairs,
+# compared in Python and converted to the table, set its time, with a
+# 14.7 MB peak; an intp index would add 4 MB. Best to median of nine calls,
+# three processes alternated with the comparisons. graph_to_json takes
+# 0.42-0.51 s and the indented json.dumps of the output format 1.5-2.0 s.
+# 32 vertices with 1,024 peers and labels: 0.5-1.1 s. The cap does not hold
+# threshold mode with fraction-string labels to that: at 1,024 vertices, one
+# peer, labels "k/1024" and `--delta 0.5`, each label is parsed once but each
+# of the 1,048,576 ordered label pairs is an exact Fraction subtraction, and
+# a whole process takes 7.2-9.1 s (16-21 s when each pair parsed its
+# labels), against 0.9 s with integer labels 0-1,023 at `--delta 512`.
+# Every graph built under the cap has at most 1,024 vertices,
 # so its file can be read back under GRAPH_FILE_VERTEX_CAP. The cap also
 # bounds the |X|^2 |Z| cells of the one table lookup that builds the graph,
 # so it needs no row blocks.
@@ -257,7 +259,8 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
         raise AxisError("function must be defined on two axes")
     for fa, ja in zip(f.domain_axes, joint.axes):
         if fa.symbols != ja.symbols:
-            raise AxisError(f"function axis {fa.name!r} does not match joint axis {ja.name!r}")
+            raise AxisError(f"the symbols of function axis {fa.name!r} differ from those"
+                            f" of joint axis {ja.name!r}")
     if delta is not None and not delta >= 0:     # refuses NaN as well
         raise ValueError(f"delta must be nonnegative, got {delta}")
     labels = f.range_labels()
@@ -268,7 +271,11 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
             f" {len(labels)} distinct labels exceeds the cap of"
             f" {CHARACTERISTIC_GRAPH_CAP} on vertices^2 x peers and on labels^2")
     if delta is None:
-        pair_table = [[la != lb for lb in labels] for la in labels]
+        # The labels are distinct dict keys, so two of them differ (where
+        # equality agrees with hashing); a label is confusable with itself
+        # only when it is unequal to itself, as NaN is.
+        pair_table = ~np.eye(len(labels), dtype=bool)
+        np.fill_diagonal(pair_table, [la != la for la in labels])
     else:
         pair_table = [[range_distortion(la, lb) > delta for lb in labels] for la in labels]
     # label len(labels) codes an off-support cell, confusable with no label

@@ -12,9 +12,11 @@ import pytest
 
 import fcmac
 from fcmac import experiments, feasibility, graphs, jsonio, presets, schemes
-from fcmac.channels import adder_mac
+from fcmac.channels import DiscreteMAC, adder_mac
 from fcmac.cli import build_parser, main
-from fcmac.probability import Alphabet, JointPMF, marginalize
+from fcmac.feasibility import DistortionTable, SystemSpec
+from fcmac.graphs import FunctionTable
+from fcmac.probability import Alphabet, JointPMF, Kernel, marginalize
 
 
 @pytest.fixture()
@@ -409,7 +411,7 @@ class TestGraphCommands:
         assert main(["graph", "entropy", "--graph", str(graph_path),
                      "--kind", "conditional-graph", "--joint",
                      str(spec_files["marginal"])]) == 2
-        assert capsys.readouterr().err == "error: need a two-axis joint\n"
+        assert capsys.readouterr().err == "error: --joint: need a two-axis joint\n"
 
     def test_conditional_chromatic_over_cap_exits_2_before_the_product(
             self, spec_files, tmp_path, capsys, monkeypatch):
@@ -424,7 +426,7 @@ class TestGraphCommands:
         assert main(["graph", "entropy", "--graph", str(graph_path),
                      "--kind", "conditional-chromatic", "--joint",
                      str(spec_files["pmf"]), "--n", "7"]) == 2
-        assert "error: OR-product has 2187 vertices" in capsys.readouterr().err
+        assert "error: --n: OR-product has 2187 vertices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("graph", ["comparison", "one-vertex"])
     def test_conditional_chromatic_huge_n_exits_2_at_once(self, graph, spec_files, tmp_path):
@@ -432,7 +434,7 @@ class TestGraphCommands:
         if graph == "comparison":
             main(["graph", "build", "--joint", str(joint_path),
                   "--function", str(spec_files["function"]), "--out", str(graph_path)])
-            want = "error: OR-product has 3^100000000 vertices, over the cap of 12\n"
+            want = "error: --n: OR-product has 3^100000000 vertices, over the cap of 12\n"
         else:
             verts = Alphabet("u1", ("a",))
             jsonio.dump_json(jsonio.graph_to_json(graphs.CharGraph(verts, frozenset())),
@@ -440,7 +442,7 @@ class TestGraphCommands:
             joint_path = tmp_path / "joint.json"
             jsonio.dump_json(jsonio.pmf_to_json(JointPMF(
                 (verts, Alphabet("u2", ("0", "1"))), np.array([[0.5, 0.5]]))), str(joint_path))
-            want = "error: n must be at most 32 for an iid power, got 100000000\n"
+            want = "error: --n: n must be at most 32 for an iid power, got 100000000\n"
         src = str(Path(fcmac.__file__).resolve().parent.parent)
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -680,6 +682,54 @@ def _rename_x1(name):
     return edit
 
 
+def _third_axis(obj):
+    """A two-axis pmf file given a singleton third axis."""
+    obj["axes"].append({"name": "z", "symbols": [0]})
+    obj["mass"] = _wrapped(obj["mass"])
+
+
+def _over_cap_system() -> str:
+    """A system file whose channel clique (w1, w2, z, x1, x2, y) has
+    4 n^2 = 8,398,404 cells, just over the feasibility cap, while none of its
+    arrays holds more than 4 n entries: z and y have n symbols, x1 and x2
+    two, every other axis one."""
+    n = 1449
+    assert 4 * n * n > feasibility.FEASIBILITY_CELL_CAP
+    u1, u2, z1, z2, w1, w2 = (Alphabet(name, (0,))
+                              for name in ("u1", "u2", "z1", "z2", "w1", "w2"))
+    z, y = Alphabet("z", tuple(range(n))), Alphabet("y", tuple(range(n)))
+    x1, x2 = Alphabet("x1", (0, 1)), Alphabet("x2", (0, 1))
+    spec = SystemSpec(
+        source_joint=JointPMF((u1, u2, z1, z2, z), np.full((1, 1, 1, 1, n), 1 / n)),
+        w1_kernel=Kernel((u1, z1), (w1,), [[1.0]]),
+        w2_kernel=Kernel((u2, z2), (w2,), [[1.0]]),
+        x1_kernel=Kernel((w1,), (x1,), [[0.5, 0.5]]),
+        x2_kernel=Kernel((w2,), (x2,), [[0.5, 0.5]]),
+        channel=DiscreteMAC((x1, x2), y, Kernel((x1, x2), (y,), np.full((4, n), 1 / n))),
+        function=FunctionTable.from_callable((u1, u2), lambda a, b: 0),
+        decoder=FunctionTable.from_callable((w1, w2, z), lambda a, b, c: 0),
+        distortion=DistortionTable((0,), (0,), [[0.0]]),
+        target_d=0.0)
+    return json.dumps(jsonio.system_spec_to_json(spec))
+
+
+def _six_by_six_mac() -> str:
+    """A channel file whose capacity grid is past its cap: two six-symbol inputs."""
+    x1, x2 = Alphabet("x1", tuple(range(6))), Alphabet("x2", tuple(range(6)))
+    y = Alphabet("y", (0, 1))
+    law = Kernel((x1, x2), (y,), np.full((36, 2), 0.5))
+    return json.dumps(jsonio.mac_to_json(DiscreteMAC((x1, x2), y, law)))
+
+
+def _over_cap_graph(f: _Inputs) -> list[str]:
+    """--graph and --marginal files on one vertex more than the exact
+    colouring cap."""
+    n = graphs.EXACT_COLORING_CAP + 1
+    return ["--graph", f.text(json.dumps({"vertices": list(range(n)), "edges": []})),
+            "--marginal", f.text(json.dumps({"axes": [{"name": "v", "symbols": list(range(n))}],
+                                             "mass": [1 / n] * n}))]
+
+
 def _check(spec: str) -> list[str]:
     return ["check", "theorem1", "--spec", spec]
 
@@ -750,6 +800,22 @@ MALFORMED_INPUT = {
     "check over-nested decoder": lambda f: (
         _check(f.edited("joint_spec", _apply("decoder", "values", _wrapped))),
         "$.decoder.values: values must form a dense table of shape (2, 2, 1)"),
+    "check negative kernel entry": lambda f: (
+        _check(f.edited("joint_spec", _set("w2_kernel", "rows", 1, [-0.5, 1.5]))),
+        "$.w2_kernel.rows: kernel row entry at (1, 0) is negative: -0.5"),
+    "check kernel row summing to 0.9": lambda f: (
+        _check(f.edited("joint_spec", _set("w2_kernel", "rows", 2, [0.0, 0.9]))),
+        "$.w2_kernel.rows: kernel row 2 sums to 0.9, not 1"),
+    "check negative source mass": lambda f: (
+        _check(f.edited("joint_spec", _set("source_joint", "mass", 0, 0, 0, 0, 0, -0.1))),
+        "$.source_joint.mass: negative_entry at index [0, 0, 0, 0, 0]: -0.1"),
+    "check unnormalised source": lambda f: (
+        _check(f.edited("joint_spec", _set("source_joint", "mass", 0, 0, 0, 0, 0, 0.5))),
+        "$.source_joint.mass: not_normalized: 1.5"),
+    "check over-cap channel clique": lambda f: (
+        _check(f.text(_over_cap_system())),
+        "--spec: channel clique (w1, w2, z, x1, x2, y) has 8398404 cells, over the"
+        " feasibility cap of 8388608"),
     "check unwritable out": lambda f: _unwritable(f, _check(f["joint_spec"])),
     # graph build
     "graph build truncated joint": lambda f: (
@@ -779,7 +845,14 @@ MALFORMED_INPUT = {
     "graph build non-numeric label": lambda f: (
         ["graph", "build", "--joint", f["pmf"], "--delta", "0.5", "--function",
          f.edited("function", _recast("values", lambda v: "yes" if v else "no"))],
-        "label 'no' is not numeric; threshold mode needs numeric function values"),
+        "--function: label 'no' is not numeric; threshold mode needs numeric function values"),
+    "graph build function on other symbols": lambda f: (
+        ["graph", "build", "--joint", f["pmf"], "--function",
+         f.edited("function", _set("domain_axes", 0, "symbols", ["a", "b", "c"]))],
+        "--function: the symbols of function axis 'u1' differ from those of joint axis 'u1'"),
+    "graph build three-axis joint": lambda f: (
+        ["graph", "build", "--joint", f.edited("pmf", _third_axis), "--function", f["function"]],
+        "--joint: need a two-axis joint, got axes ('u1', 'u2', 'z')"),
     "graph build repeated axis name": lambda f: (
         ["graph", "build", "--function", f["function"],
          "--joint", f.edited("pmf", _set("axes", 1, "name", "u1"))],
@@ -801,6 +874,13 @@ MALFORMED_INPUT = {
         ["graph", "color", "--graph", f.graph,
          "--marginal", f.edited("marginal", _set("mass", 0, math.nan))],
         "$.mass[0]: value nan is not finite"),
+    "graph color marginal on other symbols": lambda f: (
+        ["graph", "color", "--graph", f.graph,
+         "--marginal", f.edited("marginal", _set("axes", 0, "symbols", ["a", "b", "c"]))],
+        "--marginal: marginal first axis must carry the graph's vertex symbols"),
+    "graph color over-cap exact colouring": lambda f: (
+        ["graph", "color", *_over_cap_graph(f)],
+        "--graph: 13 vertices exceeds the exact-mode cap of 12"),
     "graph color unwritable out": lambda f: _unwritable(
         f, ["graph", "color", "--graph", f.graph, "--marginal", f["marginal"]]),
     # graph entropy
@@ -819,6 +899,14 @@ MALFORMED_INPUT = {
         ["graph", "entropy", "--graph", f.graph, "--kind", "conditional-chromatic",
          "--joint", f.edited("pmf", _recast("mass", bool))],
         "$.mass[0][0]: expected a number, got bool"),
+    "graph entropy joint on other symbols": lambda f: (
+        ["graph", "entropy", "--graph", f.graph, "--kind", "conditional-graph",
+         "--joint", f.edited("pmf", _set("axes", 0, "symbols", ["a", "b", "c"]))],
+        "--joint: joint first axis must carry the graph's vertex symbols"),
+    "graph entropy over-cap n": lambda f: (
+        ["graph", "entropy", "--graph", f.graph, "--kind", "conditional-chromatic",
+         "--joint", f["pmf"], "--n", "7"],
+        "--n: OR-product has 2187 vertices, over the cap of 12"),
     # channel capacity
     "channel capacity truncated mac": lambda f: (
         ["channel", "capacity", "--mac", f.text(_TRUNCATED)], "$: invalid JSON in "),
@@ -831,6 +919,9 @@ MALFORMED_INPUT = {
     "channel capacity nan rows": lambda f: (
         ["channel", "capacity", "--mac", f.edited("mac", _set("rows", 3, 2, math.nan))],
         "$.rows[3][2]: value nan is not finite"),
+    "channel capacity over-cap grid": lambda f: (
+        ["channel", "capacity", "--mac", f.text(_six_by_six_mac())],
+        "--mac: capacity grid of 12101778095121 points exceeds the cap"),
     # channel gmac
     "channel gmac power nan": lambda f: (
         ["channel", "gmac", "--power", "nan"], "power must be finite"),

@@ -964,6 +964,24 @@ class TestFastPathsAgainstLoops:
             assert g.edges == loop_characteristic_edges(joint, f, **kwargs)
             assert g.sorted_edges() == loop_sorted_edges(g)
 
+    def test_exact_label_table_with_nan_and_mixed_labels(self):
+        # exact mode reads distinct labels as confusable and a label with
+        # itself only if it is unequal to itself: one NaN object is confusable
+        # with itself, 1 and 1.0 are one label
+        nan = float("nan")
+        pool = np.array([nan, 1, 1.0, 2.0, "a", float("nan"), -0.0, 0], dtype=object)
+        rng = np.random.default_rng(3002)
+        for _ in range(200):
+            n, m = (int(k) for k in rng.integers(1, 8, size=2))
+            keep = rng.random((n, m)) < rng.uniform(0.3, 1.0)
+            keep[:, 0] |= ~keep.any(axis=1)
+            mass = keep * rng.random((n, m))
+            axes = (alph("u", n), alph("p", m))
+            joint = JointPMF(axes, mass / mass.sum())
+            f = FunctionTable(axes, pool[rng.integers(0, len(pool), size=(n, m))])
+            g = characteristic_graph(joint, f)
+            assert g.edges == loop_characteristic_edges(joint, f)
+
     @staticmethod
     def _object_table(shape, label_of) -> np.ndarray:
         values = np.empty(shape, dtype=object)
