@@ -62,14 +62,15 @@ ZIGZAG_CAP = 2**33
 # the distinct function labels of characteristic_graph. Worst case at the
 # cap: |X| = 1,024, one peer and 1,024 distinct labels, whose graph is
 # complete; a whole exact-mode `fcmac graph build` process, import and the
-# 17 MB output file of integer labels included, takes 1.7-2.9 s and 218 MB
-# peak RSS (2.0-3.0 s when the label table was 1,048,576 Python
-# comparisons; two runs each). The graph itself takes 6.9-8.6 ms in exact
-# mode, whose label table is the identity's complement (67-114 ms with the
-# comparisons), with a 7.1 MB tracemalloc peak (14.7 MB), and 114-234 ms in
-# threshold mode (integer labels, delta 0), where the 1,048,576 label pairs,
+# 17 MB output file of integer labels included, takes 1.5-1.6 s and 217 MB
+# peak RSS (1.6-1.7 s when the label table was 1,048,576 Python
+# comparisons; two runs each, alternated). The graph itself takes 5.7-6.7 ms
+# in exact mode, whose label table is set whole and its diagonal apart
+# (58-64 ms with the comparisons), with a 6.1 MB tracemalloc peak (14.7 MB),
+# and 102-108 ms in threshold mode (integer labels, delta 0; 96-105 ms in
+# the same runs of the earlier code), where the 1,048,576 label pairs,
 # compared in Python and converted to the table, set its time, with a
-# 14.7 MB peak; an intp index would add 4 MB. Best to median of nine calls,
+# 9.7 MB peak; an intp index would add 4 MB. Best to median of nine calls,
 # three processes alternated with the comparisons. graph_to_json takes
 # 0.42-0.51 s and the indented json.dumps of the output format 1.5-2.0 s.
 # 32 vertices with 1,024 peers and labels: 0.5-1.1 s. The cap does not hold
@@ -270,18 +271,19 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
             f"characteristic graph of {n} vertices, {m} peer symbols and"
             f" {len(labels)} distinct labels exceeds the cap of"
             f" {CHARACTERISTIC_GRAPH_CAP} on vertices^2 x peers and on labels^2")
-    if delta is None:
-        # The labels are distinct dict keys, so two of them differ (where
-        # equality agrees with hashing); a label is confusable with itself
-        # only when it is unequal to itself, as NaN is.
-        pair_table = ~np.eye(len(labels), dtype=bool)
-        np.fill_diagonal(pair_table, [la != la for la in labels])
-    else:
-        pair_table = [[range_distortion(la, lb) > delta for lb in labels] for la in labels]
     # label len(labels) codes an off-support cell, confusable with no label
     size = len(labels) + 1
     confusable = np.zeros((size, size), dtype=bool)
-    confusable[:-1, :-1] = pair_table
+    if delta is None:
+        # The labels are distinct dict keys, so two of them differ (where
+        # equality agrees with hashing); a label is confusable with itself
+        # only when it is unequal to itself, as NaN is. The flat view's
+        # stride size + 1 walks the diagonal.
+        confusable[:-1, :-1] = True
+        confusable.ravel()[:-1:size + 1] = [la != la for la in labels]
+    else:
+        confusable[:-1, :-1] = [[range_distortion(la, lb) > delta for lb in labels]
+                                for la in labels]
     # int32 halves the index array against intp and holds the largest flat
     # index the cap admits, 1025^2 - 1
     codes = np.where(joint.mass > 0, f._codes, len(labels)).astype(np.int32)

@@ -142,8 +142,8 @@ class TestCharacteristicGraph:
 
     def test_peak_memory_at_the_cap(self):
         # 1,024 vertices, one peer and 1,024 distinct labels: the complete
-        # graph. The int32 flat index peaks at 14.7 MB; an intp one would
-        # peak at 18.7 MB
+        # graph. The int32 flat index peaks at 6.1 MB; an intp one would
+        # peak at 10.0 MB
         n = 1024
         axes = (alph("x", n), alph("z", 1))
         joint = JointPMF(axes, np.full((n, 1), 1 / n))
@@ -156,7 +156,7 @@ class TestCharacteristicGraph:
         finally:
             tracemalloc.stop()
         assert g._adj.sum() == n * (n - 1)
-        assert peak <= 16 * 2**20
+        assert peak <= 8 * 2**20
 
     def test_second_encoder_graph_via_reorder(self):
         # the symmetric construction: swap the joint and the function domain
