@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from . import experiments, jsonio
+from . import experiments, graphs, jsonio
 from .feasibility import check_feasibility
 from .graphs import (
     SizeCapError,
@@ -189,8 +189,13 @@ def _cmd_graph_build(args) -> int:
     # the range distortion is read in threshold mode only, when --delta is
     # given, on every ordered label pair: each label is parsed once
     numeric = functools.cache(_numeric_label)
-    # the joint's axis count is checked first; any later mismatch is the function's
-    with _at_fault({AxisError: "--joint" if len(joint.axes) != 2 else "--function"}):
+    # the joint's axis count is checked first, and any later mismatch is the
+    # function's; of the two caps the joint's vertices^2 x peers comes
+    # first, and a labels^2 refusal is the function's
+    two_axes = len(joint.axes) == 2
+    over = two_axes and len(joint.axes[0]) * joint.mass.size > graphs.CHARACTERISTIC_GRAPH_CAP
+    with _at_fault({AxisError: "--function" if two_axes else "--joint",
+                    SizeCapError: "--joint" if over else "--function"}):
         g = characteristic_graph(joint, table, delta=args.delta,
                                  range_distortion=lambda a, b: abs(numeric(a) - numeric(b)))
     _write_text(args.out, jsonio.json_text(jsonio.graph_to_json(g)))

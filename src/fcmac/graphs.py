@@ -251,8 +251,9 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
     under ``range_distortion`` for some such peer. ``range_distortion`` is
     called once per ordered pair of ``f.range_labels()``, and for vertices
     i < j the pair read is (f(i, peer), f(j, peer)). Refuses with
-    ``SizeCapError``, before any label pair is compared, when |X|^2 |Z| or
-    the squared count of distinct labels exceeds ``CHARACTERISTIC_GRAPH_CAP``.
+    ``SizeCapError``, before any label pair is compared, when |X|^2 |Z|
+    exceeds ``CHARACTERISTIC_GRAPH_CAP``, and then when the squared count of
+    distinct labels does: one refusal for the joint, one for the function.
     """
     if len(joint.axes) != 2:
         raise AxisError(f"need a two-axis joint, got axes {joint.axis_names}")
@@ -266,11 +267,14 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
         raise ValueError(f"delta must be nonnegative, got {delta}")
     labels = f.range_labels()
     n, m = joint.mass.shape
-    if max(n * n * m, len(labels) ** 2) > CHARACTERISTIC_GRAPH_CAP:
+    if n * n * m > CHARACTERISTIC_GRAPH_CAP:
         raise SizeCapError(
-            f"characteristic graph of {n} vertices, {m} peer symbols and"
-            f" {len(labels)} distinct labels exceeds the cap of"
-            f" {CHARACTERISTIC_GRAPH_CAP} on vertices^2 x peers and on labels^2")
+            f"characteristic graph of {n} vertices and {m} peer symbols exceeds the cap"
+            f" of {CHARACTERISTIC_GRAPH_CAP} on vertices^2 x peers")
+    if len(labels) ** 2 > CHARACTERISTIC_GRAPH_CAP:
+        raise SizeCapError(
+            f"characteristic graph of {len(labels)} distinct function labels exceeds the"
+            f" cap of {CHARACTERISTIC_GRAPH_CAP} on labels^2")
     # label len(labels) codes an off-support cell, confusable with no label
     size = len(labels) + 1
     confusable = np.zeros((size, size), dtype=bool)
@@ -352,15 +356,13 @@ def _power_exceeds(base: int, n: int, cap: int) -> bool:
     return False
 
 
-def _plogp(x: float) -> float:
-    return x * np.log2(x) if x > 0 else 0.0
-
-
 class _PlogpMemo(dict):
-    """Scalar p*log2(p) by mass, computed on first lookup."""
+    """Scalar p*log2(p) by mass, computed on first lookup. The values are
+    Python floats, so the arithmetic on them runs on floats; the product
+    is a float one, of the same bits as numpy's."""
 
     def __missing__(self, x: float) -> float:
-        y = self[x] = _plogp(x)
+        y = self[x] = x * float(np.log2(x)) if x > 0 else 0.0
         return y
 
 
@@ -376,81 +378,106 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
     partition in lexicographic restricted-growth order, i.e. the
     lexicographically smallest color-class partition.
 
-    The search state makes the bound O(columns) per node. It keeps ``s``,
-    the running sum of p*log2(p) over every (class, column) cell, which is
-    also the sum over columns of each column's cell sum; each class's cell
-    masses with their p*log2(p) alongside, so placing a vertex evaluates only
-    the cells of the columns it has mass in; and ``peak``, each column's
-    largest class mass, which each child gets as its own copy. With ``r`` a
-    column's mass not yet placed, the bound is ``-s - H(Z)`` plus, per
-    column, ``plogp(peak) - plogp(peak + r)``; ``r`` depends only on the
-    depth, so it is subtracted out once per call. Scalar p*log2(p) is memoised
-    per call, keyed by the mass, and stays ``np.log2``: ``math.log2`` differs
-    from it in the last bit on about 0.2 % of inputs, which changes the
-    returned values.
+    Placing a vertex costs work in proportion to the columns it has mass
+    in. The search keeps ``s``, the running sum of p*log2(p) over every
+    (class, column) cell; per class one list of its cell masses, then their
+    p*log2(p); and per node one ``peak`` list: each column's largest class
+    mass, then its p*log2(p), then ``plogp(peak + r)`` with ``r`` the
+    column's mass not yet placed. The bound is ``-s - H(Z)`` plus, per
+    column, ``plogp(peak) - plogp(peak + r)``; a child gets its parent's
+    bound plus the change on the placed vertex's columns, so that no node
+    sums over every column. The children of the last vertex are leaves,
+    evaluated in their parent's loop. Every leaf's value is ``-s - H(Z)``,
+    so ``s`` keeps its exact sequence of ``+=`` and ``-=``; the bound
+    differs from a sum over all columns in rounding only, far inside the
+    1e-12 prune margin. Scalar p*log2(p) is memoised per call, keyed by the
+    mass, and stays ``np.log2``: ``math.log2`` differs from it in the last
+    bit on about 0.2 % of inputs, which changes the returned values.
     """
     n, m = weights.shape
-    col_total = weights.sum(axis=0)
-    h_cond = -sum(_plogp(c) for c in col_total)  # H(Z), subtracted at the end
+    col_total = np.add.reduce(weights, axis=0).tolist()
+    plogp_of = _PlogpMemo()
+    top = [plogp_of[c] for c in col_total]
+    h_cond = -sum(top)      # H(Z), subtracted at the end
     # classes hold only vertices placed before v, so the classes v may not
     # join are those of its earlier neighbours
     earlier = [[u for u in range(v) if row[u]] for v, row in enumerate(adj.tolist())]
     rows = weights.tolist()
     # remaining[v]: each column's mass not placed before vertex v
-    remaining = [col_total.tolist()]
+    remaining = [col_total]
     for row in rows:
         remaining.append([r - x for r, x in zip(remaining[-1], row)])
-    # adding a zero cell leaves a class unchanged
-    support = [[(z, x) for z, x in enumerate(row) if x] for row in rows]
-    plogp_of = _PlogpMemo()
+    # per vertex, the columns it has mass in (adding a zero cell leaves a
+    # class unchanged): the column, the slots of its p*log2(p) and of its
+    # bound term in a class or peak list, the mass, and the column's mass
+    # remaining after the vertex
+    support = [[(z, z + m, z + 2 * m, x, r1) for z, (x, r1) in enumerate(zip(row, rem1)) if x]
+               for row, rem1 in zip(rows, remaining[1:])]
 
-    best_assign: list[int] | None = None
+    best_assign: list[int] = []
     best_val = float("inf")
     assign = [0] * n
-    cells: list[tuple[list[float], list[float]]] = []   # per class: masses, p*log2(p)
+    cells: list[list[float]] = []   # per class: its m cell masses, then their p*log2(p)
     s = 0.0     # running sum of p*log2(p) over all (class, column) cells
-    empty = ([0.0] * m, [0.0] * m)
+    empty = [0.0] * (2 * m)
 
-    def descend(v: int, peak: list[float]) -> None:
+    def descend(v: int, peak: list[float], bound: float) -> None:
         nonlocal best_assign, best_val, s
-        if v == n:
-            val = -s - h_cond
-            if val < best_val - 1e-12:
-                best_val = val
-                best_assign = assign.copy()
-            return
-        # merging each column's remaining mass into its largest class changes
-        # that column's cell sum by plogp(peak + r) - plogp(peak)
-        bound = -s - h_cond
-        for p, r in zip(peak, remaining[v]):
-            bound += plogp_of[p] - plogp_of[p + r]
-        if bound >= best_val - 1e-12:
-            return
         taken = {assign[u] for u in earlier[v]}
+        cols = support[v]
+        if v == n - 1:
+            # the children are leaves: their values, without copies or calls
+            for c in range(len(cells) + 1):
+                if c in taken:
+                    continue
+                old = cells[c] if c < len(cells) else empty
+                ds = 0
+                for z, zl, _, x, _ in cols:
+                    ds += plogp_of[old[z] + x] - old[zl]
+                s += ds
+                val = -s - h_cond
+                if val < best_val - 1e-12:
+                    best_val = val
+                    assign[v] = c
+                    best_assign = assign.copy()
+                s -= ds
+            return
         for c in range(len(cells) + 1):
             if c in taken:
                 continue
             if c == len(cells):      # opening a class joins an empty one
                 cells.append(empty)
-            old = old_mass, old_logs = cells[c]
-            mass, logs, child_peak = old_mass.copy(), old_logs.copy(), peak.copy()
+            old = cells[c]
+            cell = old.copy()
+            child_peak = peak.copy()
             ds = 0
-            for z, x in support[v]:
-                t = mass[z] = old_mass[z] + x
-                y = logs[z] = plogp_of[t]
-                ds += y - old_logs[z]
-                if t > child_peak[z]:
-                    child_peak[z] = t
-            cells[c] = (mass, logs)
+            dk = 0.0    # the change of the bound's column terms
+            for z, zl, zg, x, r1 in cols:
+                t = cell[z] = old[z] + x
+                y = cell[zl] = plogp_of[t]
+                ds += y - old[zl]
+                p = peak[z]
+                if t > p:
+                    g = plogp_of[t + r1]
+                    dk += y - g - peak[zl] + peak[zg]
+                    child_peak[z], child_peak[zl] = t, y
+                else:
+                    g = plogp_of[p + r1]
+                    dk += peak[zg] - g
+                child_peak[zg] = g
+            cells[c] = cell
             s += ds
             assign[v] = c
-            descend(v + 1, child_peak)
+            child_bound = bound - ds + dk
+            if child_bound < best_val - 1e-12:
+                descend(v + 1, child_peak, child_bound)
             cells[c] = old
             s -= ds
         cells.pop()
 
-    descend(0, [0.0] * m)
-    assert best_assign is not None
+    # the root's bound: all of each column's mass in one class, which is
+    # H(class | Z) = 0
+    descend(0, [0.0] * (2 * m) + top, 0.0)
     return best_assign, max(best_val, 0.0)
 
 
@@ -486,7 +513,8 @@ def min_entropy_coloring(g: CharGraph, marginal: JointPMF, mode: str = "exact",
         assign, value = _min_entropy_partition(g._adj, mass.reshape(-1, 1))
     elif mode == "greedy":
         assign = _greedy_assignment(g._adj, mass)
-        value = -sum(_plogp(t) for t in np.bincount(assign, weights=mass))
+        plogp_of = _PlogpMemo()
+        value = -sum(plogp_of[t] for t in np.bincount(assign, weights=mass).tolist())
     else:
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     coloring = Coloring(g, {v: c for v, c in zip(g.vertices.symbols, assign)})
@@ -624,13 +652,16 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     allowed = np.ascontiguousarray(rows.T)
 
     p = joint.mass
-    p1 = p.sum(axis=1)
-    p2 = p.sum(axis=0)
+    # each reduction calls the ufunc method itself, as ndarray.sum and
+    # ndarray.max do through a Python wrapper
+    p1 = np.add.reduce(p, axis=1)
+    p2 = np.add.reduce(p, axis=0)
     p2_given_1 = np.divide(p, p1[:, None], out=np.zeros_like(p), where=p1[:, None] > 0)
     p1_given_2 = np.divide(p, p2, out=np.zeros_like(p), where=p2 > 0)
 
     def objective(q: np.ndarray, r: np.ndarray) -> float:   # H(W|U2) - H(W|U1)
-        return float(plogp(q).sum(axis=1) @ p1 - plogp(r).sum(axis=1) @ p2)
+        return float(np.add.reduce(plogp(q), axis=1) @ p1
+                     - np.add.reduce(plogp(r), axis=1) @ p2)
 
     # the colouring's kernel; classes that land on one set merge, which
     # cannot raise H(W|U2)
@@ -648,7 +679,7 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     # b[u1, u2] = p(u1 | u2) / p(w0(u1) | u2); the denominator is at least
     # the numerator, so it is positive wherever the numerator is
     b = np.divide(p1_given_2, r0[:, home].T, out=np.zeros_like(p), where=p1_given_2 > 0)
-    load = np.maximum((rows @ b).max(axis=0), 1.0)          # t(u2)
+    load = np.maximum(np.maximum.reduce(rows @ b, axis=0), 1.0)     # t(u2)
     value0 = objective(q0, r0)
     gap0 = float(p2 @ np.log2(load))
     kernel, value, lower = q0, value0, value0 - gap0
@@ -674,7 +705,7 @@ def _alternating_minimization(allowed: np.ndarray, p1: np.ndarray, p2_given_1: n
     q's Frank-Wolfe gap."""
     off = np.where(allowed, 0.0, -np.inf)       # added to mask the disallowed sets
     hole = np.where(allowed, 0.0, _LOG_Q_HOLE)  # the plain step's mask
-    q = allowed / allowed.sum(axis=1, keepdims=True)
+    q = allowed / np.add.reduce(allowed, axis=1, keepdims=True)
     # finite everywhere: off the allowed sets q is 0, so those entries never count
     log_q = np.log2(q, out=np.zeros_like(q), where=allowed)
     # the iterate a relaxed step left, to which a rejected relaxed step goes back

@@ -458,9 +458,9 @@ class TestGraphCommands:
         out = tmp_path / "graph.json"
         assert main(["graph", "build", "--joint", str(spec_files["pmf"]),
                      "--function", str(spec_files["function"]), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: characteristic graph of 3 vertices, 3 peer symbols")
-        assert "exceeds the cap of 26 on vertices^2 x peers and on labels^2" in err
+        assert capsys.readouterr().err == (
+            "error: --joint: characteristic graph of 3 vertices and 3 peer symbols exceeds"
+            " the cap of 26 on vertices^2 x peers\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["color", "entropy"])
@@ -730,6 +730,16 @@ def _over_cap_graph(f: _Inputs) -> list[str]:
                                              "mass": [1 / n] * n}))]
 
 
+def _over_cap_characteristic(f: _Inputs, n: int, m: int, label) -> list[str]:
+    """--joint and --function files of a uniform n x m joint and the
+    function label(x, z) of integer symbols."""
+    x, z = Alphabet("u1", tuple(range(n))), Alphabet("u2", tuple(range(m)))
+    joint = JointPMF((x, z), np.full((n, m), 1 / (n * m)))
+    table = FunctionTable.from_callable((x, z), label)
+    return ["--joint", f.text(json.dumps(jsonio.pmf_to_json(joint))),
+            "--function", f.text(json.dumps(jsonio.function_table_to_json(table)))]
+
+
 def _check(spec: str) -> list[str]:
     return ["check", "theorem1", "--spec", spec]
 
@@ -857,6 +867,14 @@ MALFORMED_INPUT = {
         ["graph", "build", "--function", f["function"],
          "--joint", f.edited("pmf", _set("axes", 1, "name", "u1"))],
         "$: duplicate axis names ['u1', 'u1']"),
+    "graph build over-cap vertices and peers": lambda f: (
+        ["graph", "build", *_over_cap_characteristic(f, 725, 2, lambda x, z: 0)],
+        "--joint: characteristic graph of 725 vertices and 2 peer symbols exceeds the cap"
+        " of 1048576 on vertices^2 x peers"),
+    "graph build over-cap labels": lambda f: (
+        ["graph", "build", *_over_cap_characteristic(f, 2, 513, lambda x, z: 513 * x + z)],
+        "--function: characteristic graph of 1026 distinct function labels exceeds the cap"
+        " of 1048576 on labels^2"),
     "graph build unwritable out": lambda f: _unwritable(
         f, ["graph", "build", "--joint", f["pmf"], "--function", f["function"]]),
     # graph color

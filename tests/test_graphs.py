@@ -137,8 +137,19 @@ class TestCharacteristicGraph:
         monkeypatch.setattr(graphs, "CHARACTERISTIC_GRAPH_CAP", 27)   # 3^2 x 3
         assert characteristic_graph(joint, f).sorted_edges() == [("1", "3")]
         monkeypatch.setattr(graphs, "CHARACTERISTIC_GRAPH_CAP", 26)
-        with pytest.raises(SizeCapError, match="3 vertices, 3 peer symbols"):
+        with pytest.raises(SizeCapError, match=r"3 vertices and 3 peer symbols exceeds the"
+                                               r" cap of 26 on vertices\^2 x peers$"):
             characteristic_graph(joint, f)
+        # one vertex on three peers, three labels: 3 cells pass, 3^2 labels do not
+        axes = (alph("x", 1), alph("z", 3))
+        one_row = JointPMF(axes, np.full((1, 3), 1 / 3))
+        injective = FunctionTable(axes, np.arange(3).reshape(1, 3))
+        monkeypatch.setattr(graphs, "CHARACTERISTIC_GRAPH_CAP", 9)
+        assert characteristic_graph(one_row, injective).sorted_edges() == []
+        monkeypatch.setattr(graphs, "CHARACTERISTIC_GRAPH_CAP", 8)
+        with pytest.raises(SizeCapError, match=r"of 3 distinct function labels exceeds the"
+                                               r" cap of 8 on labels\^2$"):
+            characteristic_graph(one_row, injective)
 
     def test_peak_memory_at_the_cap(self):
         # 1,024 vertices, one peer and 1,024 distinct labels: the complete
