@@ -22,36 +22,18 @@ from .probability import Alphabet, AxisError, JointPMF, plogp
 # the cap is on vertices.
 OR_PRODUCT_CAP = 1024
 # Vertices for exact colouring, stable-set enumeration and the graph entropies
-# built on them. At 12 vertices: stable_sets 5-9 ms (edgeless, 4095 stable
-# sets; 0.6-0.9 ms for its one maximal set, 0.4-0.5 ms before the sets grew as
-# int bitmasks). Worst of 200 random graphs (edge probability 0.15-0.5,
-# Dirichlet masses): exact min_entropy_coloring 0.17-0.19 s, once 0.23 s under
-# load from outside (0.71-0.84 s before the branch-and-bound read its bound
-# from the search state); conditional_chromatic_entropy with a full-support
-# 12x12 joint 0.13-0.19 s (0.97-1.14 s before).
-# conditional_graph_entropy on four disjoint triangles (81 maximal stable
-# sets) with the joint rng(s).random((12, 12)), s = 5, 6, 7, with
-# over-relaxed steps, timed alternately with plain steps: s = 5 certified in
-# 4,539 steps, 0.10-0.11 s (plain: 7,844 steps, 0.16-0.17 s); s = 6
-# certified in 8,783 steps, 0.19-0.20 s (plain: uncertified at the default
-# 10,000 steps, gap 3.2e-7 bits, 0.21 s); s = 7 uncertified at 10,000
-# steps, gap 1.6e-5 bits, 0.22 s (0.22-0.23 s while log2 q was floored after
-# plain steps too; plain: gap 4.2e-5, 0.21 s), and 1.0 s to a 1e-8 gap
-# (plain: 1.75 s). The colouring's certificate settles none of the three;
-# the colouring is 0.009-0.011 s of each. The solver's steps bound this size.
-# With fresh arrays at each step, best of 3 in six processes alternated with
-# steps written into arrays allocated once per call: s = 5 / 6 / 7 take
-# 0.104-0.106 / 0.191-0.195 / 0.218-0.220 s, against 0.104-0.105 /
-# 0.194-0.196 / 0.218-0.223 s.
+# built on them. Each of these searches grows exponentially with the vertex
+# count; at 12 vertices the slowest, conditional_graph_entropy's steps, take
+# about 0.2 s. The measured times are in the README's "Size caps" table.
 EXACT_COLORING_CAP = 12
 # Cells (|X||Z|)^n of the n-fold joint of iid_pair_power, checked before the
-# product is built, and the block length n of it and of or_product.
-# conditional_chromatic_entropy at the cap: one vertex with a 1x2 joint at
-# n = 16, 0.19 s; three vertices with a 3x85 joint at n = 2, 0.19-1.14 s,
-# most of it colouring 7,225 peer columns. A one-cell base (a 1x1 joint, a
-# graph of one vertex or none) passes the cell and vertex caps at every n,
-# yet still builds n - 1 Kronecker products and n-tuple symbols, so only the
-# block length bounds it.
+# product is built, and the block length n of it and of or_product. With
+# EXACT_COLORING_CAP on the OR product it bounds conditional_chromatic_entropy,
+# whose colouring works on every peer column a vertex has mass in. A one-cell
+# base (a 1x1 joint, a graph of one vertex or none) passes the cell and
+# vertex caps at every n, yet still builds n - 1 Kronecker products and
+# n-tuple symbols, so only the block length bounds it. The measured times
+# are in the README's "Size caps" table.
 IID_POWER_CELL_CAP = 2**16
 _MAX_BLOCK_LENGTH = 32
 # Multiply-adds |X|^2 |Y| of the zigzag matrix product. At the cap, worst
@@ -366,6 +348,15 @@ class _PlogpMemo(dict):
         return y
 
 
+def _sum_in_order(values) -> float:
+    """Left-to-right sum, as ``sum`` adds numpy scalars: from Python 3.12
+    on, ``sum`` of Python floats is compensated, which moves last bits."""
+    total = 0
+    for x in values:
+        total += x
+    return total
+
+
 def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
                            ) -> tuple[list[int], float]:
     """Exact minimum of H(class | column) over proper partitions.
@@ -398,7 +389,7 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
     col_total = np.add.reduce(weights, axis=0).tolist()
     plogp_of = _PlogpMemo()
     top = [plogp_of[c] for c in col_total]
-    h_cond = -sum(top)      # H(Z), subtracted at the end
+    h_cond = -_sum_in_order(top)      # H(Z), subtracted at the end
     # classes hold only vertices placed before v, so the classes v may not
     # join are those of its earlier neighbours
     earlier = [[u for u in range(v) if row[u]] for v, row in enumerate(adj.tolist())]
@@ -514,7 +505,7 @@ def min_entropy_coloring(g: CharGraph, marginal: JointPMF, mode: str = "exact",
     elif mode == "greedy":
         assign = _greedy_assignment(g._adj, mass)
         plogp_of = _PlogpMemo()
-        value = -sum(plogp_of[t] for t in np.bincount(assign, weights=mass).tolist())
+        value = -_sum_in_order(plogp_of[t] for t in np.bincount(assign, weights=mass).tolist())
     else:
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     coloring = Coloring(g, {v: c for v, c in zip(g.vertices.symbols, assign)})

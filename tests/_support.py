@@ -309,35 +309,44 @@ def loop_mutual_information(pmf: JointPMF, a: tuple, b: tuple, given: tuple = ()
 
 # --- exact-partition oracle --------------------------------------------------
 
-def brute_force_min_conditional_entropy(adj: list[int], weights: np.ndarray,
-                                        ) -> float:
-    """Minimum H(class | column) over proper partitions by full enumeration."""
+def brute_force_partitions(adj: list[int], weights: np.ndarray,
+                           ) -> list[tuple[list[int], float]]:
+    """Every proper partition, as its restricted-growth assignment in
+    lexicographic order, with its H(class | column), by full enumeration."""
     n, m = weights.shape
     col_total = weights.sum(axis=0)
     hz = dict_entropy({i: float(c) for i, c in enumerate(col_total) if c > 0})
-    best = float("inf")
+    out = []
+    assign = [0] * n
 
     def rec(v: int, classes: list[tuple[int, np.ndarray]]):
-        nonlocal best
         if v == n:
             joint = {}
             for ci, (_, vec) in enumerate(classes):
                 for zi, p in enumerate(vec):
                     if p > 0:
                         joint[(ci, zi)] = float(p)
-            best = min(best, dict_entropy(joint) - hz)
+            out.append((assign.copy(), dict_entropy(joint) - hz))
             return
         for ci, (mask, vec) in enumerate(classes):
             if not (mask & adj[v]):
                 classes[ci] = (mask | (1 << v), vec + weights[v])
+                assign[v] = ci
                 rec(v + 1, classes)
                 classes[ci] = (mask, vec)
         classes.append((1 << v, weights[v].copy()))
+        assign[v] = len(classes) - 1
         rec(v + 1, classes)
         classes.pop()
 
     rec(0, [])
-    return max(best, 0.0)
+    return out
+
+
+def brute_force_min_conditional_entropy(adj: list[int], weights: np.ndarray,
+                                        ) -> float:
+    """Minimum H(class | column) over proper partitions by full enumeration."""
+    return max(min(value for _, value in brute_force_partitions(adj, weights)), 0.0)
 
 
 # --- grid oracle for the conditional graph entropy ---------------------------

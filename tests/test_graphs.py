@@ -17,7 +17,9 @@ from _support import (
     alph,
     assert_refuses,
     brute_force_min_conditional_entropy,
+    brute_force_partitions,
     dict_conditional_entropy,
+    dict_entropy,
     enumerate_stable_sets,
     frozen_conditional_graph_entropy,
     grid_conditional_graph_entropy,
@@ -337,6 +339,43 @@ class TestColoring:
             oracle = brute_force_min_conditional_entropy(
                 loop_adjacency_masks(g), pmf.mass.reshape(-1, 1))
             assert bits == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["columns", "one-peer", "sparse"])
+    def test_exact_partition_against_enumeration(self, kind):
+        # an oracle that does not replay the search: every proper partition,
+        # enumerated in restricted-growth order, on one to five columns
+        rng = np.random.default_rng(39)
+        for _ in range(40):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            g = random_graph(rng, n)
+            if kind == "columns":
+                weights = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+            elif kind == "one-peer":
+                weights = np.zeros((n, m))
+                weights[np.arange(n), rng.integers(0, m, size=n)] = rng.dirichlet(np.ones(n))
+            else:
+                weights = rng.random((n, m)) * (rng.random((n, m)) > 0.3)
+                if not weights.any():
+                    weights[0, 0] = 1.0
+                weights /= weights.sum()
+            adj = loop_adjacency_masks(g)
+            assign, value = graphs._min_entropy_partition(g._adj, weights)
+            partitions = brute_force_partitions(adj, weights)
+            least = min(v for _, v in partitions)
+            assert abs(value - max(least, 0.0)) <= 1e-12
+            # proper, and in restricted-growth form
+            assert not any(adj[u] >> v & 1 for u in range(n) for v in range(n)
+                           if assign[u] == assign[v])
+            assert all(assign[v] <= max(assign[:v], default=-1) + 1 for v in range(n))
+            # the entropy of its class masses is the value
+            cells: dict = {}
+            for v, c in enumerate(assign):
+                for z in range(m):
+                    cells[c, z] = cells.get((c, z), 0.0) + float(weights[v, z])
+            columns = dict(enumerate(weights.sum(axis=0).tolist()))
+            assert abs(dict_entropy(cells) - dict_entropy(columns) - value) <= 1e-12
+            # a tie goes to the partition first in restricted-growth order
+            assert assign == next(a for a, v in partitions if v <= least + 1e-12)
 
     def test_exact_never_above_greedy(self):
         rng = np.random.default_rng(22)
@@ -892,6 +931,15 @@ class TestFastPathsAgainstLoops:
                 weights = rng.dirichlet(np.ones(n * m)).reshape(n, m)
             assert (graphs._min_entropy_partition(g._adj, weights)
                     == loop_min_entropy_partition(loop_adjacency_masks(g), weights))
+
+    def test_min_entropy_partition_on_the_bench_instances(self):
+        # the marginal and the joint of each of seed 24101's bench-shaped
+        # instances, bit for bit against the bitmask search
+        for g, joint in bench_small_instances(24101):
+            for weights in (joint.mass.sum(axis=1, keepdims=True), joint.mass):
+                assign, value = graphs._min_entropy_partition(g._adj, weights)
+                want, want_value = loop_min_entropy_partition(loop_adjacency_masks(g), weights)
+                assert (assign, value.hex()) == (want, want_value.hex())
 
     def test_conditional_chromatic_entropy_of_pairs(self):
         # block length 2 on 3-vertex bases: the OR product and the iid pair
