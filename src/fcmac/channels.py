@@ -13,24 +13,10 @@ from .probability import (Alphabet, AxisError, JointPMF, Kernel, _plogp, compose
                           mutual_information, plogp)
 
 CAPACITY_GRID_POINTS = 51
-# Capacity grid points, and grid points times output symbols. One BLAS
-# thread on a 2-vCPU Xeon VM, random Dirichlet laws, seeds 1-3, best of three
-# per seed in each of three processes, alternated with as many of the
-# buffered sweep this one replaced (its times in brackets); time and peak
-# RSS of a whole search:
-#   inputs (points)      |Y| = 2                         |Y| = 5
-#   1x6 (3,478,761)      0.23-0.39 s [0.23-0.34], 90 MB  0.36-0.61 s [0.39-0.73], 90 MB
-#   6x1                  0.27-0.44 s [0.24-0.40], 90 MB  0.39-0.78 s [0.38-0.65], 90 MB
-#   3x3 (1,758,276)      0.11-0.17 s [0.10-0.17], 42 MB  0.19-0.27 s [0.18-0.25], 42 MB
-#   2x4 (1,194,726)      0.06-0.11 s [0.07-0.11], 43 MB  0.13-0.27 s [0.12-0.26], 42 MB
-# (the three-operand einsum sweep took 0.81-1.19 s and 388-627 MB at 1x6).
-# The sweep's work and the refinement's grow with |Y|: at the cell cap,
-# 1x6 with |Y| = 9 takes 0.65-1.22 s [0.68-1.16], 3x3 with |Y| = 19
-# 0.63-1.12 s [0.68-0.92] and 2x4 with |Y| = 28 0.71-0.90 s [0.65-1.08],
-# all at 40-90 MB. The sweep alone, interleaved with the buffered one in one
-# process (two runs of 10 and 12 calls, medians): 1x6 |Y| = 2 0-5 % faster,
-# 3x3 |Y| = 5 8-9 % and 2x4 |Y| = 28 7-18 % slower, where each block's
-# fresh arrays take about 11,000 and 20,000 more minor page faults a sweep.
+# Points of the capacity search's product grid, and those points times the
+# output symbols |Y|, with which the sweep's and the refinement's work grow;
+# both are refused before any grid is built. The worst times measured at
+# each are in the README's "Size caps" table.
 CAPACITY_GRID_CAP = 4_000_000
 CAPACITY_CELL_CAP = 2**25
 
@@ -258,7 +244,7 @@ def mac_sum_capacity_independent(mac: DiscreteMAC) -> SumCapacityResult:
             f"capacity grid of {total} points times {ny} outputs exceeds the cap of "
             f"{CAPACITY_CELL_CAP} cells; the output alphabet is too large for this search")
     counts1 = _simplex_counts(n1, steps)
-    counts2 = _simplex_counts(n2, steps)
+    counts2 = counts1 if n2 == n1 else _simplex_counts(n2, steps)   # read only
     rows = plogp(law3).sum(axis=2)   # -H(Y | x1, x2)
 
     a, b = _grid_argmax(law3, rows, counts1, counts2, steps)

@@ -16,7 +16,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from . import experiments, graphs, jsonio
@@ -81,12 +81,19 @@ def _result_json(result: experiments.ExperimentResult) -> dict:
         "experiment": result.experiment_id,
         "passed": result.passed,
         "rows": [{k: getattr(r, k) for k in _ROW_FIELDS} for r in result.rows],
-        "schemes": [{("scheme" if k == "scheme_id" else k): v for k, v in asdict(s).items()}
-                    for s in result.schemes],
+        "schemes": [_scheme_json(s) for s in result.schemes],
     }
     if result.sweep_rows is not None:
         out["sweep"] = {"header": list(result.sweep_header),
                         "rows": [list(row) for row in result.sweep_rows]}
+    return out
+
+
+def _scheme_json(s: experiments.SchemeReport) -> dict:
+    """``s``'s fields with only its Monte Carlo estimate made a dict, which
+    is all that ``asdict``'s deep copy of every value would change."""
+    out = {("scheme" if f.name == "scheme_id" else f.name): getattr(s, f.name) for f in fields(s)}
+    out["distortion_mc"] = None if s.distortion_mc is None else asdict(s.distortion_mc)
     return out
 
 

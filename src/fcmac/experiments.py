@@ -44,12 +44,8 @@ LOG2_6 = math.log2(6.0)
 COLOR_ENTROPY = LOG2_3 - 2.0 / 3.0          # entropy of a (2/3, 1/3) split
 FOUR_THIRDS = 4.0 / 3.0
 
-# Largest sweep a run accepts, from the wall time of the whole CLI run,
-# interpreter start included, on a 2-vCPU Xeon VM with one BLAS thread.
-# gauss-diff at MAX_STEPS: 0.8 s printing only, 1.7-1.9 s with a CSV --out,
-# 2.4-2.8 s with a JSON --out (the default 40 steps: 0.35-0.39 s). With
-# schemes.MAX_SAMPLES as well, JSON out: 2.4-3.0 s on two block workers
-# (3.1-3.9 s on the same machine with the blocks on one thread).
+# Most powers in a gauss-diff sweep; the whole-run times measured at it are
+# in the README's "Size caps" table.
 MAX_STEPS = 100_000
 
 
@@ -88,26 +84,25 @@ class ResultRow:
     tolerance: float | None = None
     reference: object | None = None    # rounded quoted figure (informational)
     reference_tol: float = 5e-3
+    # set at construction: FAIL, flagged (``expected`` matched, ``reference`` not), pass or info
+    passed: bool = field(init=False, repr=False, compare=False)
+    status: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        passed = self.expected is None or self._matches(self.expected, self.tolerance or 0.0)
+        if not passed:
+            status = "FAIL"
+        elif self.reference is not None and not self._matches(self.reference, self.reference_tol):
+            status = "flagged"
+        else:
+            status = "pass" if self.expected is not None else "info"
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "status", status)
 
     def _matches(self, target, tol) -> bool:
         if isinstance(self.value, (bool, str)) or isinstance(target, (bool, str)):
             return self.value == target
         return abs(float(self.value) - float(target)) <= tol
-
-    @property
-    def passed(self) -> bool:
-        if self.expected is None:
-            return True
-        return self._matches(self.expected, self.tolerance or 0.0)
-
-    @property
-    def status(self) -> str:
-        if not self.passed:
-            return "FAIL"
-        if self.reference is not None and not self._matches(self.reference,
-                                                            self.reference_tol):
-            return "flagged"
-        return "pass" if self.expected is not None else "info"
 
 
 @dataclass
@@ -160,19 +155,22 @@ def _rate_scheme(scheme_id: str, rate_bits: float, capacity_bits: float,
 
 def _section5(seed: int = DEFAULT_SEED) -> ExperimentResult:
     base = presets.ternary_source_joint()
+    f = presets.comparison_function()
+    mac = adder_mac()
     h_pair = entropy(base, ("u1", "u2"))
-    graph = characteristic_graph(base, presets.comparison_function())
+    graph = characteristic_graph(base, f)
     _, h_color = min_entropy_coloring(graph, marginalize(base, "u1"), "exact")
 
-    with_z = presets.ternary_with_side_info()
-    colored = compose(with_z, [presets.color_kernel_single("u1", "c1"),
-                               presets.color_kernel_single("u2", "c2")])
+    colored = compose(base, [presets.side_info_kernel(),
+                             presets.color_kernel_single("u1", "c1"),
+                             presets.color_kernel_single("u2", "c2")])
     h_colors = entropy(colored, ("c1", "c2"))
     h_colors_given_z = conditional_entropy(colored, ("c1", "c2"), "z")
 
-    capacity = mac_sum_capacity_independent(adder_mac()).bits
-    joint_rep = check_feasibility(presets.section5_system("joint"))
-    indep_rep = check_feasibility(presets.section5_system("independent"))
+    capacity = mac_sum_capacity_independent(mac).bits
+    joint_system = presets._section5_joint(base, f, mac)
+    joint_rep = check_feasibility(joint_system)
+    indep_rep = check_feasibility(presets._section5_independent(joint_system))
     zz = zigzag_check(base)
 
     uncoded = sum(math.log2(len(axis)) for axis in base.axes)
@@ -339,7 +337,7 @@ def _uniform_grid(seed: int = DEFAULT_SEED, target_d: float = 1.0 / 6.0,
     # threshold at half a cell width: adjacent-cell center gaps are confusable
     graph = characteristic_graph(cell_pmf, presets.grid_cell_function(),
                                  delta=Fraction(1, 2 * cells))
-    capacity = mac_sum_capacity_independent(adder_mac()).bits
+    capacity = mac_sum_capacity_independent(system.channel).bits
     h_cells = entropy(cell_pmf, ("w1", "w2"))
     colored = compose(cell_pmf, [presets.color_kernel_single("w1", "c1", presets.GRID_COLOR_OF),
                                  presets.color_kernel_single("w2", "c2", presets.GRID_COLOR_OF)])

@@ -8,9 +8,10 @@ the binary adder channel.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
-from .channels import adder_mac
+from .channels import DiscreteMAC, adder_mac
 from .feasibility import DistortionTable, SystemSpec
 from .graphs import FunctionTable
 from .probability import Alphabet, JointPMF, Kernel, compose
@@ -70,16 +71,14 @@ def _flip(bit: str) -> str:
     return "1" if bit == "0" else "0"
 
 
-def _adder_color_system(base: JointPMF, color_of: dict, f: FunctionTable, decode: dict,
-                        distortion: DistortionTable, target_d: float,
-                        x_marginal: tuple | None = None) -> SystemSpec:
+def _adder_color_system(base: JointPMF, color_of: dict, f: FunctionTable, mac: DiscreteMAC,
+                        decode: dict, distortion: DistortionTable, target_d: float) -> SystemSpec:
     """The shape both bundled systems share.
 
     The sources are ``base``'s two axes with one-symbol side information
     everywhere. Each source is colored onto a bit by ``color_of``, the colors
-    ride the adder channel as x1 = c1, x2 = 1 - c2, and the decoder reads
-    ``decode`` on the color pair. With ``x_marginal``, the two channel inputs
-    are instead drawn from it independently of everything else.
+    ride ``mac``, the adder channel, as x1 = c1, x2 = 1 - c2, and the decoder
+    reads ``decode`` on the color pair.
     """
     u1, u2 = base.axes
     z1, z2, z = _singleton("z1"), _singleton("z2"), _singleton("z")
@@ -89,18 +88,11 @@ def _adder_color_system(base: JointPMF, color_of: dict, f: FunctionTable, decode
 
     w1 = Kernel.deterministic((u1, z1), (c1,), lambda s, _: color_of[s])
     w2 = Kernel.deterministic((u2, z2), (c2,), lambda s, _: color_of[s])
-    mac = adder_mac()
     x1_axis, x2_axis = mac.input_alphabets
-    if x_marginal is None:
-        x1 = Kernel.deterministic((c1,), (x1_axis,), lambda c: c)
-        x2 = Kernel.deterministic((c2,), (x2_axis,), _flip)
-    else:
-        x1 = Kernel.constant((c1,), (x1_axis,), x_marginal)
-        x2 = Kernel.constant((c2,), (x2_axis,), x_marginal)
-
+    x1 = Kernel.deterministic((c1,), (x1_axis,), lambda c: c)
+    x2 = Kernel.deterministic((c2,), (x2_axis,), _flip)
     decoder = FunctionTable.from_callable((c1, c2, z), lambda a, b, _: decode[(a, b)])
-    return SystemSpec(source, w1, w2, x1, x2, mac, f, decoder, distortion,
-                      target_d=target_d)
+    return SystemSpec(source, w1, w2, x1, x2, mac, f, decoder, distortion, target_d)
 
 
 def section5_system(code: str = "joint") -> SystemSpec:
@@ -114,16 +106,27 @@ def section5_system(code: str = "joint") -> SystemSpec:
     covers source pairs with both outputs), so the decoder is the majority
     rule and the target distortion is the resulting 1/6.
     """
-    if code == "joint":
-        x_marginal = None
-    elif code == "independent":
-        x_marginal = (2.0 / 3.0, 1.0 / 3.0)  # each color is 0 with probability 2/3
-    else:
+    if code not in ("joint", "independent"):
         raise ValueError(f"code must be 'joint' or 'independent', got {code!r}")
+    joint = _section5_joint(ternary_source_joint(), comparison_function(), adder_mac())
+    return joint if code == "joint" else _section5_independent(joint)
+
+
+def _section5_joint(base: JointPMF, f: FunctionTable, mac: DiscreteMAC) -> SystemSpec:
+    """``section5_system("joint")`` on the given source joint, comparison
+    function and adder channel."""
     decode = {("0", "0"): 0, ("0", "1"): 0, ("1", "0"): 1, ("1", "1"): 0}
     distortion = DistortionTable((0, 1), (0, 1), [[0.0, 1.0], [1.0, 0.0]])
-    return _adder_color_system(ternary_source_joint(), COLOR_OF, comparison_function(),
-                               decode, distortion, 1.0 / 6.0, x_marginal)
+    return _adder_color_system(base, COLOR_OF, f, mac, decode, distortion, 1.0 / 6.0)
+
+
+def _section5_independent(joint: SystemSpec) -> SystemSpec:
+    """``section5_system("independent")`` from the joint-code system, whose
+    channel inputs it draws from the product of the color marginals instead;
+    ``replace`` runs every ``SystemSpec`` check again."""
+    def drawn(k: Kernel) -> Kernel:   # each color is 0 with probability 2/3
+        return Kernel.constant(k.from_axes, k.to_axes, (2.0 / 3.0, 1.0 / 3.0))
+    return replace(joint, x1_kernel=drawn(joint.x1_kernel), x2_kernel=drawn(joint.x2_kernel))
 
 
 # --- quantized-cell system -------------------------------------------------
@@ -157,4 +160,4 @@ def grid_system(target_d: float = 1.0 / 6.0) -> SystemSpec:
     costs = [[float(abs(a - b)) for b in labels] for a in labels]
     distortion = DistortionTable(tuple(labels), tuple(labels), costs)
     return _adder_color_system(offdiagonal_cell_pmf(GRID_CELLS, "u1", "u2"), GRID_COLOR_OF,
-                               f, decode, distortion, target_d)
+                               f, adder_mac(), decode, distortion, target_d)

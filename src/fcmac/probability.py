@@ -230,19 +230,26 @@ class Kernel:
     @staticmethod
     def deterministic(from_axes: Sequence[Alphabet], to_axes: Sequence[Alphabet],
                       fn: Callable) -> "Kernel":
-        """Point-mass kernel: ``fn(*source_symbols)`` returns the target symbol(s)."""
+        """Point-mass kernel: ``fn(*source_symbols)`` returns a tuple of one
+        target symbol per target axis; a value that is not a tuple, or with
+        one target axis a symbol of that axis, is the one target symbol."""
         from_axes = tuple(from_axes)
         to_axes = tuple(to_axes)
-        n_to = math.prod(len(a) for a in to_axes)
-        rows = np.zeros((math.prod(len(a) for a in from_axes), n_to))
-        to_strides = np.cumprod([1] + [len(a) for a in reversed(to_axes)])[:-1][::-1]
-        for r, combo in enumerate(itertools.product(*(a.symbols for a in from_axes))):
+        cols = []
+        for combo in itertools.product(*(a.symbols for a in from_axes)):
             out = fn(*combo)
-            if len(to_axes) == 1 and not isinstance(out, tuple):
+            if not isinstance(out, tuple) or (len(to_axes) == 1 and out in to_axes[0]):
                 out = (out,)
-            col = sum(a.index(s) * int(st) for a, s, st in zip(to_axes, out, to_strides))
-            rows[r, col] = 1.0
-        return Kernel(from_axes, to_axes, rows)
+            if len(out) != len(to_axes):
+                raise ValueError(f"fn returned {len(out)} target symbols for"
+                                 f" {len(to_axes)} target axes")
+            col = 0
+            for a, s in zip(to_axes, out):
+                col = col * len(a) + a.index(s)
+            cols.append(col)
+        rows = np.zeros((len(cols), math.prod(len(a) for a in to_axes)))
+        rows[np.arange(len(cols)), cols] = 1.0
+        return Kernel._adopt(from_axes, to_axes, rows)
 
     @staticmethod
     def constant(from_axes: Sequence[Alphabet], to_axes: Sequence[Alphabet],

@@ -14,10 +14,8 @@ from .probability import Alphabet, JointPMF
 
 DEFAULT_SEED = 123456789
 MIN_MC_SAMPLES = 10_000
-# Largest sample count any sampler draws. Whole CLI runs at this count, on a
-# 2-vCPU Xeon VM with one BLAS thread and two block workers: gauss-diff
-# 0.61-0.70 s, uniform-grid 0.59-0.64 s (1.00-1.15 s and 0.95-0.96 s on the
-# same machine with the blocks on one thread).
+# Most samples any sampler or Monte Carlo estimate draws; the whole-run
+# times measured at it are in the README's "Size caps" table.
 MAX_SAMPLES = 10_000_000
 _BLOCK = 1 << 16
 _pool = None  # the block pool, made on first use (see _map_blocks)

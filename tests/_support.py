@@ -153,6 +153,23 @@ def joint_expected_distortion(spec: SystemSpec, joint: JointPMF) -> float:
     return float(np.sum(weighted))
 
 
+def loop_deterministic_rows(from_axes, to_axes, fn) -> np.ndarray:
+    """``Kernel.deterministic``'s rows by search: each source tuple's row,
+    in C order, holds one 1 at the one target tuple that ``fn``'s output
+    names, with the target tuples listed in C order. A target tuple ``t`` is
+    named by an output equal to ``t``, or, with one target axis, equal to
+    ``t``'s one symbol."""
+    sources = list(itertools.product(*(a.symbols for a in from_axes)))
+    targets = list(itertools.product(*(a.symbols for a in to_axes)))
+    rows = np.zeros((len(sources), len(targets)))
+    for r, source in enumerate(sources):
+        out = fn(*source)
+        hits = [c for c, t in enumerate(targets) if out == t or (len(t) == 1 and out == t[0])]
+        assert len(hits) == 1, (source, out, hits)
+        rows[r, hits[0]] = 1.0
+    return rows
+
+
 # --- the check's bounds through JointPMF wrappers ----------------------------
 # How the check evaluated its six bounds before they were read from raw
 # arrays: each marginal wrapped in a JointPMF, each measure reducing its

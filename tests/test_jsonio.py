@@ -8,7 +8,7 @@ import pytest
 
 from _support import (alph, entrywise_check_labels, entrywise_nested_floats, has_edge,
                       loop_graph_to_json, random_kernel, random_pmf, random_system_spec, value_at)
-from fcmac import jsonio, presets
+from fcmac import experiments, jsonio, presets
 from fcmac.channels import adder_mac
 from fcmac.cli import main
 from fcmac.feasibility import DistortionTable, check_feasibility
@@ -285,11 +285,33 @@ PINNED_PRESET_SPECS = {
 }
 
 
+def _spec_sha256(spec) -> str:
+    text = json.dumps(jsonio.system_spec_to_json(spec), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("system,code", list(PINNED_PRESET_SPECS))
 def test_preset_specs_pinned(system, code):
     spec = presets.section5_system(code) if system == "section5" else presets.grid_system()
-    text = json.dumps(jsonio.system_spec_to_json(spec), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PRESET_SPECS[system, code]
+    assert _spec_sha256(spec) == PINNED_PRESET_SPECS[system, code]
+
+
+@pytest.mark.parametrize("experiment,overrides,pins", [
+    ("section5", {}, [("section5", "joint"), ("section5", "independent")]),
+    ("uniform-grid", {"samples": 10_000}, [("grid", None)]),
+])
+def test_experiment_systems_pinned(experiment, overrides, pins, monkeypatch):
+    """The systems an experiment checks are the pinned presets, the ones it
+    builds from shared parts or derives from another included."""
+    checked = []
+
+    def record(spec):
+        checked.append(spec)
+        return check_feasibility(spec)
+
+    monkeypatch.setattr(experiments, "check_feasibility", record)
+    assert experiments.run_experiment(experiment, **overrides).passed
+    assert [_spec_sha256(spec) for spec in checked] == [PINNED_PRESET_SPECS[p] for p in pins]
 
 
 class TestMacJson:

@@ -11,6 +11,7 @@ from _support import (
     assemble_joint,
     dict_conditional_entropy,
     loop_conditional_entropy,
+    loop_deterministic_rows,
     loop_mutual_information,
     pmf_as_dict,
     random_pmf,
@@ -197,6 +198,52 @@ class TestCompose:
         a = Alphabet("a", ("0", "1"))
         with pytest.raises(ValueError, match=r"\(1, 0\) is not finite"):
             Kernel((a,), (Alphabet("b", ("0", "1")),), [[0.5, 0.5], [bad, 0.5]])
+
+
+# symbols that are tuples themselves
+_TUPLE_SYMBOLS = (("u1", "u2"), ("p", "q", "r"))
+
+
+class TestDeterministicKernel:
+    """``Kernel.deterministic`` against the search in ``loop_deterministic_rows``."""
+
+    CASES = {
+        "one target axis": (
+            (alph("a", 3), alph("b", 2)), (alph("c", 4),),
+            lambda a, b: f"c{(int(a[1]) + 2 * int(b[1])) % 4}"),
+        "two target axes": (
+            (alph("a", 3), alph("b", 2)), (alph("c", 2), alph("d", 3)),
+            lambda a, b: (f"c{int(b[1])}", f"d{int(a[1])}")),
+        "three target axes": (
+            (alph("a", 4),), (alph("c", 2), alph("d", 3), alph("e", 2)),
+            lambda a: ("c1", f"d{int(a[1]) % 3}", f"e{int(a[1]) // 2}")),
+        "no source axes": ((), (alph("c", 3),), lambda: "c2"),
+        "no source axes, two target axes": ((), (alph("c", 3), alph("d", 2)),
+                                            lambda: ("c1", "d0")),
+        "one-tuple output": ((alph("a", 3),), (alph("c", 3),), lambda a: (f"c{a[1]}",)),
+        "tuple symbols of one target axis": (
+            (alph("a", 3),), (Alphabet("t", _TUPLE_SYMBOLS),),
+            lambda a: _TUPLE_SYMBOLS[int(a[1]) % 2]),
+        "tuple symbols among two target axes": (
+            (alph("a", 3),), (alph("c", 2), Alphabet("t", _TUPLE_SYMBOLS)),
+            lambda a: (f"c{int(a[1]) % 2}", _TUPLE_SYMBOLS[int(a[1]) // 2])),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rows_match_the_loop_oracle(self, case):
+        from_axes, to_axes, fn = self.CASES[case]
+        kernel = Kernel.deterministic(from_axes, to_axes, fn)
+        want = loop_deterministic_rows(from_axes, to_axes, fn)
+        assert kernel.rows.dtype == want.dtype and np.array_equal(kernel.rows, want)
+        assert kernel.from_axes == from_axes and kernel.to_axes == to_axes
+        assert not kernel.rows.flags.writeable
+
+    def test_presets_match_the_loop_oracle(self):
+        u1, u2 = presets.ternary_source_joint().axes
+        z = Alphabet("z", ("0", "1", "2"))
+        fn = lambda a, b: str(abs(int(a) - int(b)))  # noqa: E731
+        assert np.array_equal(presets.side_info_kernel().rows,
+                              loop_deterministic_rows((u1, u2), (z,), fn))
 
 
 class TestEntropy:
@@ -491,6 +538,20 @@ REFUSALS = {
         lambda: compose(uniform2x2(), [Kernel.deterministic(
             uniform2x2().axes[:1], uniform2x2().axes[1:], lambda s: s)]),
         AxisError, "kernel target axis 'b' already present"),
+    "deterministic output shorter than the target axes": (
+        lambda: Kernel.deterministic((alph("a", 2),), (alph("b", 2), alph("c", 3)),
+                                     lambda a: ("b0",)),
+        ValueError, "fn returned 1 target symbols for 2 target axes"),
+    "deterministic output that is not a tuple, two target axes": (
+        lambda: Kernel.deterministic((alph("a", 2),), (alph("b", 2), alph("c", 3)),
+                                     lambda a: "b0"),
+        ValueError, "fn returned 1 target symbols for 2 target axes"),
+    "deterministic tuple longer than its one target axis": (
+        lambda: Kernel.deterministic((alph("a", 2),), (alph("b", 2),), lambda a: ("b0", "b1")),
+        ValueError, "fn returned 2 target symbols for 1 target axes"),
+    "deterministic output that is no symbol": (
+        lambda: Kernel.deterministic((alph("a", 2),), (alph("b", 2),), lambda a: "c0"),
+        KeyError, "\"'c0' is not a symbol of alphabet 'b'\""),
     "compose past the subscript letters": (
         lambda: compose(_singletons(52), [Kernel((Alphabet("s0", ("-",)),),
                                                  (Alphabet("t", ("-",)),), [[1.0]])]),
