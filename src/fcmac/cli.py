@@ -19,9 +19,12 @@ import sys
 from dataclasses import asdict, fields
 from fractions import Fraction
 
+import numpy as np
+
 from . import experiments, graphs, jsonio
 from .feasibility import check_feasibility
 from .graphs import (
+    FunctionTable,
     SizeCapError,
     characteristic_graph,
     conditional_chromatic_entropy,
@@ -193,9 +196,11 @@ def _numeric_label(value):
 def _cmd_graph_build(args) -> int:
     joint = jsonio.pmf_from_json(jsonio.load_json(args.joint))
     table = jsonio.function_table_from_json(jsonio.load_json(args.function))
-    # the range distortion is read in threshold mode only, when --delta is
-    # given, on every ordered label pair: each label is parsed once
-    numeric = functools.cache(_numeric_label)
+    if args.delta is not None:
+        # threshold mode compares numbers: each distinct label is parsed once
+        numeric = {label: _numeric_label(label) for label in table.range_labels()}
+        values = np.array([numeric[v] for v in table.values.flat], dtype=object)
+        table = FunctionTable(table.domain_axes, values.reshape(table.values.shape))
     # the joint's axis count is checked first, and any later mismatch is the
     # function's; of the two caps the joint's vertices^2 x peers comes
     # first, and a labels^2 refusal is the function's
@@ -203,8 +208,7 @@ def _cmd_graph_build(args) -> int:
     over = two_axes and len(joint.axes[0]) * joint.mass.size > graphs.CHARACTERISTIC_GRAPH_CAP
     with _at_fault({AxisError: "--function" if two_axes else "--joint",
                     SizeCapError: "--joint" if over else "--function"}):
-        g = characteristic_graph(joint, table, delta=args.delta,
-                                 range_distortion=lambda a, b: abs(numeric(a) - numeric(b)))
+        g = characteristic_graph(joint, table, delta=args.delta)
     _write_text(args.out, jsonio.json_text(jsonio.graph_to_json(g)))
     return 0
 

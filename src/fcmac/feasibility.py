@@ -29,13 +29,7 @@ BOUNDARY_TOL = 1e-9
 # (w1, w2, z, x1, x2, y), or the seven-axis source product
 # (u1, u2, z1, z2, z, w1, w2). The check never builds the latter, but its cell
 # count bounds the check's work and memory, whatever the number of function
-# labels. At the cap (|U| = 64, two-symbol side information, |W| = 16, ternary
-# X, |Y| = 5) one check takes 2.2-2.5 ms with a 3.5 MB tracemalloc peak for a
-# 3-label function, and 18-19 ms with 33 MB for an injective one (4,096
-# labels, so the distortion is gathered per source pair); at |U| = 16,
-# |W| = 8 (131,072 cells), 0.52-0.54 ms and 0.21 MB, and 0.71-0.77 ms and
-# 0.74 MB. Best of five per seed, seeds 1-3, on a 2-vCPU Intel Xeon VM with
-# one BLAS thread.
+# labels. The measured times are in the README's "Size caps" table.
 FEASIBILITY_CELL_CAP = 2**23
 
 
@@ -325,6 +319,35 @@ def _source_side_bounds(e1, e2, zw) -> tuple[float, float, float]:
             clamp_round_off(joint_rate))
 
 
+def _source_half(spec: SystemSpec) -> tuple:
+    """The source side of ``check_feasibility``: the first encoder joint's
+    (z, w1, w2) marginal, the three left-hand sides and the expected
+    distortion. Systems that differ only in their channel-input kernels and
+    channel share it."""
+    e1, e2 = _encoder_joints(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
+    zw = _codeword_marginal(e1)
+    return zw, _source_side_bounds(e1, e2, zw), expected_distortion(spec)
+
+
+def _channel_half(spec: SystemSpec, source: tuple) -> FeasibilityReport:
+    """The right-hand sides on ``spec``'s channel clique, whose cells the
+    caller has checked, reported with ``source``, the ``_source_half`` of
+    ``spec`` or of a system with the same source side."""
+    zw, lhs, distortion = source
+    n = spec.axis_names
+    z = spec.source_joint.axes[4]
+    channel = compose(JointPMF._adopt((z,) + spec.w1_kernel.to_axes + spec.w2_kernel.to_axes,
+                                      zw[0]),
+                      [spec.x1_kernel, spec.x2_kernel, spec.channel.law])
+    clique = (channel.mass, channel.axis_names)
+    rhs = (_mutual_information(*clique, (n["x1"],), (n["y"],), (n["x2"], n["w2"], n["z"])),
+           _mutual_information(*clique, (n["x2"],), (n["y"],), (n["x1"], n["w1"], n["z"])),
+           _mutual_information(*clique, (n["x1"], n["x2"]), (n["y"],), (n["z"],)))
+    recs = tuple(InequalityRecord(name, left, right)
+                 for name, left, right in zip(("encoder1", "encoder2", "sum"), lhs, rhs))
+    return FeasibilityReport(recs, distortion, spec.target_d)
+
+
 def check_feasibility(spec: SystemSpec) -> FeasibilityReport:
     """Evaluate the three rate inequalities and the distortion constraint.
 
@@ -339,26 +362,12 @@ def check_feasibility(spec: SystemSpec) -> FeasibilityReport:
     first encoder joint's (z, w1, w2) marginal. Neither the 7-axis source
     clique nor the 10-axis joint is built. Each bound is evaluated on raw
     arrays by the information measures' cores, with no ``JointPMF`` per
-    marginal.
+    marginal. The clique's size is checked before any of this work.
     """
-    n = spec.axis_names
-    z = spec.source_joint.axes[4]
-    _require_cells("channel clique", spec.w1_kernel.to_axes + spec.w2_kernel.to_axes + (z,)
-                   + spec.x1_kernel.to_axes + spec.x2_kernel.to_axes
-                   + spec.channel.law.to_axes)
-    e1, e2 = _encoder_joints(spec.source_joint, spec.w1_kernel, spec.w2_kernel)
-    zw = _codeword_marginal(e1)
-    channel = compose(JointPMF._adopt((z,) + spec.w1_kernel.to_axes + spec.w2_kernel.to_axes,
-                                      zw[0]),
-                      [spec.x1_kernel, spec.x2_kernel, spec.channel.law])
-    clique = (channel.mass, channel.axis_names)
-    lhs = _source_side_bounds(e1, e2, zw)
-    rhs = (_mutual_information(*clique, (n["x1"],), (n["y"],), (n["x2"], n["w2"], n["z"])),
-           _mutual_information(*clique, (n["x2"],), (n["y"],), (n["x1"], n["w1"], n["z"])),
-           _mutual_information(*clique, (n["x1"], n["x2"]), (n["y"],), (n["z"],)))
-    recs = tuple(InequalityRecord(name, left, right)
-                 for name, left, right in zip(("encoder1", "encoder2", "sum"), lhs, rhs))
-    return FeasibilityReport(recs, expected_distortion(spec), spec.target_d)
+    _require_cells("channel clique", spec.w1_kernel.to_axes + spec.w2_kernel.to_axes
+                   + spec.source_joint.axes[4:] + spec.x1_kernel.to_axes
+                   + spec.x2_kernel.to_axes + spec.channel.law.to_axes)
+    return _channel_half(spec, _source_half(spec))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -11,15 +14,10 @@ import numpy as np
 
 from .probability import Alphabet, AxisError, JointPMF, plogp
 
-# Measured with one BLAS thread on a 2-vCPU Xeon VM, best to median in three
-# processes alternated with np.kron factors (their times in brackets). At the
-# cap, worst case the complete graph (523,776 edges), the OR product itself
-# takes 1.5-1.7 ms [7.0-7.7 ms]; the views read from it afterwards take far
-# longer: the symbol edge set 0.23-0.26 s, sorted_edges 0.10-0.13 s. The
-# ternary comparison graph at n = 6 (729 vertices): 0.30-0.33 ms [1.8-2.2
-# ms], then 94-138 ms for its edge set; one vertex at n = 32: 0.11-0.12 ms
-# [0.39-0.42 ms]. Those views grow with the square of the vertex count, so
-# the cap is on vertices.
+# Vertices of an or_product. The product is one Kronecker power, but the
+# views read from it afterwards, such as sorted_edges, grow with the square of
+# the vertex count, so the cap is on vertices. The measured times are in the
+# README's "Size caps" table.
 OR_PRODUCT_CAP = 1024
 # Vertices for exact colouring, stable-set enumeration and the graph entropies
 # built on them. Each of these searches grows exponentially with the vertex
@@ -36,35 +34,17 @@ EXACT_COLORING_CAP = 12
 # are in the README's "Size caps" table.
 IID_POWER_CELL_CAP = 2**16
 _MAX_BLOCK_LENGTH = 32
-# Multiply-adds |X|^2 |Y| of the zigzag matrix product. At the cap, worst
-# case a 2048x2048 support whose distinct rows are nested: 0.31-0.38 s
-# (0.35-0.41 s, timed alternately, with np.unique finding the distinct rows).
+# Multiply-adds |X|^2 |Y| of the zigzag matrix product over all rows,
+# counted before the distinct rows are found. The measured times are in the
+# README's "Size caps" table.
 ZIGZAG_CAP = 2**33
 # Caps both |X|^2 |Z| (vertex pairs times peer symbols) and the square of
-# the distinct function labels of characteristic_graph. Worst case at the
-# cap: |X| = 1,024, one peer and 1,024 distinct labels, whose graph is
-# complete; a whole exact-mode `fcmac graph build` process, import and the
-# 17 MB output file of integer labels included, takes 1.5-1.6 s and 217 MB
-# peak RSS (1.6-1.7 s when the label table was 1,048,576 Python
-# comparisons; two runs each, alternated). The graph itself takes 5.7-6.7 ms
-# in exact mode, whose label table is set whole and its diagonal apart
-# (58-64 ms with the comparisons), with a 6.1 MB tracemalloc peak (14.7 MB),
-# and 102-108 ms in threshold mode (integer labels, delta 0; 96-105 ms in
-# the same runs of the earlier code), where the 1,048,576 label pairs,
-# compared in Python and converted to the table, set its time, with a
-# 9.7 MB peak; an intp index would add 4 MB. Best to median of nine calls,
-# three processes alternated with the comparisons. graph_to_json takes
-# 0.42-0.51 s and the indented json.dumps of the output format 1.5-2.0 s.
-# 32 vertices with 1,024 peers and labels: 0.5-1.1 s. The cap does not hold
-# threshold mode with fraction-string labels to that: at 1,024 vertices, one
-# peer, labels "k/1024" and `--delta 0.5`, each label is parsed once but each
-# of the 1,048,576 ordered label pairs is an exact Fraction subtraction, and
-# a whole process takes 7.2-9.1 s (16-21 s when each pair parsed its
-# labels), against 0.9 s with integer labels 0-1,023 at `--delta 512`.
-# Every graph built under the cap has at most 1,024 vertices,
-# so its file can be read back under GRAPH_FILE_VERTEX_CAP. The cap also
-# bounds the |X|^2 |Z| cells of the one table lookup that builds the graph,
-# so it needs no row blocks.
+# the distinct function labels of characteristic_graph. The first bounds the
+# cells of the one table lookup that builds the graph, so it needs no row
+# blocks; the second bounds the label table. Every graph built under the cap
+# has at most 1,024 vertices, so its file can be read back under
+# GRAPH_FILE_VERTEX_CAP. The measured times are in the README's "Size caps"
+# table.
 CHARACTERISTIC_GRAPH_CAP = 2**20
 _BLOCK_CELLS = 2**20   # array cells per row block of zigzag_check's products
 _LOG_FLOOR = np.array(1e-300)   # a 0-d array is not converted again at each use
@@ -217,24 +197,18 @@ def _check_vertex_axis(pmf: JointPMF, g: CharGraph, what: str) -> None:
         raise AxisError(f"{what} first axis must carry the graph's vertex symbols")
 
 
-def absolute_difference(a, b) -> float:
-    """Default range distortion for threshold-mode characteristic graphs."""
-    return abs(a - b)
-
-
-def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
-                         delta=None, range_distortion: Callable = absolute_difference,
-                         ) -> CharGraph:
+def characteristic_graph(joint: JointPMF, f: FunctionTable, *, delta=None) -> CharGraph:
     """Confusability graph of the first axis with respect to the second and f.
 
     Exact mode (``delta is None``): two symbols are joined when some
     positive-probability peer symbol makes the function values differ.
-    Threshold mode: joined when the values differ by more than ``delta``
-    under ``range_distortion`` for some such peer. ``range_distortion`` is
-    called once per ordered pair of ``f.range_labels()``, and for vertices
-    i < j the pair read is (f(i, peer), f(j, peer)). Refuses with
-    ``SizeCapError``, before any label pair is compared, when |X|^2 |Z|
-    exceeds ``CHARACTERISTIC_GRAPH_CAP``, and then when the squared count of
+    Threshold mode: joined when, for some such peer, the values a and b
+    satisfy |a - b| > ``delta``, compared exactly. The labels must then be
+    finite real numbers (int, float, ``Fraction``, ``Decimal`` or numpy
+    scalars); any other label, NaN and infinities included, raises
+    ValueError naming it. ``delta`` = inf gives the edgeless graph. Refuses
+    with ``SizeCapError``, before any label is compared, when |X|^2 |Z| exceeds
+    ``CHARACTERISTIC_GRAPH_CAP``, and then when the squared count of
     distinct labels does: one refusal for the joint, one for the function.
     """
     if len(joint.axes) != 2:
@@ -268,16 +242,53 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *,
         confusable[:-1, :-1] = True
         confusable.ravel()[:-1:size + 1] = [la != la for la in labels]
     else:
-        confusable[:-1, :-1] = [[range_distortion(la, lb) > delta for lb in labels]
-                                for la in labels]
+        confusable[:-1, :-1] = _threshold_table(labels, delta)
     # int32 halves the index array against intp and holds the largest flat
     # index the cap admits, 1025^2 - 1
     codes = np.where(joint.mass > 0, f._codes, len(labels)).astype(np.int32)
     # [i, j, k]: peer k is shared by i and j and their labels are confusable
     hit = confusable.ravel()[codes[:, None, :] * size + codes[None, :, :]]
-    # the label pair is read in (i, j) order with i < j; mirror that half
-    adj = np.triu(hit.any(axis=2), 1)
-    return CharGraph._from_adjacency(joint.axes[0], adj | adj.T)
+    # both label tables are symmetric, so the adjacency is; only a NaN label
+    # makes a vertex confusable with itself
+    adj = hit.any(axis=2)
+    np.fill_diagonal(adj, False)
+    return CharGraph._from_adjacency(joint.axes[0], adj)
+
+
+def _integer_ratio(value, what: str) -> tuple[int, int]:
+    """A finite real number as its exact numerator and denominator;
+    anything else raises ValueError naming it as ``what``."""
+    if isinstance(value, numbers.Rational):     # Python and numpy integers, Fraction
+        return int(value.numerator), int(value.denominator)
+    try:
+        return value.as_integer_ratio()         # float, numpy floats, Decimal
+    except (AttributeError, ValueError, OverflowError):
+        raise ValueError(f"{what} {value!r} is not a finite real number") from None
+
+
+def _threshold_table(labels: tuple, delta) -> np.ndarray:
+    """[i, j]: |labels[i] - labels[j]| > delta, on exact integers.
+
+    Every label and ``delta`` are scaled by the least common multiple of
+    their denominators. After one sort, the labels farther than delta from
+    a form a prefix (below a - delta) and a suffix (above a + delta) of the
+    sorted order, so two bisections per label and one comparison of ranks
+    fill the table.
+    """
+    ratios = [_integer_ratio(label, "function label") for label in labels]
+    if delta == math.inf:
+        return np.zeros((len(labels), len(labels)), dtype=bool)
+    delta_num, delta_den = _integer_ratio(delta, "delta")
+    scale = math.lcm(delta_den, *(den for _, den in ratios))
+    values = [num * (scale // den) for num, den in ratios]
+    band = delta_num * (scale // delta_den)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranked = [values[i] for i in order]
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[order] = np.arange(len(values))
+    below = np.array([bisect.bisect_left(ranked, v - band) for v in values])
+    above = np.array([bisect.bisect_right(ranked, v + band) for v in values])
+    return (rank < below[:, None]) | (rank >= above[:, None])
 
 
 def or_product(g: CharGraph, n: int) -> CharGraph:

@@ -19,13 +19,10 @@ from .graphs import CharGraph, Coloring, FunctionTable, SizeCapError
 from .probability import Alphabet, JointPMF, Kernel, validate
 
 # Vertices of a graph file, equal to OR_PRODUCT_CAP so that every OR product
-# the library builds can be read back. A file's vertex count alone sizes the n x n
-# adjacency matrix and the greedy colouring's quadratic work. At the cap a
-# whole `fcmac graph color --mode greedy` process, import included, takes
-# 0.31-0.38 s on the edgeless graph and 0.38-0.39 s with 130 MB peak RSS on
-# the complete graph (523,776 listed edges, a 6.2 MB file; 2.8-3.0 s and
-# 161 MB when every edge was looked up twice). The edge list costs about
-# 0.4 us per edge after json.load, which a vertex cap does not bound.
+# the library builds can be read back. A file's vertex count alone sizes the
+# n x n adjacency matrix and the greedy colouring's quadratic work; the edge
+# list's cost per edge after json.load is not bounded by it. The measured
+# times are in the README's "Size caps" table.
 GRAPH_FILE_VERTEX_CAP = 1024
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -516,10 +517,13 @@ def loop_label_codes(values: np.ndarray) -> tuple[tuple, np.ndarray]:
     return tuple(labels), codes
 
 
-def loop_characteristic_edges(joint: JointPMF, f: FunctionTable, delta=None,
-                              range_distortion=lambda a, b: abs(a - b)) -> set:
+def loop_characteristic_edges(joint: JointPMF, f: FunctionTable, delta=None) -> set:
     """Characteristic-graph edges (lower index first) by scanning every
-    vertex pair and every peer, as the graph layer did before vectorising."""
+    vertex pair and every peer, as the graph layer did before vectorising.
+    In threshold mode each pair of values is subtracted as ``Fraction``s,
+    which is exact for int, float and ``Fraction`` labels, and the
+    difference is compared with ``delta`` as Python compares numbers,
+    exactly."""
     verts = joint.axes[0].symbols
     mass = joint.mass
     edges = set()
@@ -527,7 +531,8 @@ def loop_characteristic_edges(joint: JointPMF, f: FunctionTable, delta=None,
         for k in range(mass.shape[1]):
             if mass[i, k] > 0 and mass[j, k] > 0:
                 fi, fj = f.values[i, k], f.values[j, k]
-                confusable = fi != fj if delta is None else range_distortion(fi, fj) > delta
+                confusable = (fi != fj if delta is None
+                              else abs(Fraction(fi) - Fraction(fj)) > delta)
                 if confusable:
                     edges.add((verts[i], verts[j]))
                     break

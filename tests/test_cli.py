@@ -1,9 +1,12 @@
+import copy
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -981,3 +984,85 @@ def test_malformed_input_exits_2(case, spec_files, tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: {lead}"), err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# The refusal fuzz: values a mutated field is set to (non-finite and huge
+# numbers, wrong types, axis-shaped objects), or _DELETE to remove the field
+_DELETE = object()
+_FUZZ_VALUES = [math.nan, math.inf, -math.inf, 10 ** 400, -1, 0, 0.5, 1, "x", "1/3", True,
+                None, [], [0], [[0.5, 0.5]], {}, {"name": "u1", "symbols": [0, 1]}, _DELETE]
+# the seven command lines of the leaf subcommands that read files; @name
+# stands for an input file, @out for an output path
+_FUZZ_COMMANDS = [
+    ["check", "theorem1", "--spec", "@spec"],
+    ["graph", "build", "--joint", "@pmf", "--function", "@function", "--out", "@out"],
+    ["graph", "build", "--joint", "@pmf", "--function", "@grid_function", "--delta", "0.2",
+     "--out", "@out"],
+    ["graph", "color", "--graph", "@graph", "--marginal", "@marginal", "--out", "@out"],
+    ["graph", "entropy", "--graph", "@graph", "--kind", "chromatic", "--marginal", "@marginal"],
+    ["graph", "entropy", "--graph", "@graph", "--kind", "conditional-graph", "--joint", "@pmf"],
+    ["channel", "capacity", "--mac", "@mac"],
+]
+
+
+def _json_paths(obj, path=()):
+    """The path of every value in a JSON document, containers included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutated(obj, path, value):
+    """A copy of ``obj`` with the field at ``path`` set to ``value``, or removed."""
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+def test_mutated_input_files_are_refused_by_name(spec_files, tmp_path, capsys):
+    """Each of the seven input files, one field at a time: every command
+    line reading the file exits 0, 1 or 2 with no traceback, and an exit-2
+    message names a $ path, a flag or a parameter."""
+    graph = tmp_path / "graph.json"
+    jsonio.dump_json(jsonio.graph_to_json(graphs.characteristic_graph(
+        presets.ternary_source_joint(), presets.comparison_function())), str(graph))
+    files = {"spec": spec_files["joint_spec"], "graph": graph,
+             **{key: spec_files[key] for key in ("pmf", "marginal", "function",
+                                                 "grid_function", "mac")}}
+    named = re.compile(r"error: (\$|--[a-z]|[a-z_0-9]+ must )")
+    rng = np.random.default_rng(3303)
+    exits = Counter()
+    for key, path in files.items():
+        original = json.loads(path.read_text())
+        paths = list(_json_paths(original))[1:]
+        mutant = tmp_path / f"mutant-{key}.json"
+        for _ in range(150):
+            field = paths[int(rng.integers(len(paths)))]
+            value = _FUZZ_VALUES[int(rng.integers(len(_FUZZ_VALUES)))]
+            mutant.write_text(json.dumps(_mutated(original, field, value)))
+            paths_now = {**{f"@{k}": str(p) for k, p in files.items()}, f"@{key}": str(mutant),
+                         "@out": str(tmp_path / "out.json")}
+            for command in _FUZZ_COMMANDS:
+                if f"@{key}" not in command:
+                    continue
+                argv = [paths_now.get(arg, arg) for arg in command]
+                case = f"{command[:2]} with {key} {list(field)} = {value!r}"
+                try:
+                    code = main(argv)
+                except (Exception, SystemExit) as exc:    # past the error boundary
+                    pytest.fail(f"{case}: {type(exc).__name__}: {exc}")
+                err = capsys.readouterr().err
+                exits[code] += 1
+                assert code in (0, 1, 2), case
+                assert "Traceback" not in err, case
+                if code == 2:
+                    assert named.match(err) and err.count("\n") == 1, f"{case}: {err}"
+    # most mutants are refused, and some still run
+    assert exits[2] >= 1000 and exits[0] + exits[1] >= 40, exits

@@ -100,13 +100,13 @@ class TestComputedOnce:
 
         # count through every binding a caller could reach
         capacity = counting("capacity", channels.mac_sum_capacity_independent)
-        check = counting("check", feasibility.check_feasibility)
         monkeypatch.setattr(channels, "mac_sum_capacity_independent", capacity)
         monkeypatch.setattr(experiments, "mac_sum_capacity_independent", capacity)
-        monkeypatch.setattr(feasibility, "check_feasibility", check)
-        monkeypatch.setattr(experiments, "check_feasibility", check)
+        for name in ("_source_half", "_channel_half"):
+            monkeypatch.setattr(feasibility, name, counting(name, getattr(feasibility, name)))
         res = run_experiment("section5")
-        assert calls == {"capacity": 1, "check": 2}  # joint and independent codes
+        # one source half shared by the joint and the independent code
+        assert calls == {"capacity": 1, "_source_half": 1, "_channel_half": 2}
         by_id = {s.scheme_id: s for s in res.schemes}
         assert by_id["1"].channel_sum_rate_bits == res.row(
             "adder_sum_capacity_independent").value

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from _support import (alph, assemble_joint, assert_refuses, frozen_check_bounds,
-                      joint_expected_distortion, random_system_spec, reorder, value_at)
+                      joint_expected_distortion, random_kernel, random_system_spec, reorder,
+                      value_at)
 from fcmac import feasibility, presets
 from fcmac.channels import DiscreteMAC, adder_mac
 from fcmac.feasibility import (
@@ -611,6 +612,24 @@ class TestCliqueCheck:
                                               system.w2_kernel)
                 assert dataclasses.astuple(bounds) == tuple(lhs)
                 assert all(0.0 <= v <= most for v in lhs), lhs
+
+    def test_source_half_is_shared_past_the_codewords(self):
+        # systems that differ only in their channel-input kernels and channel
+        # get check_feasibility's report, field for field, from one source half
+        rng = np.random.default_rng(3302)
+        for _ in range(40):
+            spec = random_system_spec(rng)
+            (w1,), (w2,) = spec.w1_kernel.to_axes, spec.w2_kernel.to_axes
+            x1, x2 = spec.channel.input_alphabets
+            other = dataclasses.replace(
+                spec, x1_kernel=random_kernel(rng, (w1,), (x1,)),
+                x2_kernel=random_kernel(rng, (w2,), (x2,)),
+                channel=DiscreteMAC((x1, x2), spec.channel.output_alphabet,
+                                    random_kernel(rng, (x1, x2), (spec.channel.output_alphabet,))))
+            source = feasibility._source_half(spec)
+            for system in (spec, other):
+                assert (feasibility._channel_half(system, source)
+                        == check_feasibility(system))
 
     def test_never_builds_the_dense_joint(self, monkeypatch):
         spec = presets.section5_system("joint")

@@ -6,6 +6,7 @@ import re
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -123,15 +124,14 @@ class TestCharacteristicGraph:
 
     @pytest.mark.parametrize("n,m,n_labels", [(1025, 1, 1), (1, 1025, 1025)])
     def test_size_cap_refuses_before_the_label_table(self, n, m, n_labels):
-        # over the cap on vertices^2 x peers, then on distinct labels^2
+        # over the cap on vertices^2 x peers, then on distinct labels^2; the
+        # labels are strings, which the threshold table would refuse
         axes = (alph("x", n), alph("z", m))
         joint = JointPMF(axes, np.full((n, m), 1.0 / (n * m)))
-        f = FunctionTable(axes, np.arange(n * m).reshape(n, m) % n_labels)
-
-        def distortion(a, b):
-            raise AssertionError("no label pair may be compared over the cap")
+        codes = np.arange(n * m).reshape(n, m) % n_labels
+        f = FunctionTable(axes, np.array([f"s{k}" for k in range(n_labels)], dtype=object)[codes])
         with pytest.raises(SizeCapError, match=f"exceeds the cap of {2**20} "):
-            characteristic_graph(joint, f, delta=0, range_distortion=distortion)
+            characteristic_graph(joint, f, delta=0)
 
     def test_size_cap_boundary(self, monkeypatch):
         joint = presets.ternary_source_joint()
@@ -152,6 +152,28 @@ class TestCharacteristicGraph:
         with pytest.raises(SizeCapError, match=r"of 3 distinct function labels exceeds the"
                                                r" cap of 8 on labels\^2$"):
             characteristic_graph(one_row, injective)
+
+    def test_threshold_mode_at_the_label_cap_in_time(self):
+        # 1,024 distinct Fraction labels k/1024 on a full 32 x 32 joint:
+        # labels^2 is the cap
+        axes = (alph("x", 32), alph("z", 32))
+        joint = JointPMF(axes, np.full((32, 32), 1 / 1024))
+        labels = np.array([Fraction(k, 1024) for k in range(1024)], dtype=object)
+        f = FunctionTable(axes, labels.reshape(32, 32))
+        assert len(f.range_labels()) ** 2 == graphs.CHARACTERISTIC_GRAPH_CAP
+        start = time.perf_counter()
+        g = characteristic_graph(joint, f, delta=Fraction(1, 2))
+        assert time.perf_counter() - start < 0.5
+        assert g.edges == loop_characteristic_edges(joint, f, Fraction(1, 2))
+
+    @pytest.mark.parametrize("label", ["1/2", None, (1, 2), 1j, math.nan, math.inf, -math.inf])
+    def test_threshold_mode_refuses_a_label_that_is_not_a_finite_real(self, label):
+        values = np.array([[0, 1, 2], [label, 1, 2], [2, 1, 0]], dtype=object)
+        f = FunctionTable(presets.ternary_source_joint().axes, values)
+        with pytest.raises(ValueError,
+                           match=f"^function label {re.escape(repr(label))} is not a finite real"):
+            characteristic_graph(presets.ternary_source_joint(), f, delta=0)
+        characteristic_graph(presets.ternary_source_joint(), f)    # exact mode reads no number
 
     def test_peak_memory_at_the_cap(self):
         # 1,024 vertices, one peer and 1,024 distinct labels: the complete
@@ -1002,13 +1024,13 @@ class TestFastPathsAgainstLoops:
             outcomes.add(res.holds)
         assert outcomes == {True, False}
 
-    @pytest.mark.parametrize("delta, distortion", [
-        (None, None),
-        (1, lambda a, b: abs(a - b)),
-        (0, lambda a, b: a - b),              # asymmetric: only the (i, j) order counts
-        (1, lambda a, b: 2 * a - b),
+    @pytest.mark.parametrize("delta, low, high, scale", [
+        (None, 0, 4, 1),
+        (1, 0, 4, 1),
+        (0, -3, 4, 1),                        # negative labels, every unequal pair apart
+        (Fraction(1, 3), -6, 7, Fraction(1, 3)),    # labels k/3: ties at exactly delta
     ], ids=["exact", "absolute", "signed", "scaled"])
-    def test_characteristic_graph(self, delta, distortion):
+    def test_characteristic_graph(self, delta, low, high, scale):
         rng = np.random.default_rng(34)
         for _ in range(40):
             n, m = (int(k) for k in rng.integers(1, 9, size=2))
@@ -1017,11 +1039,39 @@ class TestFastPathsAgainstLoops:
             mass = keep * rng.random((n, m))
             axes = (alph("u", n), alph("p", m))
             joint = JointPMF(axes, mass / mass.sum())
-            f = FunctionTable(axes, rng.integers(0, 4, size=(n, m)))
-            kwargs = {} if delta is None else dict(delta=delta, range_distortion=distortion)
-            g = characteristic_graph(joint, f, **kwargs)
-            assert g.edges == loop_characteristic_edges(joint, f, **kwargs)
+            f = FunctionTable(axes, rng.integers(low, high, size=(n, m)) * scale)
+            g = characteristic_graph(joint, f, delta=delta)
+            assert g.edges == loop_characteristic_edges(joint, f, delta)
             assert g.sorted_edges() == loop_sorted_edges(g)
+
+    def test_threshold_table_on_mixed_labels(self):
+        # int, float and Fraction labels and deltas, compared exactly: labels
+        # k/8 hit v_j = v_i +- delta exactly at the deltas that are multiples
+        # of 1/8, and 0.1 as a float is not 1/10
+        rng = np.random.default_rng(3301)
+        pool = ([k for k in range(-4, 5)] + [k / 8 for k in range(-8, 9)]
+                + [Fraction(k, 8) for k in range(-8, 9)] + [Fraction(k, 3) for k in range(-3, 4)]
+                + [0.1, Fraction(1, 10), 0.3, Fraction(3, 10), 1e16, 10**16 + 1, 5e-324])
+        deltas = [0, 0.0, Fraction(1, 8), 0.25, 1, Fraction(1, 3), 1 / 3, Fraction(1, 5), 0.2,
+                  10**16, math.inf]
+        labels = np.empty(len(pool), dtype=object)
+        labels[:] = pool
+        ties = 0
+        for case in range(300):
+            n, m = (int(k) for k in rng.integers(1, 8, size=2))
+            keep = rng.random((n, m)) < rng.uniform(0.3, 1.0)
+            keep[:, 0] |= ~keep.any(axis=1)
+            mass = keep * rng.random((n, m))
+            axes = (alph("u", n), alph("p", m))
+            joint = JointPMF(axes, mass / mass.sum())
+            values = labels[rng.integers(0, len(pool), size=(n, m))]
+            delta = deltas[case % len(deltas)]
+            f = FunctionTable(axes, values)
+            assert (characteristic_graph(joint, f, delta=delta).edges
+                    == loop_characteristic_edges(joint, f, delta))
+            ties += any(abs(Fraction(a) - Fraction(b)) == delta
+                        for a, b in itertools.combinations(f.range_labels(), 2))
+        assert ties >= 50, ties
 
     def test_exact_label_table_with_nan_and_mixed_labels(self):
         # exact mode reads distinct labels as confusable and a label with
@@ -1173,19 +1223,6 @@ class TestFastPathsAgainstLoops:
             digest.update(f"{got.value.hex()} {got.gap.hex()} {got.converged}"
                           f" {got.upper_bound.hex()};".encode())
         assert digest.hexdigest() == PINNED_SOLVER_BITS
-
-    def test_threshold_calls_distortion_once_per_ordered_label_pair(self):
-        joint = presets.ternary_source_joint("w1", "w2")
-        f = presets.grid_cell_function()
-        calls = []
-
-        def distortion(a, b):
-            calls.append((a, b))
-            return abs(a - b)
-
-        characteristic_graph(joint, f, delta=Fraction(1, 6), range_distortion=distortion)
-        labels = f.range_labels()
-        assert calls == [(a, b) for a in labels for b in labels]
 
 
 # (call, exception type, message) of refusals no other test reaches

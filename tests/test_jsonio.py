@@ -8,7 +8,7 @@ import pytest
 
 from _support import (alph, entrywise_check_labels, entrywise_nested_floats, has_edge,
                       loop_graph_to_json, random_kernel, random_pmf, random_system_spec, value_at)
-from fcmac import experiments, jsonio, presets
+from fcmac import experiments, feasibility, jsonio, presets
 from fcmac.channels import adder_mac
 from fcmac.cli import main
 from fcmac.feasibility import DistortionTable, check_feasibility
@@ -302,14 +302,17 @@ def test_preset_specs_pinned(system, code):
 ])
 def test_experiment_systems_pinned(experiment, overrides, pins, monkeypatch):
     """The systems an experiment checks are the pinned presets, the ones it
-    builds from shared parts or derives from another included."""
+    builds from shared parts or derives from another included. Every check
+    ends in the channel half, which ``section5`` runs for both codes on one
+    shared source half."""
     checked = []
+    channel_half = feasibility._channel_half
 
-    def record(spec):
+    def record(spec, source):
         checked.append(spec)
-        return check_feasibility(spec)
+        return channel_half(spec, source)
 
-    monkeypatch.setattr(experiments, "check_feasibility", record)
+    monkeypatch.setattr(feasibility, "_channel_half", record)
     assert experiments.run_experiment(experiment, **overrides).passed
     assert [_spec_sha256(spec) for spec in checked] == [PINNED_PRESET_SPECS[p] for p in pins]
 
