@@ -199,8 +199,8 @@ def _cmd_graph_build(args) -> int:
     if args.delta is not None:
         # threshold mode compares numbers: each distinct label is parsed once
         numeric = {label: _numeric_label(label) for label in table.range_labels()}
-        values = np.array([numeric[v] for v in table.values.flat], dtype=object)
-        table = FunctionTable(table.domain_axes, values.reshape(table.values.shape))
+        table = FunctionTable(table.domain_axes,
+                              np.vectorize(numeric.__getitem__, otypes=[object])(table.values))
     # the joint's axis count is checked first, and any later mismatch is the
     # function's; of the two caps the joint's vertices^2 x peers comes
     # first, and a labels^2 refusal is the function's

@@ -278,14 +278,12 @@ def _threshold_table(labels: tuple, delta) -> np.ndarray:
     ratios = [_integer_ratio(label, "function label") for label in labels]
     if delta == math.inf:
         return np.zeros((len(labels), len(labels)), dtype=bool)
-    delta_num, delta_den = _integer_ratio(delta, "delta")
-    scale = math.lcm(delta_den, *(den for _, den in ratios))
-    values = [num * (scale // den) for num, den in ratios]
-    band = delta_num * (scale // delta_den)
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranked = [values[i] for i in order]
-    rank = np.empty(len(values), dtype=np.intp)
-    rank[order] = np.arange(len(values))
+    ratios.append(_integer_ratio(delta, "delta"))
+    scale = math.lcm(*(den for _, den in ratios))
+    *values, band = [num * (scale // den) for num, den in ratios]
+    ranked = sorted(values)
+    # equal values share a rank, and no bisection splits them
+    rank = np.array([bisect.bisect_left(ranked, v) for v in values])
     below = np.array([bisect.bisect_left(ranked, v - band) for v in values])
     above = np.array([bisect.bisect_right(ranked, v + band) for v in values])
     return (rank < below[:, None]) | (rank >= above[:, None])
