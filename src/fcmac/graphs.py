@@ -7,6 +7,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -255,32 +256,32 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *, delta=None) -> Ch
     return CharGraph._from_adjacency(joint.axes[0], adj)
 
 
-def _integer_ratio(value, what: str) -> tuple[int, int]:
-    """A finite real number as its exact numerator and denominator;
-    anything else raises ValueError naming it as ``what``."""
-    if isinstance(value, numbers.Rational):     # Python and numpy integers, Fraction
-        return int(value.numerator), int(value.denominator)
+def _exact_number(value, what: str):
+    """A finite real number as an exact int or ``Fraction``; anything else
+    raises ValueError naming it as ``what``."""
+    if isinstance(value, numbers.Integral):         # Python and numpy integers
+        return int(value)
     try:
-        return value.as_integer_ratio()         # float, numpy floats, Decimal
+        num, den = value.as_integer_ratio()         # Fraction, Decimal, floats
     except (AttributeError, ValueError, OverflowError):
         raise ValueError(f"{what} {value!r} is not a finite real number") from None
+    return num if den == 1 else Fraction(num, den)
 
 
 def _threshold_table(labels: tuple, delta) -> np.ndarray:
-    """[i, j]: |labels[i] - labels[j]| > delta, on exact integers.
+    """[i, j]: |labels[i] - labels[j]| > delta, compared exactly.
 
-    Every label and ``delta`` are scaled by the least common multiple of
-    their denominators. After one sort, the labels farther than delta from
+    The labels are sorted once as exact numbers: integers stay ints and
+    every other label is a ``Fraction``. The labels farther than delta from
     a form a prefix (below a - delta) and a suffix (above a + delta) of the
     sorted order, so two bisections per label and one comparison of ranks
-    fill the table.
+    fill the table. Scaling every label to a common denominator instead
+    would give each label the bits of all the denominators together.
     """
-    ratios = [_integer_ratio(label, "function label") for label in labels]
+    values = [_exact_number(label, "function label") for label in labels]
     if delta == math.inf:
         return np.zeros((len(labels), len(labels)), dtype=bool)
-    ratios.append(_integer_ratio(delta, "delta"))
-    scale = math.lcm(*(den for _, den in ratios))
-    *values, band = [num * (scale // den) for num, den in ratios]
+    band = _exact_number(delta, "delta")
     ranked = sorted(values)
     # equal values share a rank, and no bisection splits them
     rank = np.array([bisect.bisect_left(ranked, v) for v in values])

@@ -153,12 +153,17 @@ class TestCharacteristicGraph:
                                                r" cap of 8 on labels\^2$"):
             characteristic_graph(one_row, injective)
 
-    def test_threshold_mode_at_the_label_cap_in_time(self):
-        # 1,024 distinct Fraction labels k/1024 on a full 32 x 32 joint:
-        # labels^2 is the cap
+    @pytest.mark.parametrize("label", [lambda k: Fraction(k, 1024),
+                                       lambda k: k + Fraction(1, 10**300 + k)],
+                             ids=["k/1024", "coprime-denominators"])
+    def test_threshold_mode_at_the_label_cap_in_time(self, label):
+        # 1,024 distinct Fraction labels on a full 32 x 32 joint: labels^2
+        # is the cap. The second set's denominators have about 1,000 bits
+        # each and share no factor above 1,024, so their common denominator
+        # would have about a million bits
         axes = (alph("x", 32), alph("z", 32))
         joint = JointPMF(axes, np.full((32, 32), 1 / 1024))
-        labels = np.array([Fraction(k, 1024) for k in range(1024)], dtype=object)
+        labels = np.array([label(k) for k in range(1024)], dtype=object)
         f = FunctionTable(axes, labels.reshape(32, 32))
         assert len(f.range_labels()) ** 2 == graphs.CHARACTERISTIC_GRAPH_CAP
         start = time.perf_counter()
