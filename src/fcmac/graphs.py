@@ -358,15 +358,6 @@ class _PlogpMemo(dict):
         return y
 
 
-def _sum_in_order(values) -> float:
-    """Left-to-right sum, as ``sum`` adds numpy scalars: from Python 3.12
-    on, ``sum`` of Python floats is compensated, which moves last bits."""
-    total = 0
-    for x in values:
-        total += x
-    return total
-
-
 def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
                            ) -> tuple[list[int], float]:
     """Exact minimum of H(class | column) over proper partitions.
@@ -380,7 +371,7 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
     lexicographically smallest color-class partition.
 
     Placing a vertex costs work in proportion to the columns it has mass
-    in. The search keeps ``s``, the running sum of p*log2(p) over every
+    in. Each node is handed ``s``, the sum of p*log2(p) over every
     (class, column) cell; per class one list of its cell masses, then their
     p*log2(p); and per node one ``peak`` list: each column's largest class
     mass, then its p*log2(p), then ``plogp(peak + r)`` with ``r`` the
@@ -388,8 +379,9 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
     column, ``plogp(peak) - plogp(peak + r)``; a child gets its parent's
     bound plus the change on the placed vertex's columns, so that no node
     sums over every column. The children of the last vertex are leaves,
-    evaluated in their parent's loop. Every leaf's value is ``-s - H(Z)``,
-    so ``s`` keeps its exact sequence of ``+=`` and ``-=``; the bound
+    evaluated in their parent's loop. Every leaf's value is ``-s - H(Z)``:
+    its vertices' increments of ``s`` added in vertex order, less the
+    ``fsum`` of H(Z), so it depends only on its partition; the bound
     differs from a sum over all columns in rounding only, far inside the
     1e-12 prune margin. Scalar p*log2(p) is memoised per call, keyed by the
     mass, and stays ``np.log2``: ``math.log2`` differs from it in the last
@@ -399,7 +391,7 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
     col_total = np.add.reduce(weights, axis=0).tolist()
     plogp_of = _PlogpMemo()
     top = [plogp_of[c] for c in col_total]
-    h_cond = -_sum_in_order(top)      # H(Z), subtracted at the end
+    h_cond = -math.fsum(top)      # H(Z), subtracted at the end
     # classes hold only vertices placed before v, so the classes v may not
     # join are those of its earlier neighbours
     earlier = [[u for u in range(v) if row[u]] for v, row in enumerate(adj.tolist())]
@@ -419,11 +411,10 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
     best_val = float("inf")
     assign = [0] * n
     cells: list[list[float]] = []   # per class: its m cell masses, then their p*log2(p)
-    s = 0.0     # running sum of p*log2(p) over all (class, column) cells
     empty = [0.0] * (2 * m)
 
-    def descend(v: int, peak: list[float], bound: float) -> None:
-        nonlocal best_assign, best_val, s
+    def descend(v: int, s: float, peak: list[float], bound: float) -> None:
+        nonlocal best_assign, best_val
         taken = {assign[u] for u in earlier[v]}
         cols = support[v]
         if v == n - 1:
@@ -435,13 +426,11 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
                 ds = 0
                 for z, zl, _, x, _ in cols:
                     ds += plogp_of[old[z] + x] - old[zl]
-                s += ds
-                val = -s - h_cond
+                val = -(s + ds) - h_cond
                 if val < best_val - 1e-12:
                     best_val = val
                     assign[v] = c
                     best_assign = assign.copy()
-                s -= ds
             return
         for c in range(len(cells) + 1):
             if c in taken:
@@ -467,18 +456,16 @@ def _min_entropy_partition(adj: np.ndarray, weights: np.ndarray,
                     dk += peak[zg] - g
                 child_peak[zg] = g
             cells[c] = cell
-            s += ds
             assign[v] = c
             child_bound = bound - ds + dk
             if child_bound < best_val - 1e-12:
-                descend(v + 1, child_peak, child_bound)
+                descend(v + 1, s + ds, child_peak, child_bound)
             cells[c] = old
-            s -= ds
         cells.pop()
 
     # the root's bound: all of each column's mass in one class, which is
     # H(class | Z) = 0
-    descend(0, [0.0] * (2 * m) + top, 0.0)
+    descend(0, 0.0, [0.0] * (2 * m) + top, 0.0)
     return best_assign, max(best_val, 0.0)
 
 
@@ -494,9 +481,7 @@ def _greedy_assignment(adj: np.ndarray, vertex_mass: np.ndarray) -> list[int]:
         assign[v] = c
     # renumber by first appearance in alphabet order so output is canonical
     remap: dict[int, int] = {}
-    for a in assign.tolist():
-        remap.setdefault(a, len(remap))
-    return [remap[a] for a in assign.tolist()]
+    return [remap.setdefault(a, len(remap)) for a in assign.tolist()]
 
 
 def min_entropy_coloring(g: CharGraph, marginal: JointPMF, mode: str = "exact",
@@ -514,12 +499,11 @@ def min_entropy_coloring(g: CharGraph, marginal: JointPMF, mode: str = "exact",
         assign, value = _min_entropy_partition(g._adj, mass.reshape(-1, 1))
     elif mode == "greedy":
         assign = _greedy_assignment(g._adj, mass)
-        plogp_of = _PlogpMemo()
-        value = -_sum_in_order(plogp_of[t] for t in np.bincount(assign, weights=mass).tolist())
+        value = -math.fsum(plogp(np.bincount(assign, weights=mass)).tolist())
     else:
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     coloring = Coloring(g, {v: c for v, c in zip(g.vertices.symbols, assign)})
-    return coloring, float(value)
+    return coloring, value
 
 
 def iid_pair_power(joint: JointPMF, n: int) -> JointPMF:
@@ -554,8 +538,7 @@ def conditional_chromatic_entropy(g: CharGraph, joint: JointPMF, n: int = 1) -> 
     # the joint first: on a one-vertex graph only its cap bounds n
     jn = iid_pair_power(joint, n)
     gn = or_product(g, n)
-    _, value = _min_entropy_partition(gn._adj, jn.mass)
-    return float(value) / n
+    return _min_entropy_partition(gn._adj, jn.mass)[1] / n
 
 
 def _stable_rows(g: CharGraph, maximal_only: bool) -> np.ndarray:
@@ -667,7 +650,6 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     # the colouring's kernel; classes that land on one set merge, which
     # cannot raise H(W|U2)
     assign, upper = _min_entropy_partition(g._adj, p)
-    upper = float(upper)
     vertex = np.arange(len(p))
     classes = np.zeros((max(assign) + 1, len(p)), dtype=bool)
     classes[assign, vertex] = True

@@ -626,18 +626,19 @@ def loop_min_entropy_partition(adj: list[int], weights: np.ndarray,
     """Exact minimum of H(class | column) over proper partitions, on
     per-vertex neighbor bitmasks: the branch-and-bound as the graph layer ran
     it before it read the adjacency matrix. Same vertex order, bound, pruning
-    rule and tie rule, so assignments and values must agree bit for bit."""
+    rule and tie rule, and the same leaf value: each vertex's increment of
+    the sum of p*log2(p) over the (class, column) cells, added in vertex
+    order and passed down the tree, minus the ``fsum`` of H(Z). So
+    assignments and values must agree bit for bit."""
     n, m = weights.shape
     col_total = weights.sum(axis=0)
-    h_cond = -sum(_plogp(c) for c in col_total)  # H(Z), subtracted at the end
+    h_cond = -math.fsum(_plogp(c) for c in col_total)  # H(Z), subtracted at the end
 
     best_assign: list[int] | None = None
     best_val = float("inf")
     assign = [0] * n
     class_masks: list[int] = []
     class_mass: list[np.ndarray] = []
-    # running sum of p*log2(p) over all (class, column) cells
-    state = {"s": 0.0}
 
     def bound(remaining: np.ndarray) -> float:
         total = 0.0
@@ -651,10 +652,11 @@ def loop_min_entropy_partition(adj: list[int], weights: np.ndarray,
                 total += -_plogp(r)
         return total - h_cond
 
-    def descend(v: int, remaining: np.ndarray) -> None:
+    # s: the sum of p*log2(p) over all (class, column) cells
+    def descend(v: int, s: float, remaining: np.ndarray) -> None:
         nonlocal best_assign, best_val
         if v == n:
-            val = -state["s"] - h_cond
+            val = -s - h_cond
             if val < best_val - 1e-12:
                 best_val = val
                 best_assign = assign.copy()
@@ -672,26 +674,44 @@ def loop_min_entropy_partition(adj: list[int], weights: np.ndarray,
                 ds = sum(_plogp(o + x) - _plogp(o) for o, x in zip(old, w))
                 class_masks[c] |= bit
                 class_mass[c] = old + w
-                state["s"] += ds
                 assign[v] = c
-                descend(v + 1, rem)
+                descend(v + 1, s + ds, rem)
                 class_masks[c] &= ~bit
                 class_mass[c] = old
-                state["s"] -= ds
             else:
                 ds = sum(_plogp(x) for x in w)
                 class_masks.append(bit)
                 class_mass.append(w.copy())
-                state["s"] += ds
                 assign[v] = c
-                descend(v + 1, rem)
+                descend(v + 1, s + ds, rem)
                 class_masks.pop()
                 class_mass.pop()
-                state["s"] -= ds
 
-    descend(0, col_total.copy())
+    descend(0, 0.0, col_total.copy())
     assert best_assign is not None
     return best_assign, max(best_val, 0.0)
+
+
+def partition_values(assign: list[int], weights: np.ndarray) -> tuple[float, float]:
+    """H(class | column) of a partition, two ways: the exact search's sum
+    (per vertex, the change of the sum of p*log2(p) over the (class, column)
+    cells on the columns the vertex has mass in, added in vertex order, then
+    the ``fsum`` of H(Z) taken off, and the result held at 0), and the
+    ``fsum`` over the partition's cells, held nowhere."""
+    rows = weights.tolist()
+    h_z = -math.fsum(_plogp(c) for c in np.add.reduce(weights, axis=0).tolist())
+    cells: dict[int, list[float]] = {}
+    s = 0.0
+    for c, row in zip(assign, rows):
+        cell = cells.setdefault(c, [0.0] * len(row))
+        ds = 0.0
+        for z, x in enumerate(row):
+            if x:
+                ds += _plogp(cell[z] + x) - _plogp(cell[z])
+                cell[z] += x
+        s += ds
+    h_joint = -math.fsum(_plogp(x) for cell in cells.values() for x in cell)
+    return max(-s - h_z, 0.0), h_joint - h_z
 
 
 def loop_greedy_assignment(adj: list[int], vertex_mass: np.ndarray) -> list[int]:

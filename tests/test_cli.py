@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -363,6 +364,30 @@ class TestGraphCommands:
                      "--function", str(function),
                      "--delta", str(1 / 6), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["edges"] == [["1", "2"], ["2", "3"]]
+
+    @pytest.mark.parametrize("label, code", [("1e-99", 0), ("12e-99", 2),
+                                             ("1/" + "9" * 99, 0), ("1/" + "9" * 100, 2)],
+                             ids=["decimal-100", "decimal-101", "ratio-100", "ratio-101"])
+    def test_build_threshold_at_the_label_digit_cap(self, spec_files, tmp_path, label, code):
+        # a label string's numerator and denominator may hold 100 digits, a
+        # decimal exponent counted as that many zeros
+        table = json.loads(spec_files["grid_function"].read_text())
+        table["values"][0][0] = label
+        function = tmp_path / "function.json"
+        function.write_text(json.dumps(table))
+        assert main(["graph", "build", "--joint", str(spec_files["pmf"]),
+                     "--function", str(function), "--delta", "0.5",
+                     "--out", str(tmp_path / "graph.json")]) == code
+
+    def test_build_refuses_long_labels_at_once(self, spec_files, tmp_path, capsys):
+        # 1,024 labels "ke-100000": the first is refused before any Fraction
+        # multiplies out its exponent, which took about 8 ms a label
+        files = _over_cap_characteristic(_Inputs(spec_files, tmp_path / "inputs"), 1024, 1,
+                                         lambda x, z: f"{x + 1}e-100000")
+        start = time.perf_counter()
+        assert main(["graph", "build", *files, "--delta", "0.5"]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert capsys.readouterr().err.startswith("error: --function: label '1e-100000' has")
 
     def test_color(self, spec_files, tmp_path, capsys):
         graph_path = tmp_path / "graph.json"
@@ -859,6 +884,17 @@ MALFORMED_INPUT = {
         ["graph", "build", "--joint", f["pmf"], "--delta", "0.5", "--function",
          f.edited("function", _recast("values", lambda v: "yes" if v else "no"))],
         "--function: label 'no' is not numeric; threshold mode needs numeric function values"),
+    **{f"graph build label {label}": (lambda label: lambda f: (
+        ["graph", "build", "--joint", f["pmf"], "--delta", "0.5", "--function",
+         f.edited("function", _recast("values", lambda v: label if v else "1/2"))],
+        f"--function: label {label!r} is not numeric; threshold mode needs numeric"
+        " function values"))(label)
+       for label in ("1/0", "nan", "inf")},
+    "graph build label over the digit cap": lambda f: (
+        ["graph", "build", "--joint", f["pmf"], "--delta", "0.5", "--function",
+         f.edited("function", _recast("values", lambda v: "1e-1000000" if v else "1/2"))],
+        "--function: label '1e-1000000' has 1000001 digits in its numerator and denominator,"
+        " over the cap of 100"),
     "graph build function on other symbols": lambda f: (
         ["graph", "build", "--joint", f["pmf"], "--function",
          f.edited("function", _set("domain_axes", 0, "symbols", ["a", "b", "c"]))],
