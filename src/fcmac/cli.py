@@ -185,7 +185,7 @@ def _cmd_check(args) -> int:
 
 
 # digits of a threshold-mode label string's numerator and denominator, a
-# decimal's 10**k counted as k: 1,024 labels at the cap build in under 0.05 s
+# decimal's 10**k counted as k: 1,024 labels at the cap build in well under 0.1 s
 LABEL_DIGIT_CAP = 100
 
 

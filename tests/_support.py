@@ -697,7 +697,7 @@ def partition_values(assign: list[int], weights: np.ndarray) -> tuple[float, flo
     (per vertex, the change of the sum of p*log2(p) over the (class, column)
     cells on the columns the vertex has mass in, added in vertex order, then
     the ``fsum`` of H(Z) taken off, and the result held at 0), and the
-    ``fsum`` over the partition's cells, held nowhere."""
+    ``fsum`` over the partition's cells, not held at 0."""
     rows = weights.tolist()
     h_z = -math.fsum(_plogp(c) for c in np.add.reduce(weights, axis=0).tolist())
     cells: dict[int, list[float]] = {}
