@@ -184,29 +184,18 @@ def _cmd_check(args) -> int:
     return 0 if report.feasible(allow_boundary=args.allow_boundary) else 1
 
 
-# digits of a threshold-mode label string's numerator and denominator, a
-# decimal's 10**k counted as k: 1,024 labels at the cap build in well under 0.1 s
-LABEL_DIGIT_CAP = 100
-
-
 def _numeric_label(value):
-    if isinstance(value, (int, float, Fraction)):   # the reader refuses booleans
+    """A label string as a ``Fraction`` if a ratio, else as a ``Decimal``, exponent unexpanded."""
+    if isinstance(value, (int, float)):     # the reader refuses booleans
         return value
-    number = str(value)
-    try:
-        if "/" in number:       # a ratio such as "1/6" writes out all its digits
-            digits = sum(c.isdigit() for c in number)
-        else:                   # Decimal reads an exponent without multiplying it out
-            number = decimal.Decimal(number)
-            _, mantissa, exponent = number.as_tuple()
-            digits = len(mantissa) + abs(exponent)      # a TypeError for nan and ±inf
-        if digits <= LABEL_DIGIT_CAP:
-            return Fraction(number)
-    except (ArithmeticError, TypeError, ValueError):    # InvalidOperation, ZeroDivisionError
-        raise ValueError(f"--function: label {value!r} is not numeric; threshold mode needs"
-                         " numeric function values") from None
-    raise SizeCapError(f"--function: label {value!r} has {digits} digits in its numerator and"
-                       f" denominator, over the cap of {LABEL_DIGIT_CAP}")
+    with contextlib.suppress(ArithmeticError, ValueError):  # InvalidOperation, ZeroDivisionError
+        if "/" in value:
+            return Fraction(value)
+        number = decimal.Decimal(value)
+        if number.is_finite():
+            return number
+    raise ValueError(f"--function: label {value!r} is not numeric; threshold mode needs"
+                     " numeric function values")
 
 
 def _cmd_graph_build(args) -> int:
@@ -214,12 +203,10 @@ def _cmd_graph_build(args) -> int:
     table = jsonio.function_table_from_json(jsonio.load_json(args.function))
     if args.delta is not None:
         # threshold mode compares numbers: each distinct label is parsed once
-        numeric = {label: _numeric_label(label) for label in table.range_labels()}
-        table = FunctionTable(table.domain_axes,
-                              np.vectorize(numeric.__getitem__, otypes=[object])(table.values))
-    # the joint's axis count is checked first, and any later mismatch is the
-    # function's; of the two caps the joint's vertices^2 x peers comes
-    # first, and a labels^2 refusal is the function's
+        numeric = np.array([_numeric_label(v) for v in table.range_labels()], dtype=object)
+        table = FunctionTable(table.domain_axes, numeric[table._codes])
+    # the joint's axis count is checked first, and any later mismatch is the function's;
+    # of the size caps only vertices^2 x peers, checked first, is the joint's
     two_axes = len(joint.axes) == 2
     over = two_axes and len(joint.axes[0]) * joint.mass.size > graphs.CHARACTERISTIC_GRAPH_CAP
     with _at_fault({AxisError: "--function" if two_axes else "--joint",

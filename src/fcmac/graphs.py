@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import decimal
 import itertools
 import math
 import numbers
@@ -47,6 +48,9 @@ ZIGZAG_CAP = 2**33
 # GRAPH_FILE_VERTEX_CAP. The measured times are in the README's "Size caps"
 # table.
 CHARACTERISTIC_GRAPH_CAP = 2**20
+# Numerator plus denominator bits of each threshold-mode label and of delta; every
+# float passes (at most 1,128). Timed in the README's "Size caps" table.
+LABEL_BITS_CAP = 2048
 _BLOCK_CELLS = 2**20   # array cells per row block of zigzag_check's products
 _LOG_FLOOR = np.array(1e-300)   # a 0-d array is not converted again at each use
 # The solver's over-relaxation factor, and the floor of its log2 q: a kernel
@@ -209,8 +213,10 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *, delta=None) -> Ch
     scalars); any other label, NaN and infinities included, raises
     ValueError naming it. ``delta`` = inf gives the edgeless graph. Refuses
     with ``SizeCapError``, before any label is compared, when |X|^2 |Z| exceeds
-    ``CHARACTERISTIC_GRAPH_CAP``, and then when the squared count of
-    distinct labels does: one refusal for the joint, one for the function.
+    ``CHARACTERISTIC_GRAPH_CAP``, and then when the squared count of distinct
+    labels does: one refusal for the joint, one for the function. Threshold
+    mode then refuses, by name, the first label, or ``delta``, whose numerator
+    and denominator hold more than ``LABEL_BITS_CAP`` bits.
     """
     if len(joint.axes) != 2:
         raise AxisError(f"need a two-axis joint, got axes {joint.axis_names}")
@@ -257,14 +263,29 @@ def characteristic_graph(joint: JointPMF, f: FunctionTable, *, delta=None) -> Ch
 
 
 def _exact_number(value, what: str):
-    """A finite real number as an exact int or ``Fraction``; anything else
-    raises ValueError naming it as ``what``."""
+    """A finite real number as an exact int or ``Fraction``. Anything else raises
+    ValueError, and one over ``LABEL_BITS_CAP`` SizeCapError, naming it as ``what``."""
     if isinstance(value, numbers.Integral):         # Python and numpy integers
-        return int(value)
-    try:
-        num, den = value.as_integer_ratio()         # Fraction, Decimal, floats
-    except (AttributeError, ValueError, OverflowError):
-        raise ValueError(f"{what} {value!r} is not a finite real number") from None
+        value = int(value)
+    bits = 0
+    if isinstance(value, decimal.Decimal) and value.is_finite():
+        # d digits times 10**e: at most (d + |e|) log2(10) + 1 bits, one more for
+        # rounding, counted before as_integer_ratio writes 10**|e| out
+        _, digits, exponent = value.as_tuple()
+        bits = math.ceil((len(digits) + abs(exponent)) * math.log2(10)) + 2
+    if bits <= LABEL_BITS_CAP:
+        try:
+            num, den = value.as_integer_ratio()     # ints, Fraction, Decimal, floats
+        except (AttributeError, ValueError, OverflowError):
+            raise ValueError(f"{what} {value!r} is not a finite real number") from None
+        bits = num.bit_length() + den.bit_length()
+    if bits > LABEL_BITS_CAP:
+        try:        # an int too long for str is named by its type
+            name = repr(value)
+        except ValueError:
+            name = f"of type {type(value).__name__}"
+        raise SizeCapError(f"{what} {name[:80]}{'...' * (len(name) > 80)} needs up to {bits}"
+                           f" bits of numerator and denominator, over the cap of {LABEL_BITS_CAP}")
     return num if den == 1 else Fraction(num, den)
 
 
@@ -336,16 +357,8 @@ def _tuple_alphabet(a: Alphabet, n: int) -> Alphabet:
 
 
 def _power_exceeds(base: int, n: int, cap: int) -> bool:
-    """Whether base ** n > cap, multiplied out one factor at a time and
-    stopped once past the cap, so a huge n costs no more than a small one."""
-    if base <= 1:
-        return base > cap
-    power = 1
-    for _ in range(n):
-        power *= base
-        if power > cap:
-            return True
-    return False
+    """Whether base ** n > cap, n cut at the cap's bit length: any base over 1 passes it there."""
+    return base ** min(max(n, 0), cap.bit_length()) > cap
 
 
 class _PlogpMemo(dict):

@@ -365,12 +365,15 @@ class TestGraphCommands:
                      "--delta", str(1 / 6), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["edges"] == [["1", "2"], ["2", "3"]]
 
-    @pytest.mark.parametrize("label, code", [("1e-99", 0), ("12e-99", 2),
-                                             ("1/" + "9" * 99, 0), ("1/" + "9" * 100, 2)],
-                             ids=["decimal-100", "decimal-101", "ratio-100", "ratio-101"])
-    def test_build_threshold_at_the_label_digit_cap(self, spec_files, tmp_path, label, code):
-        # a label string's numerator and denominator may hold 100 digits, a
-        # decimal exponent counted as that many zeros
+    @pytest.mark.parametrize("label, code", [("1e-614", 0), ("1e-615", 2),
+                                             (f"1/{2**2046}", 0), (f"1/{2**2047}", 2)],
+                             ids=["decimal-at", "decimal-over", "ratio-at", "ratio-over"])
+    def test_build_threshold_at_the_label_bits_cap(self, spec_files, tmp_path, label, code):
+        # the library's cap of 2,048 bits in a label's numerator and
+        # denominator: a ratio is sized exactly (1 + 2,047 bits passes, 1 +
+        # 2,048 does not), a decimal from its k digits and exponent as
+        # ceil(k log2 10) + 2 bits (k = 615 is 2,045 bits, k = 616 2,049)
+        assert graphs.LABEL_BITS_CAP == 2048
         table = json.loads(spec_files["grid_function"].read_text())
         table["values"][0][0] = label
         function = tmp_path / "function.json"
@@ -380,14 +383,15 @@ class TestGraphCommands:
                      "--out", str(tmp_path / "graph.json")]) == code
 
     def test_build_refuses_long_labels_at_once(self, spec_files, tmp_path, capsys):
-        # 1,024 labels "ke-100000": the first is refused before any Fraction
-        # multiplies out its exponent, which took about 8 ms a label
+        # 1,024 labels "ke-100000": the first is refused before its exponent
+        # is multiplied out, which took about 8 ms a label
         files = _over_cap_characteristic(_Inputs(spec_files, tmp_path / "inputs"), 1024, 1,
                                          lambda x, z: f"{x + 1}e-100000")
         start = time.perf_counter()
         assert main(["graph", "build", *files, "--delta", "0.5"]) == 2
         assert time.perf_counter() - start < 0.1
-        assert capsys.readouterr().err.startswith("error: --function: label '1e-100000' has")
+        assert capsys.readouterr().err.startswith(
+            "error: --function: function label Decimal('1E-100000') needs up to")
 
     def test_color(self, spec_files, tmp_path, capsys):
         graph_path = tmp_path / "graph.json"
@@ -890,11 +894,11 @@ MALFORMED_INPUT = {
         f"--function: label {label!r} is not numeric; threshold mode needs numeric"
         " function values"))(label)
        for label in ("1/0", "nan", "inf")},
-    "graph build label over the digit cap": lambda f: (
+    "graph build label over the bits cap": lambda f: (
         ["graph", "build", "--joint", f["pmf"], "--delta", "0.5", "--function",
          f.edited("function", _recast("values", lambda v: "1e-1000000" if v else "1/2"))],
-        "--function: label '1e-1000000' has 1000001 digits in its numerator and denominator,"
-        " over the cap of 100"),
+        "--function: function label Decimal('1E-1000000') needs up to 3321934 bits of"
+        " numerator and denominator, over the cap of 2048"),
     "graph build function on other symbols": lambda f: (
         ["graph", "build", "--joint", f["pmf"], "--function",
          f.edited("function", _set("domain_axes", 0, "symbols", ["a", "b", "c"]))],

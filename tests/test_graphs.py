@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,40 @@ class TestCharacteristicGraph:
                            match=f"^function label {re.escape(repr(label))} is not a finite real"):
             characteristic_graph(presets.ternary_source_joint(), f, delta=0)
         characteristic_graph(presets.ternary_source_joint(), f)    # exact mode reads no number
+
+    @pytest.mark.parametrize("labels, delta, refusal", [
+        (lambda: [0, 5e-324], 0, None),
+        (lambda: [0, math.ldexp(2**52 - 1, -1074)], 0, None),     # the largest subnormal
+        (lambda: [0, math.ldexp(2**53 - 1, -1074)], 0, None),     # 53 + 1,075 bits
+        (lambda: [0, sys.float_info.max], 0, None),
+        (lambda: [0, np.float64(5e-324)], 0, None),
+        (lambda: [k + Fraction(k, 10**1000) for k in range(1024)], Fraction(1, 2),
+         f"function label {repr(1 + Fraction(1, 10**1000))[:80]}... needs up to 6644 bits"),
+        (lambda: [0, Decimal("1e-1000000")], 0,
+         "function label Decimal('1E-1000000') needs up to 3321934 bits"),
+        (lambda: [0, 10**700], 0, f"function label 1{'0' * 79}... needs up to 2327 bits"),
+        # past the 4,300 digits that str() of an int may have
+        (lambda: [0, 10**5000], 0, "function label of type int needs up to 16611 bits"),
+        (lambda: [0, 1], Fraction(1, 2**2048),
+         f"delta {repr(Fraction(1, 2**2048))[:80]}... needs up to 2050 bits"),
+    ], ids=["min-subnormal", "max-subnormal", "float-1128-bits", "float-max", "numpy-float64",
+            "fractions-e1000", "decimal-e-1000000", "int-e700", "int-e5000", "fraction-delta"])
+    def test_threshold_mode_label_bits_cap(self, labels, delta, refusal):
+        # every float fits LABEL_BITS_CAP; a label or delta over it is refused
+        # by name, and at once: the first over-cap value stops the scan, and
+        # a Decimal is sized before its power of ten is written out
+        labels = labels()
+        axes = (alph("x", len(labels)), alph("z", 1))
+        joint = JointPMF(axes, np.full((len(labels), 1), 1 / len(labels)))
+        f = FunctionTable(axes, np.array(labels, dtype=object).reshape(-1, 1))
+        if refusal is None:
+            assert characteristic_graph(joint, f, delta=delta).sorted_edges() == [("x0", "x1")]
+            return
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError, match=f"^{re.escape(refusal)} of numerator and"
+                                               f" denominator, over the cap of 2048$"):
+            characteristic_graph(joint, f, delta=delta)
+        assert time.perf_counter() - start < 0.01
 
     def test_peak_memory_at_the_cap(self):
         # 1,024 vertices, one peer and 1,024 distinct labels: the complete
