@@ -9,7 +9,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Mapping
 
 import numpy as np
@@ -269,10 +269,14 @@ def _exact_number(value, what: str):
         value = int(value)
     bits = 0
     if isinstance(value, decimal.Decimal) and value.is_finite():
-        # d digits times 10**e: at most (d + |e|) log2(10) + 1 bits, one more for
-        # rounding, counted before as_integer_ratio writes 10**|e| out
+        # d digits times 10**e, trailing zeros moved into e (normalize() would round):
+        # at most (d + |e|) log2(10) + 1 bits, one more for rounding, counted before
+        # as_integer_ratio writes 10**|e| out
         _, digits, exponent = value.as_tuple()
-        bits = math.ceil((len(digits) + abs(exponent)) * math.log2(10)) + 2
+        if not any(digits):
+            return 0
+        zeros = len(digits) - len(bytes(digits).rstrip(b"\0"))
+        bits = math.ceil((len(digits) + abs(exponent + zeros) - zeros) * math.log2(10)) + 2
     if bits <= LABEL_BITS_CAP:
         try:
             num, den = value.as_integer_ratio()     # ints, Fraction, Decimal, floats
@@ -589,10 +593,10 @@ def stable_sets(g: CharGraph, maximal_only: bool = True) -> list[frozenset]:
 class ConditionalGraphEntropyResult:
     """Solver output: ``value``, the objective at the returned kernel (held
     in [0, ``upper_bound``], which moves it by rounding only); ``gap``,
-    ``value`` minus a lower bound on the minimum, the larger of the last
-    iterate's Frank-Wolfe bound and the colouring kernel's closed-form
-    certificate; and the feasible-coloring upper bound. The minimum lies in
-    ``[value - gap, value]``."""
+    ``value`` minus a lower bound on the minimum, the largest of the last
+    iterate's Frank-Wolfe bound and the closed-form certificates of the
+    colouring's and the cograph blocks' kernels; and the feasible-coloring
+    upper bound. The minimum lies in ``[value - gap, value]``."""
 
     value: float
     upper_bound: float          # conditional chromatic entropy at n = 1
@@ -615,10 +619,14 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     Korner, Lovasz, Marton and Simonyi (Combinatorica 1990): for b >= 0 whose
     sum over every stable set is at most 1 at each u2, the minimum is at
     least H(U1|U2) + sum p(u1, u2) log2 b(u1, u2) (Gibbs' inequality on
-    p(u1 | w, u2), which lives on the set w). With b = p(u1|u2) / p(w0(u1) |
-    u2) scaled down by its largest stable-set sum t(u2) where that exceeds 1,
-    the bound is the objective at q0 minus gap0 = sum p(u2) log2 t(u2). If
-    gap0 is at most ``tol``, q0 is returned after no step.
+    p(u1 | w, u2), which lives on the set w). With b = p(u1|u2) / a(u1, u2)
+    scaled down by its largest stable-set sum t(u2) where that exceeds 1,
+    the bound is -sum p log2 a - sum p(u2) log2 t(u2). For q0, a = p(w0(u1)
+    | u2) and the bound is the objective at q0 minus gap0 = sum p(u2) log2
+    t(u2). If gap0 is at most ``tol``, q0 is returned after no step. Else
+    ``_cograph_kernel`` may give a second candidate, certified with a(u1, u2)
+    = sum over the sets w holding u1 of p(w | u2), which is tight on perfect
+    graphs; if its gap is at most ``tol``, no step is taken either.
 
     Otherwise the minimum is sought by Blahut-Arimoto-type alternating
     minimization from the uniform interior point. The plain step q+ is
@@ -632,8 +640,8 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     counts as a step. Each iterate's Frank-Wolfe gap bounds its distance to
     the minimum from above (Jaggi 2013); the steps stop once the gap is at
     most ``tol``, or after ``max_iter`` of them. The lower bound is then the
-    larger of the iterate's and q0's, and the one of the two kernels with
-    the smaller objective is returned.
+    largest of the candidates', and the kernel with the smallest objective
+    is returned.
     """
     if not tol >= 0:                    # refuses NaN as well
         raise ValueError(f"tol must be nonnegative, got {tol}")
@@ -660,6 +668,12 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
         return float(np.add.reduce(plogp(q), axis=1) @ p1
                      - np.add.reduce(plogp(r), axis=1) @ p2)
 
+    def clique_gap(denominator: np.ndarray) -> float:
+        # sum p(u2) log2 t(u2); the denominator is positive where p(u1 | u2) is
+        b = np.divide(p1_given_2, denominator, out=np.zeros_like(p), where=p1_given_2 > 0)
+        load = np.maximum(np.maximum.reduce(rows @ b, axis=0), 1.0)     # t(u2)
+        return float(p2 @ np.log2(load))
+
     # the colouring's kernel; classes that land on one set merge, which
     # cannot raise H(W|U2)
     assign, upper = _min_entropy_partition(g._adj, p)
@@ -672,25 +686,89 @@ def conditional_graph_entropy(g: CharGraph, joint: JointPMF, *,
     q0 = np.zeros(allowed.shape)
     q0[vertex, home] = 1.0
     r0 = p1_given_2.T @ q0                                  # r0[u2, w] = p(w | u2)
-    # b[u1, u2] = p(u1 | u2) / p(w0(u1) | u2); the denominator is at least
-    # the numerator, so it is positive wherever the numerator is
-    b = np.divide(p1_given_2, r0[:, home].T, out=np.zeros_like(p), where=p1_given_2 > 0)
-    load = np.maximum(np.maximum.reduce(rows @ b, axis=0), 1.0)     # t(u2)
     value0 = objective(q0, r0)
-    gap0 = float(p2 @ np.log2(load))
+    gap0 = clique_gap(r0[:, home].T)                        # p(w0(u1) | u2)
     kernel, value, lower = q0, value0, value0 - gap0
     if gap0 > tol:
-        q, r, gap = _alternating_minimization(allowed, p1, p2_given_1, p1_given_2,
-                                              tol, max_iter)
-        f = objective(q, r)
-        lower = max(lower, f - gap)
-        if f < value0:
-            kernel, value = q, f
+        closed = _cograph_kernel(g._adj, p, p1.tolist(), rows, q0)
+        if closed is not None:
+            r = p1_given_2.T @ closed
+            a = allowed @ r.T           # a[u1, u2]: p(the set holds u1 | u2)
+            log_a = np.log2(a, out=np.zeros_like(a), where=p > 0)
+            lower = max(lower, -float(np.vdot(p, log_a)) - clique_gap(a))
+            f = objective(closed, r)
+            if f < value:
+                kernel, value = closed, f
+        if closed is None or min(max(value, 0.0), upper) - lower > tol:
+            q, r, gap = _alternating_minimization(allowed, p1, p2_given_1, p1_given_2,
+                                                  tol, max_iter)
+            f = objective(q, r)
+            lower = max(lower, f - gap)
+            if f < value:
+                kernel, value = q, f
     # f(q0) summed from r0 can exceed the colouring's entropy, and f(q) fall
     # below 0, by rounding in the last bits only
     value = min(max(value, 0.0), upper)
     gap = max(value - lower, 0.0)
     return ConditionalGraphEntropyResult(value, upper, kernel, sets, gap <= tol, gap)
+
+
+def _cograph_kernel(adj: np.ndarray, p: np.ndarray, p1: list, rows: np.ndarray,
+                    q0: np.ndarray) -> np.ndarray | None:
+    """The minimising kernel where each vertex with mass has it on one peer
+    and every peer's block (its vertices with mass) is P4-free, else None.
+    Graph entropy is additive over disjoint unions and joins (Simonyi 1995):
+    a vertex's kernel is its component's times the other components' output
+    laws, over the product sets, or its part's in a join. Each block-local
+    set goes to the first row of ``rows`` with that restriction."""
+    support = p > 0
+    if (np.add.reduce(support, axis=1) > 1).any():
+        return None
+    bit = 1 << np.arange(len(p))
+    near = (adj @ bit).tolist()                 # neighbourhoods as int bitmasks
+    far = (~adj @ bit - bit).tolist()           # and in the complement
+
+    def component(s: int, nbr: list) -> int:    # of s's lowest vertex, under nbr
+        part = new = s & -s
+        while new:
+            new = reduce(int.__or__, (nbr[v] for v in range(new.bit_length())
+                                      if new >> v & 1)) & s & ~part
+            part |= new
+        return part
+
+    def product(x: dict, y: dict) -> dict:
+        return {a | b: pa * pb for a, pa in x.items() for b, pb in y.items()}
+
+    def solve(s: int):      # per vertex its kernel, the output law and the mass of s
+        if not s & (s - 1):
+            v = s.bit_length() - 1
+            return {v: {s: 1.0}}, {s: 1.0}, p1[v]
+        part = component(s, near)
+        joined = part == s
+        if joined and (part := component(s, far)) == s:
+            return None                         # prime
+        halves = solve(part), solve(s ^ part)
+        if None in halves:
+            return None
+        (k1, l1, m1), (k2, l2, m2) = halves
+        if joined:                              # each set lies in one part
+            m = m1 + m2
+            return ({**k1, **k2}, {**{w: x * m1 / m for w, x in l1.items()},
+                                   **{w: x * m2 / m for w, x in l2.items()}}, m)
+        return ({**{v: product(row, l2) for v, row in k1.items()},
+                 **{v: product(row, l1) for v, row in k2.items()}}, product(l1, l2), m1 + m2)
+
+    masks = (rows @ bit).tolist()
+    kernel = np.where(support.any(axis=1, keepdims=True), 0.0, q0)
+    for block in filter(None, (bit @ support).tolist()):
+        solved = solve(block)
+        if solved is None:
+            return None
+        # reversed, so that the first row with each restriction is kept
+        first = {m & block: j for j, m in reversed(list(enumerate(masks)))}
+        for v, row in solved[0].items():
+            kernel[v, [first[w] for w in row]] = list(row.values())
+    return kernel
 
 
 def _alternating_minimization(allowed: np.ndarray, p1: np.ndarray, p2_given_1: np.ndarray,

@@ -1052,6 +1052,50 @@ def loop_clique_certificate(g: CharGraph, joint: JointPMF, kernel: np.ndarray) -
     return math.fsum(terms)
 
 
+
+def loop_antiblocker_certificate(g: CharGraph, joint: JointPMF, kernel: np.ndarray) -> float:
+    """The lower bound on the minimum that any kernel q certifies, in Python
+    loops over ``stable_sets(g)``: with a(u1, u2) the mass that p(w | u2)
+    puts on the sets holding u1, b(u1, u2) = p(u1 | u2) / a(u1, u2), and
+    t(u2) the largest of 1 and b's sums over the maximal stable sets, it is
+    -sum p(u1, u2) log2 a(u1, u2) - sum p(u2) log2 t(u2). Gibbs' inequality
+    makes it a lower bound for any positive a."""
+    sets = stable_sets(g, maximal_only=True)
+    syms = g.vertices.symbols
+    n, m = joint.mass.shape
+    mass = joint.mass.tolist()
+    q = kernel.tolist()
+    terms = []
+    for k in range(m):
+        p2 = math.fsum(mass[i][k] for i in range(n))
+        if p2 == 0:
+            continue
+        r = [math.fsum(mass[i][k] * q[i][w] for i in range(n)) / p2 for w in range(len(sets))]
+        a = {syms[i]: math.fsum(r[w] for w, s in enumerate(sets) if syms[i] in s)
+             for i in range(n) if mass[i][k] > 0}
+        b = {syms[i]: mass[i][k] / p2 / a[syms[i]] for i in range(n) if mass[i][k] > 0}
+        t = max([1.0] + [math.fsum(b.get(v, 0.0) for v in s) for s in sets])
+        terms += [-mass[i][k] * math.log2(a[syms[i]]) for i in range(n) if mass[i][k] > 0]
+        terms.append(-p2 * math.log2(t))
+    return math.fsum(terms)
+
+
+def loop_blocks_are_cographs(g: CharGraph, joint: JointPMF) -> bool:
+    """Whether each vertex with mass has it on one peer and no peer's block,
+    its vertices with mass, holds an induced path on four vertices: four
+    vertices with three edges among them and degrees 1, 1, 2 and 2 there."""
+    mass = joint.mass
+    if any(np.count_nonzero(row) > 1 for row in mass):
+        return False
+    syms = g.vertices.symbols
+    for column in mass.T:
+        block = [syms[i] for i in np.flatnonzero(column).tolist()]
+        for four in itertools.combinations(block, 4):
+            degrees = sorted(sum(has_edge(g, v, u) for u in four) for v in four)
+            if degrees == [1, 1, 2, 2]:
+                return False
+    return True
+
 # --- Monte Carlo references -------------------------------------------------
 # Per-block loops as the Monte Carlo routines were first written, one loop per
 # routine with its own accumulator; the keyed block streams of

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -27,6 +28,8 @@ from _support import (
     grid_conditional_graph_entropy,
     has_edge,
     loop_adjacency_masks,
+    loop_antiblocker_certificate,
+    loop_blocks_are_cographs,
     loop_characteristic_edges,
     loop_clique_certificate,
     loop_coloring_clashes,
@@ -192,13 +195,19 @@ class TestCharacteristicGraph:
          f"function label {repr(1 + Fraction(1, 10**1000))[:80]}... needs up to 6644 bits"),
         (lambda: [0, Decimal("1e-1000000")], 0,
          "function label Decimal('1E-1000000') needs up to 3321934 bits"),
+        # trailing zeros are not counted, and a zero has none to count
+        (lambda: [1, Decimal("0E-700")], 0, None),
+        (lambda: [0, Decimal("10e-614")], 0, None),                 # 10**-613: 2,038 bits
+        (lambda: [0, Decimal("1e-615")], 0,
+         "function label Decimal('1E-615') needs up to 2049 bits"),
         (lambda: [0, 10**700], 0, f"function label 1{'0' * 79}... needs up to 2327 bits"),
         # past the 4,300 digits that str() of an int may have
         (lambda: [0, 10**5000], 0, "function label of type int needs up to 16611 bits"),
         (lambda: [0, 1], Fraction(1, 2**2048),
          f"delta {repr(Fraction(1, 2**2048))[:80]}... needs up to 2050 bits"),
     ], ids=["min-subnormal", "max-subnormal", "float-1128-bits", "float-max", "numpy-float64",
-            "fractions-e1000", "decimal-e-1000000", "int-e700", "int-e5000", "fraction-delta"])
+            "fractions-e1000", "decimal-e-1000000", "decimal-zero-e-700", "decimal-10e-614",
+            "decimal-1e-615", "int-e700", "int-e5000", "fraction-delta"])
     def test_threshold_mode_label_bits_cap(self, labels, delta, refusal):
         # every float fits LABEL_BITS_CAP; a label or delta over it is refused
         # by name, and at once: the first over-cap value stops the scan, and
@@ -825,31 +834,44 @@ def cap_instance(seed: int):
 
 
 # sha256 of the solver's returned bits in test_conditional_graph_entropy_bits_are_pinned
-PINNED_SOLVER_BITS = "07ca1c5d02bc8f05283383e479145b720f4e74e8ba944ce075e264fda0480400"
+PINNED_SOLVER_BITS = "3019d23fc850bec5af53f9a959d8c0fe107b245613366c7cfbff9aaf74326442"
 
 
 def check_lower_bounds(g: CharGraph, joint: JointPMF, got, tol: float = 1e-8,
-                       ) -> tuple[float, bool]:
+                       ) -> tuple[float, str | None]:
     """The solver's kernel, value and lower bound against the loop oracles;
-    returns the loop certificate's lower bound at the colouring's kernel q0,
-    and whether it settles q0.
+    returns the loop certificates' lower bound, and which closed form
+    settles the instance: "q0", "closed" or None.
 
     ``value`` is the objective at the kernel up to 1e-12 and lies in [0,
-    ``upper_bound``] exactly. Where the certificate settles q0 (its gap at
-    most ``tol``), q0 is returned, converged. The lower bound value - gap is
-    at least the certificate's, up to 1e-12."""
+    ``upper_bound``] exactly. Where the certificate settles the colouring's
+    kernel q0 (its gap at most ``tol``), q0 is returned, converged. Else,
+    where each vertex with mass has it on one peer and no peer's block holds
+    an induced P4, the blocks' closed form settles it: the result is
+    converged, and where its kernel is not q0 its lower bound is the
+    generalised certificate at that kernel, up to 1e-12. The lower bound
+    value - gap is at least the certificates', up to 1e-12."""
     q = got.kernel
     assert abs(got.value - loop_kernel_objective(joint, q)) <= 1e-12
     assert 0.0 <= got.value <= got.upper_bound
     assert got.converged == (got.gap <= tol)
     q0 = loop_coloring_kernel(g, joint)
     gap0 = loop_clique_certificate(g, joint, q0)
+    certificate = loop_kernel_objective(joint, q0) - gap0
+    settled = None
     if gap0 <= tol:
+        settled = "q0"
         assert got.converged
         np.testing.assert_array_equal(q, q0)
-    certificate = loop_kernel_objective(joint, q0) - gap0
+    elif loop_blocks_are_cographs(g, joint):
+        settled = "closed"
+        assert got.converged
+        if not np.array_equal(q, q0):
+            closed = loop_antiblocker_certificate(g, joint, q)
+            assert abs(got.value - got.gap - closed) <= 1e-12
+            certificate = max(certificate, closed)
     assert got.value - got.gap >= certificate - 1e-12
-    return certificate, gap0 <= tol
+    return certificate, settled
 
 
 def check_certified_solver(g: CharGraph, joint: JointPMF, kwargs: dict, loop):
@@ -874,7 +896,8 @@ def check_certified_solver(g: CharGraph, joint: JointPMF, kwargs: dict, loop):
     certificate, settled = check_lower_bounds(g, joint, got)
     assert certificate <= loop.value + 1e-12
     q = got.kernel
-    if settled or not np.isin(q, (0.0, 1.0)).all():
+    # the closed form's bound is held by check_lower_bounds
+    if settled == "q0" or settled is None and not np.isin(q, (0.0, 1.0)).all():
         frank_wolfe = got.value - loop_frank_wolfe_gap(g, joint, got.sets, q)
         assert abs(got.gap - (got.value - max(frank_wolfe, certificate))) <= 1e-12
 
@@ -890,31 +913,38 @@ def check_certified_solver(g: CharGraph, joint: JointPMF, kwargs: dict, loop):
 
 def check_against_frozen_solver(g: CharGraph, joint: JointPMF, kwargs: dict):
     """The solver against its plain-step loop as it was before the steps were
-    over-relaxed and the colouring's kernel certified. At ``max_iter=0``,
-    where the certificate does not settle the colouring's kernel q0 and the
+    over-relaxed and the closed-form candidates certified. At
+    ``max_iter=0``, where no closed form settles the instance and the
     uniform start has the smaller objective, both return that start: the
     same kernel and value bit for bit, and a gap no larger than the frozen
-    one (the certificate can only raise the lower bound). Elsewhere the
+    one (the certificates can only raise the lower bound). Elsewhere the
     kernels differ, so the certificates are compared: the same sets and
     colouring bound, ``converged`` exactly when the gap is at most ``tol``,
     [value - gap, value] and q0's certificate meeting the frozen loop's
     interval at a 1e-11 gap up to 1e-12, and no certificate lost where the
     frozen loop certifies with the same settings. Returns the result and
-    how it came back at ``max_iter=0``: "settled", "q0" or "uniform"."""
+    how it came back at ``max_iter=0``: "settled" or "q0" (the colouring's
+    kernel q0, settled or not), "closed" (the blocks' closed form) or
+    "uniform"."""
     got = conditional_graph_entropy(g, joint, **kwargs)
     want = frozen_conditional_graph_entropy(g, joint, **kwargs)
     tol = kwargs.get("tol", 1e-8)
     assert got.upper_bound == want.upper_bound
     assert got.sets == want.sets
-    certificate, _ = check_lower_bounds(g, joint, got, tol)
+    certificate, settled = check_lower_bounds(g, joint, got, tol)
     if kwargs.get("max_iter") == 0:
         if got.kernel.tobytes() == want.kernel.tobytes():
             assert got.value.hex() == want.value.hex()
             assert got.gap <= want.gap + 1e-15
             assert got.converged or not want.converged
             return got, "uniform"
-        # q0, settled by its certificate or lower than the uniform start
-        np.testing.assert_array_equal(got.kernel, loop_coloring_kernel(g, joint))
+        q0 = loop_coloring_kernel(g, joint)
+        if settled == "closed" and not np.array_equal(got.kernel, q0):
+            # the minimum, certified, so no higher than the uniform start
+            assert got.value <= want.value + 1e-12
+            return got, "closed"
+        # q0, settled by a certificate or lower than the uniform start
+        np.testing.assert_array_equal(got.kernel, q0)
         assert got.value <= want.value
         return got, "settled" if got.converged else "q0"
     ref = frozen_conditional_graph_entropy(g, joint, tol=1e-11, max_iter=10**6)
@@ -1259,12 +1289,76 @@ class TestFastPathsAgainstLoops:
         g, joint = cap_instance(5)
         assert check_against_frozen_solver(g, joint, {})[0].converged
 
-    def test_colouring_certificate_settles_the_bench_instances(self):
-        # on about half of seed 24101's instances the minimum is at the
-        # colouring's kernel, which its certificate settles after no step
-        settled = sum(conditional_graph_entropy(g, joint, max_iter=0).converged
-                      for g, joint in bench_small_instances(24101))
-        assert settled >= 117
+    def test_colouring_certificate_settles_the_bench_instances(self, monkeypatch):
+        def settled() -> int:
+            return sum(conditional_graph_entropy(g, joint, max_iter=0).converged
+                       for g, joint in bench_small_instances(24101))
+
+        # each vertex of seed 24101's instances sits on one peer, so the
+        # blocks' closed form settles all but those with a prime block
+        assert settled() >= 230
+        # on about half of them the minimum is at the colouring's kernel,
+        # which its certificate settles after no step on its own
+        monkeypatch.setattr(graphs, "_cograph_kernel", lambda *args: None)
+        assert settled() >= 117
+
+    def test_closed_form_on_every_small_graph(self):
+        # every labelled graph of 1-5 vertices, each with a random joint that
+        # puts each vertex on one of 1-3 peers or leaves it without mass. At
+        # max_iter=0 the closed form settles every instance that q0 does not
+        # and whose blocks are P4-free (check_lower_bounds), and there
+        # [value - gap, value] meets the frozen loop's interval at a 1e-11 gap
+        rng = np.random.default_rng(3701)
+        outcomes = collections.Counter()
+        for n in range(1, 6):
+            verts = alph("v", n)
+            pairs = list(itertools.combinations(verts.symbols, 2))
+            for chosen in itertools.product((False, True), repeat=len(pairs)):
+                g = CharGraph(verts, itertools.compress(pairs, chosen))
+                m = int(rng.integers(1, 4))
+                keep = rng.random(n) >= 0.2
+                keep[rng.integers(n)] = True
+                mass = np.zeros((n, m))
+                mass[np.arange(n), rng.integers(0, m, size=n)] = (rng.random(n) + 0.5) * keep
+                joint = JointPMF((verts, alph("p", m)), mass / mass.sum())
+                got = conditional_graph_entropy(g, joint, max_iter=0)
+                settled = check_lower_bounds(g, joint, got)[1]
+                outcomes[settled] += 1
+                if settled == "closed":
+                    ref = frozen_conditional_graph_entropy(g, joint, tol=1e-11, max_iter=10**6)
+                    assert ref.converged
+                    assert got.value - got.gap <= ref.value + 1e-12
+                    assert ref.value - ref.gap <= got.value + 1e-12
+        assert outcomes["closed"] >= 250 and outcomes[None] >= 50, outcomes
+
+    @pytest.mark.parametrize("edges", [[("a", "b")], [("a", "b"), ("b", "c")]],
+                             ids=["edge-and-vertex", "path-and-vertex"])
+    def test_closed_forms_of_small_cographs(self, edges):
+        # one peer. An edge a-b beside c is a disjoint union, whose entropy is
+        # the edge's, (p_a + p_b) h(p_a / (p_a + p_b)). The path a-b-c joins b
+        # to the edgeless {a, c}, so its entropy is h(p_b); beside a vertex d
+        # it is (1 - p_d) h(p_b / (1 - p_d)). q0 settles none of these
+        def h(x: float) -> float:
+            return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+
+        rng = np.random.default_rng(3702)
+        verts = Alphabet("v", ("a", "b", "c", "d")[:len(edges) + 2])
+        g = CharGraph(verts, edges)
+        for _ in range(50):
+            mass = rng.dirichlet(np.ones(len(verts)))
+            joint = JointPMF((verts, alph("p", 1)), mass[:, None])
+            got = conditional_graph_entropy(g, joint, max_iter=0)
+            assert check_lower_bounds(g, joint, got)[1] == "closed"
+            pa, pb = mass[:2]
+            if len(edges) == 1:
+                want = (pa + pb) * h(pa / (pa + pb))
+            else:
+                want = (1 - mass[3]) * h(pb / (1 - mass[3]))
+                path = np.append(mass[:3] / mass[:3].sum(), 0.0)[:, None]
+                got_path = conditional_graph_entropy(g, JointPMF((verts, alph("p", 1)), path))
+                assert abs(got_path.value - h(path[1, 0])) <= 1e-15
+            assert abs(got.value - want) <= 1e-15
+            assert got.gap <= 1e-15
 
     def test_conditional_graph_entropy_bits_are_pinned(self):
         # sha256 over every returned bit of 240 bench-shaped instances, 100
