@@ -269,9 +269,8 @@ def _exact_number(value, what: str):
         value = int(value)
     bits = 0
     if isinstance(value, decimal.Decimal) and value.is_finite():
-        # d digits times 10**e, trailing zeros moved into e (normalize() would round):
-        # at most (d + |e|) log2(10) + 1 bits, one more for rounding, counted before
-        # as_integer_ratio writes 10**|e| out
+        # d digits times 10**e, trailing zeros moved into e (normalize() would round): at
+        # most (d + |e|) log2(10) + 2 bits, counted before as_integer_ratio writes 10**|e| out
         _, digits, exponent = value.as_tuple()
         if not any(digits):
             return 0
@@ -743,8 +742,7 @@ def _cograph_kernel(adj: np.ndarray, p: np.ndarray, p1: list, rows: np.ndarray,
         if not s & (s - 1):
             v = s.bit_length() - 1
             return {v: {s: 1.0}}, {s: 1.0}, p1[v]
-        part = component(s, near)
-        joined = part == s
+        joined = (part := component(s, near)) == s
         if joined and (part := component(s, far)) == s:
             return None                         # prime
         halves = solve(part), solve(s ^ part)

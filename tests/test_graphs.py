@@ -1246,8 +1246,9 @@ class TestFastPathsAgainstLoops:
             g, joint = random_peer_joint(rng, (3, 9), (2, 5), case % 4)
             returns.add(check_against_frozen_solver(g, joint, kwargs)[1])
         if max_iter == 0:
-            # both the bit-identical start and the settled colouring are met
-            assert {"uniform", "settled"} <= returns
+            # the bit-identical start, the settled colouring and the blocks'
+            # closed form are all met
+            assert {"uniform", "settled", "closed"} <= returns
 
     def test_conditional_graph_entropy_against_the_frozen_loop_on_bench_shapes(self):
         # 240 instances for each of three seeds, shaped like the benchmark's
@@ -1337,7 +1338,8 @@ class TestFastPathsAgainstLoops:
         # one peer. An edge a-b beside c is a disjoint union, whose entropy is
         # the edge's, (p_a + p_b) h(p_a / (p_a + p_b)). The path a-b-c joins b
         # to the edgeless {a, c}, so its entropy is h(p_b); beside a vertex d
-        # it is (1 - p_d) h(p_b / (1 - p_d)). q0 settles none of these
+        # it is (1 - p_d) h(p_b / (1 - p_d)). q0 settles neither the edge nor
+        # the path beside a vertex
         def h(x: float) -> float:
             return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
